@@ -6,6 +6,7 @@ Usage::
     python -m repro table2 | table3 | table4
     python -m repro fig3 | fig4 [--requests 300] [--csv out.csv]
     python -m repro fig5 | fig6 [--requests 250] [--csv out.csv]
+    python -m repro fig3 | fig4 | fig5 | fig6 [--workers 2] [--cache DIR]
     python -m repro demo            # the quickstart, end to end
     python -m repro check [--json]  # determinism & protocol invariants
 """
@@ -32,6 +33,16 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
     return sizes
 
 
+def _parse_workers(text: str) -> int:
+    try:
+        workers = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad worker count {text!r}") from None
+    if workers < 1:
+        raise argparse.ArgumentTypeError("workers must be at least 1")
+    return workers
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -54,6 +65,12 @@ def _build_parser() -> argparse.ArgumentParser:
             figure, help=f"regenerate {figure} of the paper")
         figure_parser.add_argument("--requests", type=int, default=250,
                                    help="measured completions per run")
+        figure_parser.add_argument(
+            "--workers", type=_parse_workers, default=1,
+            help="worker processes for independent runs (default 1: serial)")
+        figure_parser.add_argument(
+            "--cache", metavar="DIR",
+            help="reuse runs stored in DIR and store new ones there")
         figure_parser.add_argument("--csv", help="also write CSV here")
 
     sensitivity_parser = sub.add_parser(
@@ -108,22 +125,26 @@ def _run_table(args) -> int:
 
 def _run_figure(args) -> int:
     from .sim import (
-        figure3_series, figure4_series, figure5_series, figure6_series,
+        ResultCache, figure3_series, figure4_series, figure5_series,
+        figure6_series,
     )
+    # Fanned-out and cached points are bit-identical to the serial ones.
+    fanout = dict(workers=args.workers,
+                  cache=ResultCache(args.cache) if args.cache else None)
     if args.command == "fig3":
-        points = figure3_series(num_requests=args.requests)
+        points = figure3_series(num_requests=args.requests, **fanout)
         title = "Figure 3 — mean completion (ms) vs req/s, 1 MB requests"
         x_label, y_label, y_max = "requests/second", "ms", 2000.0
     elif args.command == "fig4":
-        points = figure4_series(num_requests=args.requests)
+        points = figure4_series(num_requests=args.requests, **fanout)
         title = "Figure 4 — mean completion (ms) vs req/s, 128 KB requests"
         x_label, y_label, y_max = "requests/second", "ms", 1500.0
     elif args.command == "fig5":
-        points = figure5_series(num_requests=args.requests)
+        points = figure5_series(num_requests=args.requests, **fanout)
         title = "Figure 5 — max sustainable data-rate, 4 KB units"
         x_label, y_label, y_max = "disks", "bytes/s", None
     else:
-        points = figure6_series(num_requests=args.requests)
+        points = figure6_series(num_requests=args.requests, **fanout)
         title = "Figure 6 — max sustainable data-rate, 32 KB units"
         x_label, y_label, y_max = "disks", "bytes/s", None
 

@@ -109,9 +109,24 @@ def find_max_sustainable(base: SimConfig,
     """Bisect for the §5.2 maximum-sustainable-load point.
 
     Returns the result at the highest arrival rate found whose mean
-    completion time does not exceed the mean interarrival time.  The
-    search is sequential (each probe depends on the last verdict), but a
-    ``cache`` makes repeated searches resolve instantly, and
+    completion time does not exceed the mean interarrival time.
+
+    The search first brackets that rate between two adjacent points of
+    the grid ``rate_low * 2**k`` (capped at ``rate_high``), then bisects
+    the bracket ``iterations`` times.  The bracket is seeded from the
+    first probe: its mean completion time at ``rate_low`` is the
+    unloaded time ``W0``, and completion time never drops below it, so
+    no rate above ``1/W0`` is sustainable.  The seed is the largest grid
+    rate not above ``min(1/W0, rate_high)`` (the top of the grid when
+    ``W0`` is 0); the search halves from there while the probe is
+    unsustainable and doubles while it is sustainable.  Whenever sustainability is
+    monotone in rate this finds the same bracket — and so probes the
+    same configs and returns the same result — as walking the grid up
+    from ``rate_low``, in fewer probes: typically the seed and one
+    neighbour.
+
+    The search is sequential (each probe depends on the last verdict),
+    but a ``cache`` makes repeated searches resolve instantly, and
     ``warm_start=True`` carries one built model across every probe (all
     probes share a deployment digest, since only the rate moves); to
     parallelise *across* base configs use
@@ -153,19 +168,36 @@ def find_max_sustainable(base: SimConfig,
     if not ok_low:
         # Even the lightest load is unsustainable; report it as the bound.
         return best
-    # Exponential search for the first unsustainable rate, then bisect
-    # inside that (tight) bracket — far better resolution than bisecting
-    # the whole [rate_low, rate_high] span.
-    low, high = rate_low, None
+    # Bracket the boundary between adjacent points of the rate_low * 2**k
+    # grid, then bisect inside that (tight) bracket — far better
+    # resolution than bisecting the whole [rate_low, rate_high] span.
+    # Doubling and halving are exact, so every grid rate is the same
+    # float however it is reached.  Seed at the largest grid rate whose
+    # interarrival time still covers the unloaded completion time W0
+    # (`W0 <= 1/rate` also admits W0 == 0); when sustainability is
+    # monotone in rate, galloping from there meets the same first
+    # unsustainable grid point as a walk up from rate_low.
+    unloaded = best.mean_completion_s
     rate = rate_low
-    while rate * 2.0 <= rate_high:
+    while rate * 2.0 <= rate_high and unloaded <= 1.0 / (rate * 2.0):
         rate *= 2.0
+    low, high = rate_low, None
+    # Halve while unsustainable; rate_low itself is known sustainable.
+    while rate > low:
+        ok, result = sustainable(rate)
+        if ok:
+            low, best = rate, result
+            break
+        high = rate
+        rate /= 2.0
+    # Double while sustainable, up to the rate_high cap.
+    while high is None and low * 2.0 <= rate_high:
+        rate = low * 2.0
         ok, result = sustainable(rate)
         if ok:
             low, best = rate, result
         else:
             high = rate
-            break
     if high is None:
         ok, result = sustainable(rate_high)
         if ok:

@@ -2,7 +2,9 @@
 
 import pytest
 
+import repro.sim
 from repro.cli import main
+from repro.sim import FigurePoint, ResultCache
 
 
 def test_demo_roundtrips(capsys):
@@ -29,6 +31,35 @@ def test_figure_command(capsys):
     out = capsys.readouterr().out
     assert "Figure 4" in out
     assert "disks" in out
+
+
+@pytest.mark.parametrize("command, series", [
+    ("fig3", "figure3_series"), ("fig4", "figure4_series"),
+    ("fig5", "figure5_series"), ("fig6", "figure6_series")])
+def test_figure_fanout_flags_reach_the_series(monkeypatch, tmp_path,
+                                              command, series):
+    calls = []
+
+    def stub(**kwargs):
+        calls.append(kwargs)
+        return [FigurePoint(series="stub", x=1.0, y=2.0, result=None)]
+
+    monkeypatch.setattr(repro.sim, series, stub)
+    runs = tmp_path / "runs"
+    assert main([command]) == 0
+    assert main([command, "--workers", "3", "--cache", str(runs)]) == 0
+    default, fanned = calls
+    assert default == dict(num_requests=250, workers=1, cache=None)
+    assert fanned["workers"] == 3
+    assert isinstance(fanned["cache"], ResultCache)
+    assert fanned["cache"].root == runs
+
+
+def test_bad_workers_rejected():
+    with pytest.raises(SystemExit):
+        main(["fig5", "--workers", "0"])
+    with pytest.raises(SystemExit):
+        main(["fig5", "--workers", "two"])
 
 
 def test_bad_sizes_rejected():
