@@ -41,7 +41,7 @@ def part1_tapes() -> None:
     print("=" * 60)
     print(f"Part 1 — restoring a {archive_size // MB} MB archive from DAT")
     print(f"  drive: {DAT_DDS1.name}, "
-          f"{DAT_DDS1.transfer_rate / 1000:.0f} KB/s streaming, "
+          f"{DAT_DDS1.transfer_rate_bytes_per_s / 1000:.0f} KB/s streaming, "
           f"{DAT_DDS1.avg_position_s:.0f} s average locate")
     print("=" * 60)
     for drives in (1, 2, 4, 8):

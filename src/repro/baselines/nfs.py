@@ -103,8 +103,8 @@ class _NfsServer:
         self._last_file = rpc.file_name
         payload = yield from fs.read(rpc.file_name, rpc.offset, rpc.count)
         reply = ReadReply(xid=rpc.xid, payload=bytes(payload))
-        yield from self.socket.send(reply_to, message=reply,
-                                    payload_size=_rpc_wire_size(reply))
+        yield self.socket.send_op(reply_to, message=reply,
+                                  payload_size=_rpc_wire_size(reply))
         self._readahead(rpc.file_name, rpc.offset + rpc.count, rpc.count)
 
     def _readahead(self, name: str, offset: int, length: int) -> None:
@@ -126,10 +126,10 @@ class _NfsServer:
         # (inode + indirect block on NFSv2) as separate positioned writes.
         yield from fs.write(rpc.file_name, rpc.offset, rpc.payload, sync=True)
         for _ in range(NFS_METADATA_WRITES):
-            yield from fs.disk.access(512)
+            yield fs.disk.access_op(512)
         reply = WriteReply(xid=rpc.xid)
-        yield from self.socket.send(reply_to, message=reply,
-                                    payload_size=_rpc_wire_size(reply))
+        yield self.socket.send_op(reply_to, message=reply,
+                                  payload_size=_rpc_wire_size(reply))
 
     _last_file: str = ""
 
@@ -172,7 +172,7 @@ class NfsBaseline:
         return self.env.run(until=self.env.process(generator))
 
     def _call(self, message, reply_type):
-        yield from self.client_socket.send(
+        yield self.client_socket.send_op(
             self._server_address, message=message,
             payload_size=_rpc_wire_size(message))
         datagram = yield self.client_socket.recv(

@@ -1,9 +1,7 @@
 """The Swift architecture: striping, parity, mediator, agents, client."""
 
 from .agent_protocol import (
-    CONTROL_SIZE,
     CONTROL_SIZE_BYTES,
-    DATA_HEADER_SIZE,
     DATA_HEADER_SIZE_BYTES,
     CloseReply,
     CloseRequest,
@@ -75,7 +73,6 @@ __all__ = [
     "OpenRequest", "OpenReply", "ReadRequest", "DataPacket",
     "WriteRequest", "WriteData", "WriteAck", "WriteNak",
     "CloseRequest", "CloseReply", "wire_size",
-    "CONTROL_SIZE", "DATA_HEADER_SIZE",
     "CONTROL_SIZE_BYTES", "DATA_HEADER_SIZE_BYTES",
     # errors
     "SwiftError", "AdmissionError", "ObjectNotFound", "ObjectExists",

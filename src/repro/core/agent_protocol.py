@@ -27,8 +27,6 @@ from dataclasses import dataclass, field
 __all__ = [
     "CONTROL_SIZE_BYTES",
     "DATA_HEADER_SIZE_BYTES",
-    "CONTROL_SIZE",
-    "DATA_HEADER_SIZE",
     "OpenRequest",
     "OpenReply",
     "ReadRequest",
@@ -52,10 +50,6 @@ __all__ = [
 CONTROL_SIZE_BYTES = 64
 #: Header bytes carried by each data-bearing packet.
 DATA_HEADER_SIZE_BYTES = 32
-
-#: Pre-suffix-convention aliases.
-CONTROL_SIZE = CONTROL_SIZE_BYTES
-DATA_HEADER_SIZE = DATA_HEADER_SIZE_BYTES
 
 
 @dataclass(frozen=True)

@@ -55,8 +55,8 @@ class NamespaceClient:
         port; raises AgentFailure if the agent never answers."""
         address = Address(agent_host, self.well_known_port)
         for _ in range(self.max_retries):
-            yield from self.socket.send(address, message=message,
-                                        payload_size=wire_size(message))
+            yield self.socket.send_op(address, message=message,
+                                      payload_size=wire_size(message))
             datagram = yield from self.socket.recv_wait(
                 self.timeout_s,
                 predicate=lambda d: isinstance(d.message, reply_type)

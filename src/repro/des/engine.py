@@ -220,25 +220,6 @@ class Environment:
         """The process currently being stepped (None between steps)."""
         return self._active_process
 
-    def reset(self, initial_time: float = 0.0) -> None:
-        """Rewind the engine to its freshly constructed state (warm-start).
-
-        Clears the calendar, the ready cohort, the clock and the event-id
-        counter so a re-seeded scenario replays exactly as on a brand-new
-        Environment.  Three things deliberately survive: monitor hooks
-        and the tie-break seed (attachment state the caller owns), and
-        the event free lists (pooling is result-neutral — bit-identity
-        with pooling on/off is pinned by the PR 4 tests — so retained
-        pool entries only save allocations).  Processes of the dead run
-        that never finished are orphaned, not resumed: their events are
-        gone from the calendar.
-        """
-        self._now = float(initial_time)
-        self._queue.clear()
-        self._ready.clear()
-        self._eid = 0
-        self._active_process = None
-
     # -- monitoring hooks ---------------------------------------------------
 
     def add_step_monitor(self, callback) -> None:

@@ -93,7 +93,7 @@ class RandomStream:
         The core is reseeded and fast-forwarded by exactly the number of
         uniforms already handed out, so the next draw — through whichever
         ``random.Random`` wrapper — sees the state a per-sample run would
-        see.  One-way until :meth:`reset`.
+        see.  One-way: the stream never buffers again.
         """
         if not self._buffered:
             return
@@ -105,13 +105,6 @@ class RandomStream:
         for _ in range(served):
             draw()
         self._block = []
-
-    def reset(self) -> None:
-        """Return the stream to its initial seeded state (warm-start)."""
-        self._rng.seed(self._seed)
-        self._block = []
-        self._refills = 0
-        self._buffered = True
 
     # -- distributions -------------------------------------------------------
 
@@ -239,17 +232,6 @@ class StreamFactory:
     def issued_streams(self) -> list[RandomStream]:
         """The streams issued so far, in creation order."""
         return list(self._issued.values())
-
-    def reset(self) -> None:
-        """Reseed every issued stream to its initial state (warm-start).
-
-        A reset factory reproduces a fresh factory's draws byte-for-byte
-        without invalidating the references components hold to their
-        streams — the warm-start path in :mod:`repro.sim.sweep` depends
-        on this.
-        """
-        for stream in self._issued.values():
-            stream.reset()
 
     def _derive(self, name: str) -> int:
         # A small, stable string hash (Python's hash() is salted per run).

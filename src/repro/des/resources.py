@@ -371,18 +371,6 @@ class Resource:
             else:
                 env.schedule(granted)
 
-    def reset(self) -> None:
-        """Forget every holder and waiter (warm-start).
-
-        Restores the freshly constructed state — including the FIFO
-        ticket counter, so a replayed scenario issues bit-identical wait
-        order.  Only valid between runs: pending requests from a dead run
-        are orphaned, not failed.
-        """
-        self.users.clear()
-        self._waiting.clear()
-        self._ticket = itertools.count()
-
     # -- internals ------------------------------------------------------------
 
     def _enqueue(self, request: Request) -> None:

@@ -328,19 +328,6 @@ class UtilizationMonitor:
         if self._busy_since is not None:
             self._busy_since = self.env.now
 
-    def clear(self) -> None:
-        """Forget everything, *including* an open busy interval.
-
-        Unlike :meth:`reset` (which keeps an in-progress busy interval
-        because the device really is still busy), ``clear`` restores the
-        freshly constructed state — the warm-start path uses it after the
-        engine clock has been rewound, when any open interval belongs to
-        a run that no longer exists.
-        """
-        self._busy_total = 0.0
-        self._busy_since = None
-        self._started_at = self.env.now
-
     def busy(self) -> None:
         """Mark the device busy from now (idempotent)."""
         if self._busy_since is None:

@@ -30,8 +30,7 @@ from ..simdisk import DiskSpec
 from .model import SimResult
 from .workload import SimConfig
 
-__all__ = ["ResultCache", "config_key", "deployment_key", "code_version",
-           "cache_schema", "RUN_ONLY_FIELDS"]
+__all__ = ["ResultCache", "config_key", "code_version", "cache_schema"]
 
 #: Bumping this invalidates every cache entry even without a source change
 #: (e.g. when the serialisation format itself evolves).
@@ -106,43 +105,6 @@ def config_key(config: SimConfig, version: Optional[str] = None) -> str:
         "schema": cache_schema(),
         "code": code_version() if version is None else version,
         "config": dataclasses.asdict(config),
-    }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
-
-
-#: SimConfig fields that shape only a run's *workload*, not the built
-#: deployment (the Environment / host / ring / disk object graph).  Two
-#: configs differing only in these fields share a deployment, so a sweep
-#: may warm-start the second run from the first's built model
-#: (:meth:`repro.sim.model.SwiftSimModel.warm_reset`).  ``tie_break_seed``
-#: is run-only because ``warm_reset`` re-applies it to the engine;
-#: ``seed`` is **not** (the StreamFactory bakes it into every stream).
-RUN_ONLY_FIELDS = frozenset({
-    "arrival_rate", "read_fraction", "num_requests", "warmup_requests",
-    "transfer_unit", "request_size", "tie_break_seed", "disk_scheduling",
-    "deadline_s", "realtime_fraction", "background_deadline_factor",
-})
-
-
-def deployment_key(config: SimConfig, version: Optional[str] = None) -> str:
-    """Digest of the deployment-shaping half of ``config``.
-
-    Same digest machinery as :func:`config_key` (format + schema + code
-    version + canonical JSON) over the config with the
-    :data:`RUN_ONLY_FIELDS` removed.  Adjacent sweep grid points compare
-    deployment keys to decide whether the previous run's built model can
-    be warm-started for the next one; matching keys guarantee rebuilding
-    would produce an identical object graph.
-    """
-    deployment = {key: value
-                  for key, value in dataclasses.asdict(config).items()
-                  if key not in RUN_ONLY_FIELDS}
-    payload = {
-        "format": CACHE_FORMAT,
-        "schema": cache_schema(),
-        "code": code_version() if version is None else version,
-        "deployment": deployment,
     }
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()

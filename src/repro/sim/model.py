@@ -20,7 +20,6 @@
 
 from __future__ import annotations
 
-import gc
 from dataclasses import dataclass
 
 from ..des import CallbackProcess, Environment, OnlineStats, StreamFactory
@@ -32,9 +31,6 @@ __all__ = ["SwiftSimModel", "SimResult"]
 
 #: Wire size of a request / acknowledgement packet.
 CONTROL_PACKET_SIZE_BYTES = 64
-
-#: Pre-suffix-convention alias.
-CONTROL_PACKET_SIZE = CONTROL_PACKET_SIZE_BYTES
 
 
 @dataclass(frozen=True)
@@ -135,62 +131,6 @@ class SwiftSimModel:
         self._deadline_misses = 0
         self._deadline_total = 0
         self._completion_samples: list[float] = []
-
-    # -- warm-start -------------------------------------------------------------
-
-    def warm_reset(self, config: SimConfig) -> "SwiftSimModel":
-        """Re-arm the built deployment for a fresh run under ``config``.
-
-        Only valid when ``config`` shares this model's deployment digest
-        (:func:`repro.sim.cache.deployment_key`): same disk fleet, hosts,
-        ring and master seed, so that rebuilding from scratch would
-        produce an identical object graph.  Engine clock and calendar,
-        resource queues, utilization windows, random streams and all
-        counters are rewound in place — every object identity survives —
-        and ``run()`` then reproduces the cold-built result byte for
-        byte (pinned by tests/sim/test_warm_start.py).  Trace replays
-        are not supported (they are never cached or warm-started).
-
-        Storage devices supplied by a ``storage_factory`` must implement
-        the Disk duck-type's ``reset()``; the sweep entry points only
-        enable warm-start for plain runs, matching the cache contract.
-        """
-        if self.trace is not None:
-            raise RuntimeError("trace replays cannot be warm-started")
-        self.config = config
-        # A horizon-stopped run leaves suspended process generators
-        # behind (waiting on calendar events or resource grants).  Their
-        # eventual garbage collection throws GeneratorExit into them,
-        # running `finally` clauses and with-block exits that release
-        # resources and mark monitors idle — against *these* components,
-        # at whatever moment the collector happens to fire.  Force that
-        # finalization now, against the dead run's state, then wipe
-        # everything the finalizers touched; otherwise the next run's
-        # accounting depends on allocation history.  (Callers that hold
-        # their own references to a dead run's processes defeat this —
-        # the sweep paths hold none.)
-        self.env.reset()
-        gc.collect()
-        self.env.reset()
-        self.env.tie_break_seed = config.tie_break_seed
-        self.streams.reset()
-        self.ring.reset()
-        for client in self.clients:
-            client.reset()
-        for host, disk in self.agents:
-            host.reset()
-            disk.reset()
-        self._completions.reset()
-        self._completed = 0
-        self._started = 0
-        self._bytes_delivered = 0
-        self._next_start_agent = 0
-        self._window_start = None
-        self._window_end = 0.0
-        self._deadline_misses = 0
-        self._deadline_total = 0
-        self._completion_samples.clear()
-        return self
 
     # -- running ---------------------------------------------------------------
 
@@ -332,9 +272,9 @@ class SwiftSimModel:
     def _read(self, client: Host, shares: list[int], priority: float = 0.0):
         # Multicast the small request: one packet on the ring.
         yield from client.consume_cpu(
-            client.send_cost.time(CONTROL_PACKET_SIZE))
+            client.send_cost.time(CONTROL_PACKET_SIZE_BYTES))
         yield from self.ring.occupy(
-            self.ring.transmission_time(CONTROL_PACKET_SIZE))
+            self.ring.transmission_time(CONTROL_PACKET_SIZE_BYTES))
         servers = [
             self.env.process(self._agent_read(index, blocks, client,
                                               priority))
@@ -347,7 +287,7 @@ class SwiftSimModel:
         host, disk = self.agents[index]
         unit = self.config.transfer_unit
         yield from host.consume_cpu(
-            host.recv_cost.time(CONTROL_PACKET_SIZE))
+            host.recv_cost.time(CONTROL_PACKET_SIZE_BYTES))
         transmissions = []
         with disk.resource.request(priority=priority) as grant:
             yield grant
@@ -410,11 +350,12 @@ class SwiftSimModel:
                 if disk.resource.queue_length == 0:
                     disk.monitor.idle()
         # The acknowledgement.
-        yield from host.consume_cpu(host.send_cost.time(CONTROL_PACKET_SIZE))
+        yield from host.consume_cpu(
+            host.send_cost.time(CONTROL_PACKET_SIZE_BYTES))
         yield from self.ring.occupy(
-            self.ring.transmission_time(CONTROL_PACKET_SIZE))
+            self.ring.transmission_time(CONTROL_PACKET_SIZE_BYTES))
         yield from client.consume_cpu(
-            client.recv_cost.time(CONTROL_PACKET_SIZE))
+            client.recv_cost.time(CONTROL_PACKET_SIZE_BYTES))
 
 
 # -- callback execution mode --------------------------------------------------
@@ -444,13 +385,13 @@ class _ReadOp(CallbackProcess):
     def _start(self, value):
         client = self.client
         self.hold(client.cpu,
-                  client.send_cost.time(CONTROL_PACKET_SIZE),
+                  client.send_cost.time(CONTROL_PACKET_SIZE_BYTES),
                   self._multicast)
 
     def _multicast(self, value):
         ring = self.model.ring
         self.hold(ring.cable,
-                  ring.transmission_time(CONTROL_PACKET_SIZE),
+                  ring.transmission_time(CONTROL_PACKET_SIZE_BYTES),
                   self._fan_out, monitor=ring.monitor)
 
     def _fan_out(self, value):
@@ -486,7 +427,7 @@ class _AgentRead(CallbackProcess):
         self._host = host
         self._disk = disk
         self.hold(host.cpu,
-                  host.recv_cost.time(CONTROL_PACKET_SIZE),
+                  host.recv_cost.time(CONTROL_PACKET_SIZE_BYTES),
                   self._request_disk)
 
     def _request_disk(self, value):
@@ -717,19 +658,19 @@ class _AgentWrite(CallbackProcess):
         # The acknowledgement.
         host = self._host
         self.hold(host.cpu,
-                  host.send_cost.time(CONTROL_PACKET_SIZE),
+                  host.send_cost.time(CONTROL_PACKET_SIZE_BYTES),
                   self._ack_on_ring)
 
     def _ack_on_ring(self, value):
         ring = self.model.ring
         self.hold(ring.cable,
-                  ring.transmission_time(CONTROL_PACKET_SIZE),
+                  ring.transmission_time(CONTROL_PACKET_SIZE_BYTES),
                   self._ack_sent, monitor=ring.monitor)
 
     def _ack_sent(self, value):
         client = self.client
         self.hold(client.cpu,
-                  client.recv_cost.time(CONTROL_PACKET_SIZE),
+                  client.recv_cost.time(CONTROL_PACKET_SIZE_BYTES),
                   self._done)
 
     def _done(self, value):

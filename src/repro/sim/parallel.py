@@ -128,11 +128,17 @@ def find_max_sustainable_many(bases: Sequence[SimConfig],
     Results keep the order of ``bases``.
     """
     bases = list(bases)
+    if workers <= 1 or len(bases) == 1:
+        # In-process searches share the caller's cache instance, so its
+        # hit/miss counters see every probe.
+        from .sweep import find_max_sustainable
+        return [find_max_sustainable(base, rate_low=rate_low,
+                                     rate_high=rate_high,
+                                     iterations=iterations, cache=cache)
+                for base in bases]
     cache_root: Optional[Path] = cache.root if cache is not None else None
     tasks = [(base, rate_low, rate_high, iterations, cache_root)
              for base in bases]
-    if workers <= 1 or len(tasks) == 1:
-        return [_run_max_sustainable(task) for task in tasks]
     context = _pool_context()
     with context.Pool(min(workers, len(tasks))) as pool:
         return pool.map(_run_max_sustainable, tasks)

@@ -29,31 +29,18 @@ def load_sweep(base: SimConfig,
                arrival_rates: Sequence[float],
                storage_factory=None,
                workers: int = 1,
-               cache=None,
-               warm_start: bool = False) -> list[SimResult]:
+               cache=None) -> list[SimResult]:
     """Mean completion time across a grid of arrival rates.
 
     ``workers > 1`` fans the (independent, deterministic) runs out over a
     process pool; ``cache`` (a :class:`~repro.sim.cache.ResultCache`)
-    short-circuits runs already on disk.  ``warm_start=True`` carries the
-    built model from one grid point to the next whenever their deployment
-    digests (:func:`~repro.sim.cache.deployment_key`) match, rewinding it
-    in place instead of cold-building — worthwhile exactly when the grid
-    varies only run-shaping fields, as a rate sweep does.  All three
-    apply only to plain runs: a ``storage_factory`` is not part of the
-    cache key and cannot be pickled reliably, so its presence forces the
-    serial, uncached, cold-built path.  Warm start is serial by nature
-    (the model is carried across runs), so it is ignored when the sweep
-    is fanned out over workers.  Results are bit-identical across all
-    paths.
+    short-circuits runs already on disk.  Both apply only to plain runs:
+    a ``storage_factory`` is not part of the cache key and cannot be
+    pickled reliably, so its presence forces the serial, uncached path.
+    Every grid point builds its own model, so results are bit-identical
+    across all paths.
     """
-    if storage_factory is None and workers > 1:
-        from .parallel import parallel_load_sweep
-        return parallel_load_sweep(base, arrival_rates, workers=workers,
-                                   cache=cache)
-    if storage_factory is None and warm_start:
-        return _warm_sweep(base, arrival_rates, cache)
-    if storage_factory is None and cache is not None:
+    if storage_factory is None and (workers > 1 or cache is not None):
         from .parallel import parallel_load_sweep
         return parallel_load_sweep(base, arrival_rates, workers=workers,
                                    cache=cache)
@@ -64,48 +51,12 @@ def load_sweep(base: SimConfig,
     return results
 
 
-def _warm_sweep(base: SimConfig,
-                arrival_rates: Sequence[float],
-                cache=None) -> list[SimResult]:
-    """Serial sweep that warm-starts adjacent grid points.
-
-    The previous point's built model is reused whenever the next config
-    carries the same deployment digest; cache hits skip the run entirely
-    while the carried model stays warm for the next miss.
-    """
-    from .cache import config_key, deployment_key
-
-    results = []
-    model = None
-    model_key = None
-    for rate in arrival_rates:
-        config = dataclasses.replace(base, arrival_rate=rate)
-        if cache is not None:
-            key = config_key(config)
-            cached = cache.get(key)
-            if cached is not None:
-                results.append(cached)
-                continue
-        dep = deployment_key(config)
-        if model is not None and dep == model_key:
-            model.warm_reset(config)
-        else:
-            model = SwiftSimModel(config)
-            model_key = dep
-        result = model.run()
-        if cache is not None:
-            cache.put(key, result)
-        results.append(result)
-    return results
-
-
 def find_max_sustainable(base: SimConfig,
                          rate_low: float = 0.05,
                          rate_high: float = 400.0,
                          iterations: int = 10,
                          storage_factory=None,
-                         cache=None,
-                         warm_start: bool = False) -> SimResult:
+                         cache=None) -> SimResult:
     """Bisect for the §5.2 maximum-sustainable-load point.
 
     Returns the result at the highest arrival rate found whose mean
@@ -126,9 +77,8 @@ def find_max_sustainable(base: SimConfig,
     neighbour.
 
     The search is sequential (each probe depends on the last verdict),
-    but a ``cache`` makes repeated searches resolve instantly, and
-    ``warm_start=True`` carries one built model across every probe (all
-    probes share a deployment digest, since only the rate moves); to
+    but every probe is an independent run on a freshly built model, so
+    a ``cache`` makes repeated searches resolve instantly; to
     parallelise *across* base configs use
     :func:`~repro.sim.parallel.find_max_sustainable_many`.
     """
@@ -136,20 +86,6 @@ def find_max_sustainable(base: SimConfig,
         raise ValueError("need 0 < rate_low < rate_high")
     if storage_factory is not None:
         cache = None  # the factory is invisible to the cache key
-        warm_start = False  # custom storage may lack the reset duck-type
-    probe_state: dict = {"model": None, "key": None}
-
-    def compute(config: SimConfig) -> SimResult:
-        if not warm_start:
-            return run_once(config, storage_factory=storage_factory)
-        from .cache import deployment_key
-        dep = deployment_key(config)
-        if probe_state["model"] is not None and probe_state["key"] == dep:
-            probe_state["model"].warm_reset(config)
-        else:
-            probe_state["model"] = SwiftSimModel(config)
-            probe_state["key"] = dep
-        return probe_state["model"].run()
 
     def sustainable(rate: float) -> tuple[bool, SimResult]:
         config = dataclasses.replace(base, arrival_rate=rate)
@@ -158,10 +94,10 @@ def find_max_sustainable(base: SimConfig,
             key = config_key(config)
             result = cache.get(key)
             if result is None:
-                result = compute(config)
+                result = run_once(config, storage_factory=storage_factory)
                 cache.put(key, result)
         else:
-            result = compute(config)
+            result = run_once(config, storage_factory=storage_factory)
         return result.sustainable, result
 
     ok_low, best = sustainable(rate_low)

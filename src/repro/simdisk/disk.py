@@ -54,17 +54,6 @@ class Disk:
         #: (None = unknown position, e.g. after an unaddressed access).
         self._head: Optional[int] = None
 
-    def reset(self) -> None:
-        """Forget run state (warm-start): spindle queue, utilization
-        window, counters and head position.  The spec and the stream
-        *binding* survive; the caller reseeds the streams themselves
-        (see :meth:`repro.des.random_streams.StreamFactory.reset`)."""
-        self.resource.reset()
-        self.monitor.clear()
-        self.blocks_served = 0
-        self.bytes_served = 0
-        self._head = None
-
     # -- service time draws ----------------------------------------------------
 
     def draw_positioning_time(self) -> float:
@@ -80,10 +69,11 @@ class Disk:
 
     # -- DES process methods -----------------------------------------------------
 
-    def access(self, nbytes: int, blocks: int = 1, sequential: bool = False,
-               at_block: Optional[int] = None,
-               per_block_extra_s: float = 0.0,
-               on_block=None):
+    def access_op(self, nbytes: int, blocks: int = 1,
+                  sequential: bool = False,
+                  at_block: Optional[int] = None,
+                  per_block_extra_s: float = 0.0,
+                  on_block=None) -> "DiskAccess":
         """Acquire the spindle and transfer ``blocks`` blocks of ``nbytes``.
 
         Per the paper, a multiblock request holds the resource until every
@@ -104,59 +94,12 @@ class Disk:
         request still holds the spindle — buffer caches use it to publish
         blocks to waiting readers as they stream off the platter.
 
-        This is a process method: ``yield env.process(disk.access(...))``.
-        Returns total service time.
-        """
-        if blocks < 1:
-            raise ValueError(f"blocks must be >= 1, got {blocks}")
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
-        if per_block_extra_s < 0:
-            raise ValueError("per_block_extra_s must be non-negative")
-        started = self.env.now
-        with self.resource.request() as grant:
-            yield grant
-            # The head position must be read *after* the grant: requests
-            # that queued ahead of us may have moved it.
-            head_continues = (at_block is not None
-                              and at_block == self._head)
-            self.monitor.busy()
-            try:
-                for index in range(blocks):
-                    service = self.spec.transfer_time(nbytes) \
-                        + per_block_extra_s
-                    if index == 0:
-                        if not head_continues:
-                            service += self.draw_positioning_time()
-                    elif not sequential:
-                        service += self.draw_positioning_time()
-                    yield self.env.timeout(service)
-                    self.blocks_served += 1
-                    self.bytes_served += nbytes
-                    if on_block is not None:
-                        on_block(index)
-            finally:
-                self._head = (at_block + blocks
-                              if at_block is not None else None)
-                if self.resource.count <= 1:
-                    self.monitor.idle()
-        return self.env.now - started
-
-    def access_op(self, nbytes: int, blocks: int = 1,
-                  sequential: bool = False,
-                  at_block: Optional[int] = None,
-                  per_block_extra_s: float = 0.0,
-                  on_block=None) -> "DiskAccess":
-        """Callback-mode :meth:`access`: the same service sequence with
-        far fewer calendar entries.
-
         Returns a started :class:`DiskAccess` — an event a generator
-        process can ``yield`` (value: total service time) or another
-        callback process can ``wait`` on.  Semantics, draw order and
-        timestamps match :meth:`access` exactly; when the engine permits
+        process can ``yield`` (value: total service time) or a callback
+        process can ``wait`` on.  When the engine permits
         (:attr:`~repro.des.engine.Environment.span_coalescing`) and no
-        ``on_block`` needs intermediate completions, the whole
-        multiblock chain lands as one pre-drawn completion event.
+        ``on_block`` needs intermediate completions, the whole multiblock
+        chain lands as one pre-drawn completion event.
         """
         return DiskAccess(self, nbytes, blocks, sequential, at_block,
                           per_block_extra_s, on_block)
@@ -177,14 +120,14 @@ class Disk:
 
 
 class DiskAccess(CallbackProcess):
-    """Callback twin of :meth:`Disk.access` (started immediately).
+    """One spindle access, started immediately (see :meth:`Disk.access_op`).
 
-    Block for block the same as the generator: head continuation read
-    after the grant, per-block positioning draws in loop order, counters
-    and ``on_block`` at each block completion, head update and
-    idle-if-last before release.  The disk chain is a span-coalescing
+    The head continuation is read after the grant; each block draws its
+    positioning in block order, bumps the counters and calls
+    ``on_block`` as it completes; the head update and the idle-if-last
+    check run before the release.  The disk chain is a span-coalescing
     site: with no ``on_block`` and no monitor attached, the per-block
-    service times are pre-drawn in exact reference stream order — legal
+    service times are pre-drawn in block order — legal
     because this process holds the spindle and per-disk streams are
     drawn only by the spindle holder — and land as a single computed
     completion (:meth:`~repro.des.engine.Environment.timeout_at`).
@@ -289,8 +232,8 @@ class DiskAccess(CallbackProcess):
         self._finish(self.env.now - self._started)
 
     def _release_spindle(self):
-        # The generator's `finally`, in order: head update, idle check
-        # while still holding, then the release.
+        # In order: head update, idle check while still holding, then
+        # the release.
         disk = self.disk
         disk._head = (self.at_block + self.blocks
                       if self.at_block is not None else None)

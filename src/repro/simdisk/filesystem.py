@@ -312,9 +312,9 @@ class LocalFileSystem:
         return runs
 
     def _disk_read(self, disk_blocks: list[int], on_block_complete=None):
-        # Callback-mode disk service (see simdisk.disk.DiskAccess): same
-        # draws and timestamps as `yield from disk.access(...)`, a
-        # fraction of the calendar entries.
+        # One spindle access per contiguous run, positioned at most
+        # once; `on_block` publishes each block to waiting readers as
+        # it lands.
         for run in self._runs(disk_blocks):
             callback = None
             if on_block_complete is not None:

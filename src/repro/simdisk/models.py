@@ -44,11 +44,6 @@ class DiskSpec:
         if self.capacity_bytes <= 0:
             raise ValueError("capacity must be positive")
 
-    @property
-    def transfer_rate(self) -> float:
-        """Bytes/second off the media (alias for the suffixed field)."""
-        return self.transfer_rate_bytes_per_s
-
     def transfer_time(self, nbytes: int) -> float:
         """Media transfer time for ``nbytes`` (no positioning)."""
         if nbytes < 0:

@@ -56,14 +56,6 @@ class RaidArray:
 
     # -- Disk duck-type -----------------------------------------------------------
 
-    def reset(self) -> None:
-        """Forget run state (warm-start): controller queue, utilization
-        window and counters — the array half of the Disk duck-type."""
-        self.resource.reset()
-        self.monitor.clear()
-        self.blocks_served = 0
-        self.bytes_served = 0
-
     def draw_positioning_time(self) -> float:
         """Member positioning (seek + rotation), random if seeded."""
         spec = self.member_spec
@@ -91,7 +83,7 @@ class RaidArray:
 
     def access(self, nbytes: int, blocks: int = 1, sequential: bool = False,
                at_block: Optional[int] = None):
-        """Process method mirroring :meth:`repro.simdisk.disk.Disk.access`.
+        """Process method mirroring :meth:`repro.simdisk.disk.Disk.access_op`.
 
         ``sequential`` lets follow-on blocks skip member positioning (the
         members stream); the controller cost always applies.
@@ -123,11 +115,6 @@ class RaidArray:
     def utilization(self) -> float:
         """Controller busy fraction."""
         return self.monitor.utilization()
-
-    @property
-    def controller_rate(self) -> float:
-        """Bytes/second through the controller (suffixed-field alias)."""
-        return self.controller_rate_bytes_per_s
 
     @property
     def queue_length(self) -> int:

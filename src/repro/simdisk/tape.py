@@ -38,11 +38,6 @@ class TapeSpec:
         if self.capacity_bytes <= 0:
             raise ValueError("capacity must be positive")
 
-    @property
-    def transfer_rate(self) -> float:
-        """Bytes/second while streaming (alias for the suffixed field)."""
-        return self.transfer_rate_bytes_per_s
-
 
 #: The 1991-era DDS-1 digital audio tape: ~183 KB/s streaming, ~20 s
 #: average locate, 1.3 GB per cartridge.

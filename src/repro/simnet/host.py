@@ -89,20 +89,6 @@ class Host:
         self._sockets: dict[int, DatagramSocket] = {}
         self._next_ephemeral_port = 32768
 
-    def reset(self) -> None:
-        """Forget run state (warm-start): the CPU queue.
-
-        Interfaces, sockets and the OS-noise speed factor are deployment
-        state and survive.  Hosts with attached interfaces cannot be
-        warm-started (their transmitter processes died with the old
-        engine run); the §5 simulation model uses bare hosts.
-        """
-        if self.interfaces:
-            raise RuntimeError(
-                f"host {self.name!r} has attached interfaces and cannot "
-                "be warm-started")
-        self.cpu.reset()
-
     def jittered(self, cost_s: float) -> float:
         """Apply the host's OS-noise jitter to a CPU cost."""
         if not self.noise_fraction:
@@ -297,33 +283,15 @@ class DatagramSocket:
 
     # -- sending ------------------------------------------------------------------
 
-    def send(self, dst: Address, message: Any = None,
-             payload_size: int = 0):
-        """Process method: pay send CPU, then queue on the routed interface.
+    def send_op(self, dst: Address, message: Any = None,
+                payload_size: int = 0) -> "SocketSend":
+        """Pay send CPU, then queue on the routed interface.
 
         ``payload_size`` is the number of payload bytes on the wire (headers
         are added here).  Always "succeeds" from the caller's perspective,
-        exactly like the prototype's kernel.
+        exactly like the prototype's kernel.  Returns a started
+        :class:`SocketSend`; generator processes ``yield`` it.
         """
-        if self.closed:
-            raise RuntimeError("socket is closed")
-        if payload_size < 0:
-            raise ValueError("payload_size must be non-negative")
-        interface = self.host.route(dst.host)
-        size = payload_size + HEADER_SIZE
-        datagram = Datagram(src=self.address, dst=dst, size=size,
-                            message=message)
-        cost = self.host.jittered(
-            self.host.send_cost.time(size) * interface.cpu_cost_scale)
-        yield from self.host.consume_cpu(cost)
-        interface.enqueue(datagram)
-
-    def send_op(self, dst: Address, message: Any = None,
-                payload_size: int = 0) -> "SocketSend":
-        """Callback-mode :meth:`send`: same CPU charge and enqueue,
-        dispatched as a :class:`SocketSend` state machine.  Generator
-        callers ``yield`` the returned op where they had
-        ``yield from socket.send(...)``."""
         return SocketSend(self, dst, message, payload_size)
 
     # -- receiving ------------------------------------------------------------------
@@ -369,12 +337,12 @@ class DatagramSocket:
 
 
 class SocketSend(CallbackProcess):
-    """Callback twin of :meth:`DatagramSocket.send` (started immediately).
+    """One datagram send, started immediately (see
+    :meth:`DatagramSocket.send_op`).
 
     Validation, routing and datagram construction happen at the call
-    site — the same dispatch point where a ``yield from socket.send``
-    would have run them — then the jittered CPU charge holds the host
-    CPU and the datagram joins the interface queue.
+    site, then the jittered CPU charge holds the host CPU and the
+    datagram joins the interface queue.
     """
 
     __slots__ = ("socket", "interface", "datagram")

@@ -57,15 +57,6 @@ class Medium:
         #: itself).
         self._active_by_host: dict[str, int] = {}
 
-    def reset(self) -> None:
-        """Forget all traffic state (warm-start): cable queue, utilization
-        window, counters and contention tracking.  Attached interfaces
-        survive — attachment is deployment, not run state."""
-        self.cable.reset()
-        self.monitor.clear()
-        self.stats = MediumStats()
-        self._active_by_host.clear()
-
     # -- attachment -----------------------------------------------------------
 
     def attach(self, interface: "Interface") -> None:
@@ -106,46 +97,14 @@ class Medium:
 
     # -- the data path ----------------------------------------------------------
 
-    def transmit(self, datagram: Datagram):
-        """Process method: occupy the cable, then deliver.
-
-        Called by the sending interface's transmitter process.  Returns True
-        if the datagram was delivered to the destination host's interface
-        (loss injection and unknown destinations both yield False).
-        """
-        sender = datagram.src.host
-        self._active_by_host[sender] = \
-            self._active_by_host.get(sender, 0) + 1
-        try:
-            with self.cable.request() as grant:
-                yield grant
-                self.monitor.busy()
-                try:
-                    service = self.transmission_time(datagram.size)
-                    service += self.contention_penalty(sender)
-                    yield self.env.timeout(service)
-                finally:
-                    if self.cable.queue_length == 0:
-                        self.monitor.idle()
-        finally:
-            self._active_by_host[sender] -= 1
-        self.stats.datagrams_carried += 1
-        self.stats.bytes_carried += datagram.size
-        if self.loss_probability and self.loss_stream.bernoulli(self.loss_probability):
-            self.stats.datagrams_lost += 1
-            return False
-        target = self._interfaces.get(datagram.dst.host)
-        if target is None:
-            self.stats.undeliverable += 1
-            return False
-        target.receive(datagram)
-        return True
-
     def transmit_op(self, datagram: Datagram) -> "TransmitOp":
-        """Callback-mode :meth:`transmit`: same cable occupancy and
-        delivery, dispatched as a :class:`TransmitOp` state machine
-        (value: True when delivered).  The interface transmit pump uses
-        this; ``transmit`` remains the generator reference."""
+        """Occupy the cable, then deliver.
+
+        Called by the sending interface's transmit pump.  Returns a
+        started :class:`TransmitOp` whose value is True if the datagram
+        was delivered to the destination host's interface (loss
+        injection and unknown destinations both give False).
+        """
         return TransmitOp(self, datagram)
 
     def occupy(self, duration: float):
@@ -168,15 +127,16 @@ class Medium:
 
 
 class TransmitOp(CallbackProcess):
-    """Callback twin of :meth:`Medium.transmit` (started immediately).
+    """One datagram on the cable, started immediately (see
+    :meth:`Medium.transmit_op`).
 
-    Step for step the generator's sequence: contention registration at
-    entry, cable occupancy with the service time computed *at grant*
-    (transmission time plus the medium's contention penalty, which
-    depends on who is fighting for the cable at that instant), idle
-    check before release, deregistration, then stats, loss draw and
-    delivery.  The cable hold needs grant-time state, so it is written
-    as explicit states rather than :meth:`~repro.des.callback.CallbackProcess.hold`.
+    In order: contention registration at entry, cable occupancy with
+    the service time computed *at grant* (transmission time plus the
+    medium's contention penalty, which depends on who is fighting for
+    the cable at that instant), idle check before release,
+    deregistration, then stats, loss draw and delivery.  The cable hold
+    needs grant-time state, so it is written as explicit states rather
+    than :meth:`~repro.des.callback.CallbackProcess.hold`.
     """
 
     __slots__ = ("medium", "datagram", "_grant", "_holding")
@@ -243,8 +203,8 @@ class TransmitOp(CallbackProcess):
             self._grant = None
 
     def _on_failure(self, exc):
-        # The generator's finally chain: idle check and release while
-        # holding, withdraw while queued, deregister either way.
+        # Idle check and release while holding, withdraw while queued,
+        # deregister either way.
         medium = self.medium
         if self._holding:
             self._release_cable()

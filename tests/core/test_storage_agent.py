@@ -45,8 +45,8 @@ class AgentFixture:
 
     def call(self, dst, message, reply_predicate, timeout=1.0):
         def gen():
-            yield from self.socket.send(dst, message=message,
-                                        payload_size=wire_size(message))
+            yield self.socket.send_op(dst, message=message,
+                                      payload_size=wire_size(message))
             return (yield from self.socket.recv_wait(timeout,
                                                      reply_predicate))
         return self.run(gen())
@@ -127,13 +127,13 @@ def test_write_acked_when_all_packets_arrive():
     def gen():
         req = WriteRequest(handle=reply.handle, op_id=1, offset=0,
                            length=8, packet_size=4)
-        yield from fixture.socket.send(data_addr, message=req,
-                                       payload_size=wire_size(req))
+        yield fixture.socket.send_op(data_addr, message=req,
+                                     payload_size=wire_size(req))
         for index, piece in enumerate([b"abcd", b"efgh"]):
             packet = WriteData(handle=reply.handle, op_id=1, index=index,
                                offset=index * 4, payload=piece)
-            yield from fixture.socket.send(data_addr, message=packet,
-                                           payload_size=wire_size(packet))
+            yield fixture.socket.send_op(data_addr, message=packet,
+                                         payload_size=wire_size(packet))
         return (yield from fixture.socket.recv_wait(
             1.0, lambda d: isinstance(d.message, WriteAck)))
 
@@ -150,13 +150,13 @@ def test_stalled_write_gets_nak_with_missing_indices():
     def gen():
         req = WriteRequest(handle=reply.handle, op_id=7, offset=0,
                            length=12, packet_size=4)
-        yield from fixture.socket.send(data_addr, message=req,
-                                       payload_size=wire_size(req))
+        yield fixture.socket.send_op(data_addr, message=req,
+                                     payload_size=wire_size(req))
         # Send only packet 1 of {0,1,2}; the watchdog must NAK {0,2}.
         packet = WriteData(handle=reply.handle, op_id=7, index=1,
                            offset=4, payload=b"MIDL")
-        yield from fixture.socket.send(data_addr, message=packet,
-                                       payload_size=wire_size(packet))
+        yield fixture.socket.send_op(data_addr, message=packet,
+                                     payload_size=wire_size(packet))
         return (yield from fixture.socket.recv_wait(
             1.0, lambda d: isinstance(d.message, WriteNak)))
 
@@ -173,17 +173,17 @@ def test_duplicate_write_request_reports_status():
                        length=4, packet_size=4)
 
     def gen():
-        yield from fixture.socket.send(data_addr, message=req,
-                                       payload_size=wire_size(req))
+        yield fixture.socket.send_op(data_addr, message=req,
+                                     payload_size=wire_size(req))
         packet = WriteData(handle=reply.handle, op_id=3, index=0,
                            offset=0, payload=b"done")
-        yield from fixture.socket.send(data_addr, message=packet,
-                                       payload_size=wire_size(packet))
+        yield fixture.socket.send_op(data_addr, message=packet,
+                                     payload_size=wire_size(packet))
         yield from fixture.socket.recv_wait(
             1.0, lambda d: isinstance(d.message, WriteAck))
         # The ACK "was lost": query by re-sending the announcement.
-        yield from fixture.socket.send(data_addr, message=req,
-                                       payload_size=wire_size(req))
+        yield fixture.socket.send_op(data_addr, message=req,
+                                     payload_size=wire_size(req))
         return (yield from fixture.socket.recv_wait(
             1.0, lambda d: isinstance(d.message, WriteAck)))
 
@@ -199,13 +199,13 @@ def test_duplicate_write_data_ignored():
     def gen():
         req = WriteRequest(handle=reply.handle, op_id=4, offset=0,
                            length=4, packet_size=4)
-        yield from fixture.socket.send(data_addr, message=req,
-                                       payload_size=wire_size(req))
+        yield fixture.socket.send_op(data_addr, message=req,
+                                     payload_size=wire_size(req))
         packet = WriteData(handle=reply.handle, op_id=4, index=0,
                            offset=0, payload=b"once")
         for _ in range(3):  # duplicates
-            yield from fixture.socket.send(data_addr, message=packet,
-                                           payload_size=wire_size(packet))
+            yield fixture.socket.send_op(data_addr, message=packet,
+                                         payload_size=wire_size(packet))
         yield from fixture.socket.recv_wait(
             0.5, lambda d: isinstance(d.message, WriteAck))
 

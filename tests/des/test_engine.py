@@ -319,18 +319,3 @@ def test_schedule_monitor_spills_pending_cohort():
     env.process(fanout(env))
     env.run()
     assert order == [[0, 1, 2, 3]]
-
-
-def test_cohort_reset_clears_ready_deque():
-    env = Environment()
-
-    def fanout(env):
-        event = env.event()
-        event.succeed("x")
-        assert env._ready
-        yield env.timeout(0)
-
-    env.process(fanout(env))
-    env.step()
-    env.reset()
-    assert not env._ready and not env._queue and env.now == 0.0

@@ -183,29 +183,6 @@ def test_degraded_stream_stays_degraded():
            [reference.expovariate(1.0) for _ in range(600)]
 
 
-def test_reset_restores_initial_sequence_and_buffering():
-    stream = RandomStream(21)
-    first = [stream.exponential(1.0) for _ in range(5)]
-    stream.randint(0, 100)  # degrade
-    stream.reset()
-    assert [stream.exponential(1.0) for _ in range(5)] == first
-    # reset() re-enables read-ahead (pops come from a refilled block).
-    assert stream._block, "reset stream should buffer again"
-
-
-def test_factory_reset_reproduces_fresh_factory():
-    factory = StreamFactory(99)
-    stream = factory.stream("net")
-    [stream.exponential(1.0) for _ in range(700)]
-    factory.stream("disk").randint(0, 9)
-    factory.reset()
-    fresh = StreamFactory(99)
-    assert [factory.stream("net").uniform(0, 1) for _ in range(5)] == \
-           [fresh.stream("net").uniform(0, 1) for _ in range(5)]
-    assert [factory.stream("disk").randint(0, 9) for _ in range(5)] == \
-           [fresh.stream("disk").randint(0, 9) for _ in range(5)]
-
-
 def test_factory_propagates_block_size():
     factory = StreamFactory(1, block_size=3)
     assert factory.stream("x")._block_size == 3

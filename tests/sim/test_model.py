@@ -121,4 +121,5 @@ def test_write_only_marks_disk_busy():
 
 
 def test_figure4_disk_uses_slower_transfer():
-    assert DISK_CATALOG["Fujitsu M2372K (1.5MB/s)"].transfer_rate == 1.5e6
+    spec = DISK_CATALOG["Fujitsu M2372K (1.5MB/s)"]
+    assert spec.transfer_rate_bytes_per_s == 1.5e6

@@ -24,6 +24,8 @@ from repro.sim import (
     run_many,
 )
 from repro.sim.cache import result_from_jsonable, result_to_jsonable
+from repro.sim.figures import figure5_series
+from repro.sim.model import SwiftSimModel
 
 
 def _small(seed=0, **overrides):
@@ -94,6 +96,27 @@ def test_cached_bisection_replays_probes(tmp_path):
     warm = find_max_sustainable(base, iterations=3, cache=cache)
     assert warm == cold
     assert cache.hits == probes, "warm bisection should replay every probe"
+
+
+def test_serial_figure5_counts_in_the_callers_cache(tmp_path, monkeypatch):
+    runs = []
+    original = SwiftSimModel.run
+
+    def run(self):
+        runs.append(self.config.arrival_rate)
+        return original(self)
+
+    monkeypatch.setattr(SwiftSimModel, "run", run)
+    cache = ResultCache(tmp_path)
+    grid = dict(disk_counts=(2, 4), disk_names=("Fujitsu M2372K",),
+                num_requests=30, iterations=3, cache=cache)
+    first = figure5_series(**grid)
+    probes = len(runs)
+    assert cache.misses == probes > 0 and cache.hits == 0
+    second = figure5_series(**grid)
+    assert len(runs) == probes, "the second pass is served from disk"
+    assert cache.hits == probes and cache.misses == probes
+    assert second == first
 
 
 def test_corrupt_cache_entry_is_a_miss_not_an_error(tmp_path):

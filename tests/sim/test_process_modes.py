@@ -45,6 +45,8 @@ REALTIME_SHAPE = dataclasses.replace(
 SHAPES = [FIG3_SHAPE, FIG5_SHAPE, REALTIME_SHAPE]
 SHAPE_IDS = ["fig3", "fig5", "realtime"]
 
+BASE = SimConfig(num_requests=24, warmup_requests=4)
+
 
 def _run(config, process_mode, cohort_dispatch=True):
     return SwiftSimModel(config, cohort_dispatch=cohort_dispatch,
@@ -71,6 +73,14 @@ def test_callback_identical_under_reference_scheduler(shape):
     # expand their chains and still land on the reference result.
     reference = _run(shape, "generator")
     assert _run(shape, "callback", cohort_dispatch=False) == reference
+
+
+def test_cohort_dispatch_off_is_bit_identical():
+    # The engine's one-heap reference scheduler and the cohort fast path
+    # must agree on every result field (the bench_kernel_batched A/B).
+    cold = SwiftSimModel(BASE).run()
+    reference = SwiftSimModel(BASE, cohort_dispatch=False).run()
+    assert cold == reference
 
 
 def test_span_coalescing_expands_under_transfer_monitor():

@@ -171,7 +171,7 @@ def _raid_factory(env, index, streams):
 
 
 def _counted(monkeypatch):
-    """Count every simulation run, cold or warm-started."""
+    """Count every simulation run."""
     runs = []
     original = SwiftSimModel.run
 
@@ -193,10 +193,13 @@ def test_figure5_grid_is_pinned(monkeypatch):
 
 
 def test_warm_started_search_is_pinned(monkeypatch):
+    # The pin was recorded by a search that reused one model across its
+    # probes; a search that builds every probe's model afresh must
+    # reproduce it exactly.
     runs = _counted(monkeypatch)
     config = SimConfig(num_disks=4, num_requests=40, warmup_requests=4,
                        request_size=256 * KB, transfer_unit=32 * KB, seed=5)
-    result = find_max_sustainable(config, iterations=4, warm_start=True)
+    result = find_max_sustainable(config, iterations=4)
     assert repr(result) == PINNED["warm_start"]
     assert len(runs) == 7 < WALK_RUNS["warm_start"]
 

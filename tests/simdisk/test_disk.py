@@ -10,7 +10,7 @@ def run_access(env, disk, **kwargs):
     result = {}
 
     def proc(env):
-        result["time"] = yield from disk.access(**kwargs)
+        result["time"] = yield disk.access_op(**kwargs)
 
     env.process(proc(env))
     env.run()
@@ -75,7 +75,7 @@ def test_concurrent_requests_queue_on_spindle():
     finish_times = []
 
     def user(env):
-        yield from disk.access(nbytes=32 * 1024)
+        yield disk.access_op(nbytes=32 * 1024)
         finish_times.append(env.now)
 
     env.process(user(env))
@@ -94,12 +94,12 @@ def test_multiblock_holds_resource_against_competitor():
     order = []
 
     def big(env):
-        yield from disk.access(nbytes=4096, blocks=8)
+        yield disk.access_op(nbytes=4096, blocks=8)
         order.append("big")
 
     def small(env):
         yield env.timeout(0.001)  # arrives while 'big' is in progress
-        yield from disk.access(nbytes=4096)
+        yield disk.access_op(nbytes=4096)
         order.append("small")
 
     env.process(big(env))
@@ -114,7 +114,7 @@ def test_utilization_full_when_saturated():
 
     def user(env):
         for _ in range(10):
-            yield from disk.access(nbytes=32 * 1024)
+            yield disk.access_op(nbytes=32 * 1024)
 
     env.process(user(env))
     env.run()
@@ -123,13 +123,47 @@ def test_utilization_full_when_saturated():
     assert disk.bytes_served == 10 * 32 * 1024
 
 
+def _access_chain(accesses, monitored):
+    env = Environment()
+    if monitored:
+        # A transfer monitor turns span coalescing off, pooling stays on.
+        env.add_transfer_monitor(lambda kind, **info: None)
+    disk = Disk(env, DISK_CATALOG["Fujitsu M2372K"],
+                stream=RandomStream(7))
+    times = []
+
+    def user(env):
+        for kwargs in accesses:
+            times.append((yield disk.access_op(nbytes=4096, **kwargs)))
+
+    env.process(user(env))
+    env.run()
+    outcome = (times, disk.blocks_served, disk.bytes_served, disk._head,
+               disk.utilization(), env.now)
+    return env, outcome
+
+
+@pytest.mark.parametrize("accesses", [
+    [dict(blocks=8)],
+    [dict(blocks=8, sequential=True)],
+    [dict(blocks=4, sequential=True, at_block=100),
+     dict(blocks=4, at_block=104)],
+], ids=["random", "sequential", "head-continues"])
+def test_coalesced_chain_matches_expanded_chain(accesses):
+    plain_env, plain = _access_chain(accesses, monitored=False)
+    expanded_env, expanded = _access_chain(accesses, monitored=True)
+    assert plain_env.span_coalescing and not expanded_env.span_coalescing
+    assert plain == expanded
+    assert plain_env._eid < expanded_env._eid
+
+
 def test_access_argument_validation():
     env = Environment()
     disk = Disk(env, DISK_CATALOG["Fujitsu M2372K"])
     with pytest.raises(ValueError):
-        list(disk.access(nbytes=4096, blocks=0))
+        disk.access_op(nbytes=4096, blocks=0)
     with pytest.raises(ValueError):
-        list(disk.access(nbytes=-1))
+        disk.access_op(nbytes=-1)
 
 
 def test_catalog_has_all_figure_disks():

@@ -91,10 +91,11 @@ def test_tape_streams_after_one_locate():
     size = 1 * MB
     first = run(env, drive.transfer(0, size))
     # First transfer pays the 20 s locate...
-    assert first == pytest.approx(20.0 + size / DAT_DDS1.transfer_rate)
+    rate = DAT_DDS1.transfer_rate_bytes_per_s
+    assert first == pytest.approx(20.0 + size / rate)
     # ...a contiguous continuation streams at the media rate.
     second = run(env, drive.transfer(size, size))
-    assert second == pytest.approx(size / DAT_DDS1.transfer_rate)
+    assert second == pytest.approx(size / rate)
 
 
 def test_tape_random_access_pays_locate_again():

@@ -22,8 +22,8 @@ def build(contention):
 def burst(env, ether, count, senders=("a",)):
     for index in range(count):
         src = senders[index % len(senders)]
-        env.process(ether.transmit(
-            Datagram(Address(src, 1), Address("b", 5), 1400)))
+        ether.transmit_op(
+            Datagram(Address(src, 1), Address("b", 5), 1400))
     env.run()
     return env.now
 

@@ -48,7 +48,7 @@ def test_interface_backlog_visible():
 
     def sender(env):
         for _ in range(10):
-            yield from sock.send(Address("b", 9), payload_size=8000)
+            yield sock.send_op(Address("b", 9), payload_size=8000)
 
     env.process(sender(env))
     # Before the wire drains anything, most datagrams sit in the queue.
@@ -74,7 +74,7 @@ def test_occupy_blocks_transmissions():
 
     def sender(env):
         yield env.timeout(0.001)
-        yield from ether.transmit(
+        yield ether.transmit_op(
             Datagram(Address("a", 1), Address("b", 9), 100))
         received.append(env.now)
 
@@ -128,7 +128,7 @@ def test_send_payload_validation():
     net.connect("a", "lan")
     sock = a.bind(1)
     with pytest.raises(ValueError):
-        list(sock.send(Address("b", 9), payload_size=-1))
+        sock.send_op(Address("b", 9), payload_size=-1)
 
 
 def test_interface_scale_validation():

@@ -52,8 +52,8 @@ def test_send_and_receive_datagram():
 
     def sender(env):
         a_sock = net.host("a").bind(100)
-        yield from a_sock.send(Address("b", 9), message=b"hello",
-                               payload_size=5)
+        yield a_sock.send_op(Address("b", 9), message=b"hello",
+                             payload_size=5)
 
     def receiver(env):
         datagram = yield b_sock.recv()
@@ -71,7 +71,7 @@ def test_send_charges_sender_cpu():
     net.host("b").bind(9)
 
     def sender(env):
-        yield from a_sock.send(Address("b", 9), payload_size=100)
+        yield a_sock.send_op(Address("b", 9), payload_size=100)
 
     env.process(sender(env))
     env.run()
@@ -85,7 +85,7 @@ def test_receive_charges_receiver_cpu():
 
     def sender(env):
         a_sock = net.host("a").bind(100)
-        yield from a_sock.send(Address("b", 9), payload_size=100)
+        yield a_sock.send_op(Address("b", 9), payload_size=100)
 
     def receiver(env):
         yield b_sock.recv()
@@ -107,7 +107,7 @@ def test_interface_cost_scale_multiplies_cpu_time():
         net.host("b").bind(9)
 
         def sender(env=env, sock=sock):
-            yield from sock.send(Address("b", 9), payload_size=100)
+            yield sock.send_op(Address("b", 9), payload_size=100)
 
         env.process(sender())
         env.run()
@@ -124,7 +124,7 @@ def test_tx_queue_overflow_drops_silently():
         # Blast out many large datagrams with zero CPU cost: the wire is
         # slow, the queue holds 2, the rest are dropped like SunOS did.
         for _ in range(20):
-            yield from a_sock.send(Address("b", 9), payload_size=8192)
+            yield a_sock.send_op(Address("b", 9), payload_size=8192)
 
     env.process(sender(env))
     env.run()
@@ -140,7 +140,7 @@ def test_socket_buffer_overflow_drops():
 
     def sender(env):
         for _ in range(10):
-            yield from a_sock.send(Address("b", 9), payload_size=100)
+            yield a_sock.send_op(Address("b", 9), payload_size=100)
             yield env.timeout(0.01)  # let each arrive; nobody reads
 
     env.process(sender(env))
@@ -157,8 +157,8 @@ def test_recv_with_predicate():
 
     def sender(env):
         for seq in range(3):
-            yield from a_sock.send(Address("b", 9), message={"seq": seq},
-                                   payload_size=10)
+            yield a_sock.send_op(Address("b", 9), message={"seq": seq},
+                                 payload_size=10)
 
     def receiver(env):
         datagram = yield b_sock.recv(lambda d: d.message["seq"] == 2)
@@ -182,7 +182,7 @@ def test_recv_wait_times_out_and_cancels():
 
     def late_sender(env):
         yield env.timeout(1.0)
-        yield from a_sock.send(Address("b", 9), payload_size=10)
+        yield a_sock.send_op(Address("b", 9), payload_size=10)
 
     env.process(receiver(env))
     env.process(late_sender(env))
@@ -203,7 +203,7 @@ def test_recv_wait_returns_datagram_when_in_time():
         results.append(result.message)
 
     def sender(env):
-        yield from a_sock.send(Address("b", 9), message="hi", payload_size=10)
+        yield a_sock.send_op(Address("b", 9), message="hi", payload_size=10)
 
     env.process(receiver(env))
     env.process(sender(env))
@@ -218,14 +218,14 @@ def test_closed_socket_drops_arrivals_and_rejects_send():
     b_sock.close()
 
     def sender(env):
-        yield from a_sock.send(Address("b", 9), payload_size=10)
+        yield a_sock.send_op(Address("b", 9), payload_size=10)
 
     env.process(sender(env))
     env.run()
     # The port is unbound after close, so the interface counts the drop.
     assert net.host("b").interfaces[0].rx_dropped_no_socket == 1
     with pytest.raises(RuntimeError):
-        list(b_sock.send(Address("a", 100)))
+        b_sock.send_op(Address("a", 100))
 
 
 def test_port_allocation_unique():

@@ -92,7 +92,7 @@ def test_cable_serializes_transmissions():
 
     def tx(env):
         datagram = Datagram(Address("sender", 1), Address("receiver", 2), 8220)
-        yield from ether.transmit(datagram)
+        yield ether.transmit_op(datagram)
         done.append(env.now)
 
     env.process(tx(env))
@@ -128,9 +128,9 @@ def test_medium_stats_track_traffic():
     b.bind(5)
 
     def tx(env):
-        yield from ether.transmit(
+        yield ether.transmit_op(
             Datagram(Address("a", 1), Address("b", 5), 500))
-        yield from ether.transmit(
+        yield ether.transmit_op(
             Datagram(Address("a", 1), Address("nowhere", 5), 500))
 
     env.process(tx(env))
@@ -152,7 +152,7 @@ def test_lossy_medium_drops_some():
 
     def tx(env):
         for _ in range(200):
-            yield from ether.transmit(
+            yield ether.transmit_op(
                 Datagram(Address("a", 1), Address("b", 5), 500))
 
     env.process(tx(env))
