@@ -45,24 +45,21 @@ bench:
 bench-full:
 	REPRO_BENCH_FULL=1 $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# CI perf gate: kernel events/sec, the batched-vs-unbatched cohort A/B
-# and the callback-vs-generator process-mode A/B (bit-identity asserted
-# on both), and a 2-worker mini-sweep; then fail on a >20% throughput
-# regression vs benchmarks/baselines/, a detector or sanitizer overhead
-# ceiling, a bit-identity mismatch, or a committed process-mode speedup
-# below its 1.5x floor (thresholds in benchmarks/baselines/thresholds.json).
+# CI perf gate: first run every benchmark module once, untimed, so a
+# benchmark that no longer runs fails here instead of at the next
+# `make bench`; then the kernel events/sec benchmark and a 2-worker
+# mini-sweep, failing on a >20% throughput regression vs
+# benchmarks/baselines/ or a detector or sanitizer overhead ceiling
+# (thresholds in benchmarks/baselines/thresholds.json).
 bench-smoke:
+	$(PYTHON) -m pytest benchmarks --benchmark-disable
 	$(PYTHON) -m pytest benchmarks/bench_kernel_events.py --benchmark-only
-	$(PYTHON) -m pytest benchmarks/bench_kernel_batched.py --benchmark-only
-	$(PYTHON) -m pytest benchmarks/bench_process_modes.py --benchmark-only
 	REPRO_BENCH_WORKERS=2 $(PYTHON) -m pytest benchmarks/bench_sweep_parallel.py --benchmark-only
 	$(PYTHON) benchmarks/check_regression.py
 	$(PYTHON) benchmarks/profile_kernel.py
 
-# cProfile a fig5-shaped callback-mode run: top-20 cumulative hot spots
-# on stdout, raw dump in benchmarks/results/PROFILE_kernel.pstats
-# (try `$(PYTHON) benchmarks/profile_kernel.py --mode generator` to diff
-# the reference path).
+# cProfile a fig5-shaped model run: top-20 cumulative hot spots on
+# stdout, raw dump in benchmarks/results/PROFILE_kernel.pstats.
 profile:
 	$(PYTHON) benchmarks/profile_kernel.py
 

@@ -28,8 +28,8 @@ from repro.core import build_local_swift
 from repro.des import Environment, Resource
 
 
-def _build(num_workers=8, holds=500, cohort=True):
-    env = Environment(cohort_dispatch=cohort)
+def _build(num_workers=8, holds=500):
+    env = Environment()
     resource = Resource(env, capacity=2)
 
     def worker(env):

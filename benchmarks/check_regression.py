@@ -30,21 +30,6 @@ fresh run's ``race_detector_overhead_ratio`` must stay under
 vector-clock stamps are copy-on-write, so the per-event cost is a
 tuple build, not a dict copy).
 
-Cohort dispatch is gated through ``BENCH_kernel_batched.json`` when a
-fresh one exists: ``bit_identical`` false is an unconditional failure
-(the batched scheduler diverged from the one-heap reference), and
-``batched_events_per_sec`` obeys the same one-sided throughput floor
-against ``baselines/BENCH_kernel_batched.json``.
-
-The callback process mode is gated through ``BENCH_process_modes.json``
-when a fresh one exists: ``bit_identical`` false is an unconditional
-failure (the callback state machines diverged from the generator
-reference — a correctness bug, never re-baseline it away), the
-*committed baseline's* ``callback_speedup_ratio`` must hold the
-``process_modes_speedup_floor`` (1.5x — the floor is a property of the
-committed code, so a noisy CI runner cannot flake it), and the fresh
-speedup obeys the ordinary one-sided tolerance against that baseline.
-
 Thresholds live in ``benchmarks/baselines/thresholds.json`` — committed
 next to the baselines they guard, so tolerance changes are reviewed
 like re-baselines.  Command-line flags override individual values.
@@ -53,7 +38,7 @@ Usage::
 
     python benchmarks/check_regression.py [--threshold 0.20]
         [--sanitizer-threshold 1.5] [--hermeticity-threshold 1.5]
-        [--hb-threshold 6.0] [--process-modes-floor 1.5]
+        [--hb-threshold 6.0]
 """
 
 from __future__ import annotations
@@ -67,10 +52,6 @@ BENCH_DIR = Path(__file__).parent
 BASELINE = BENCH_DIR / "baselines" / "BENCH_kernel_events.json"
 FRESH = BENCH_DIR / "results" / "BENCH_kernel_events.json"
 SWEEP_FRESH = BENCH_DIR / "results" / "BENCH_sweep_parallel.json"
-BATCHED_BASELINE = BENCH_DIR / "baselines" / "BENCH_kernel_batched.json"
-BATCHED_FRESH = BENCH_DIR / "results" / "BENCH_kernel_batched.json"
-MODES_BASELINE = BENCH_DIR / "baselines" / "BENCH_process_modes.json"
-MODES_FRESH = BENCH_DIR / "results" / "BENCH_process_modes.json"
 THRESHOLDS = BENCH_DIR / "baselines" / "thresholds.json"
 
 #: Built-in fallbacks, used only if thresholds.json is absent.
@@ -79,7 +60,6 @@ DEFAULT_THRESHOLDS = {
     "sanitizer_threshold": 1.5,
     "hermeticity_threshold": 1.5,
     "hb_threshold": 6.0,
-    "process_modes_speedup_floor": 1.5,
 }
 
 #: Metrics gated, with direction: events/sec must not drop.
@@ -94,12 +74,6 @@ HERMETICITY_METRIC = "hermeticity_sanitizer_overhead_ratio"
 
 #: Fresh-run-only gate: race-detector/plain throughput ratio ceiling.
 HB_METRIC = "race_detector_overhead_ratio"
-
-#: Cohort-dispatch gate on the batched benchmark.
-BATCHED_METRIC = "batched_events_per_sec"
-
-#: Callback-mode gate on the process-modes benchmark.
-MODES_METRIC = "callback_speedup_ratio"
 
 
 def load_thresholds(path: Path) -> dict:
@@ -133,22 +107,12 @@ def main(argv=None) -> int:
                         help="maximum tolerated race-detector overhead "
                              "ratio in the fresh run "
                              "(default from thresholds.json: 6.0x)")
-    parser.add_argument("--process-modes-floor", type=float, default=None,
-                        help="minimum callback-mode speedup the committed "
-                             "BENCH_process_modes.json baseline must hold "
-                             "(default from thresholds.json: 1.5x)")
     parser.add_argument("--thresholds", type=Path, default=THRESHOLDS,
                         help="committed threshold defaults "
                              "(benchmarks/baselines/thresholds.json)")
     parser.add_argument("--baseline", type=Path, default=BASELINE)
     parser.add_argument("--fresh", type=Path, default=FRESH)
     parser.add_argument("--sweep-fresh", type=Path, default=SWEEP_FRESH)
-    parser.add_argument("--batched-baseline", type=Path,
-                        default=BATCHED_BASELINE)
-    parser.add_argument("--batched-fresh", type=Path, default=BATCHED_FRESH)
-    parser.add_argument("--modes-baseline", type=Path,
-                        default=MODES_BASELINE)
-    parser.add_argument("--modes-fresh", type=Path, default=MODES_FRESH)
     options = parser.parse_args(argv)
 
     committed = load_thresholds(options.thresholds)
@@ -160,8 +124,6 @@ def main(argv=None) -> int:
         options.hermeticity_threshold = committed["hermeticity_threshold"]
     if options.hb_threshold is None:
         options.hb_threshold = committed["hb_threshold"]
-    if options.process_modes_floor is None:
-        options.process_modes_floor = committed["process_modes_speedup_floor"]
 
     if not options.baseline.exists():
         print(f"regression gate: no baseline at {options.baseline}; "
@@ -215,72 +177,6 @@ def main(argv=None) -> int:
                   "vector-clock stamps copy-on-write (no per-event dict "
                   "copies); see docs/CHECKING.md.", file=sys.stderr)
             return 1
-
-    if options.batched_fresh.exists():
-        batched = json.loads(options.batched_fresh.read_text())
-        if not batched.get("bit_identical", True):
-            print("regression gate: FAIL — cohort dispatch is no longer "
-                  "bit-identical to the one-heap reference scheduler "
-                  "(BENCH_kernel_batched.json: bit_identical false).  "
-                  "This is a correctness bug, not a performance "
-                  "regression; do not re-baseline.", file=sys.stderr)
-            return 1
-        if options.batched_baseline.exists():
-            batched_reference = \
-                json.loads(options.batched_baseline.read_text())
-            reference = batched_reference[BATCHED_METRIC]
-            measured = batched[BATCHED_METRIC]
-            ratio = measured / reference
-            print(f"regression gate: {BATCHED_METRIC} baseline "
-                  f"{reference:,.0f}, measured {measured:,.0f} "
-                  f"({ratio:.2f}x of baseline, floor {floor:.2f}x)")
-            if ratio < floor:
-                print(f"regression gate: FAIL — cohort-dispatch throughput "
-                      f"dropped {(1.0 - ratio) * 100.0:.1f}% "
-                      f"(> {options.threshold * 100:.0f}% allowed).  If "
-                      "intentional, re-baseline benchmarks/baselines/"
-                      "BENCH_kernel_batched.json.", file=sys.stderr)
-                return 1
-
-    if options.modes_fresh.exists():
-        modes = json.loads(options.modes_fresh.read_text())
-        if not modes.get("bit_identical", True):
-            print("regression gate: FAIL — the callback process mode is no "
-                  "longer bit-identical to the generator reference "
-                  "(BENCH_process_modes.json: bit_identical false).  This "
-                  "is a correctness bug, not a performance regression; do "
-                  "not re-baseline.", file=sys.stderr)
-            return 1
-        if options.modes_baseline.exists():
-            modes_reference = json.loads(options.modes_baseline.read_text())
-            reference = modes_reference[MODES_METRIC]
-            # The >=1.5x floor binds the *committed* baseline: it pins
-            # what the committed code achieved on a quiet machine, so a
-            # noisy CI runner cannot flake it, and a de-optimisation
-            # cannot be laundered in by re-baselining below the floor.
-            print(f"regression gate: {MODES_METRIC} committed baseline "
-                  f"x{reference:.2f} (floor "
-                  f"x{options.process_modes_floor:.2f})")
-            if reference < options.process_modes_floor:
-                print(f"regression gate: FAIL — the committed callback-mode "
-                      f"baseline speedup x{reference:.2f} is below the "
-                      f"x{options.process_modes_floor:.2f} floor.  Restore "
-                      "the fast path (or re-baseline only with a speedup "
-                      "that holds the floor).", file=sys.stderr)
-                return 1
-            measured = modes[MODES_METRIC]
-            ratio = measured / reference
-            print(f"regression gate: {MODES_METRIC} fresh x{measured:.2f} "
-                  f"({ratio:.2f}x of baseline, floor {floor:.2f}x)")
-            if ratio < floor:
-                print(f"regression gate: FAIL — the callback-mode speedup "
-                      f"dropped {(1.0 - ratio) * 100.0:.1f}% below the "
-                      f"committed baseline "
-                      f"(> {options.threshold * 100:.0f}% allowed).  If "
-                      "intentional, re-baseline benchmarks/baselines/"
-                      "BENCH_process_modes.json (the committed speedup "
-                      "must still hold the floor).", file=sys.stderr)
-                return 1
 
     if options.sweep_fresh.exists():
         sweep = json.loads(options.sweep_fresh.read_text())

@@ -1,19 +1,15 @@
 """Profile a Figure 5-shaped model run and archive the hot-spot table.
 
 Not a benchmark — a diagnosis tool: ``make profile`` (or running this
-file directly) cProfiles one fig5-shaped ``SwiftSimModel`` run in the
-default callback mode, prints the top ``--top`` functions by cumulative
-time, and saves two artifacts under ``benchmarks/results/``:
+file directly) cProfiles one fig5-shaped ``SwiftSimModel`` run, prints
+the top ``--top`` functions by cumulative time, and saves two artifacts
+under ``benchmarks/results/``:
 
 * ``PROFILE_kernel.pstats`` — the raw dump, loadable with
   ``python -m pstats`` or snakeviz for drill-down (CI uploads it from
   the bench-smoke job, so a regression flagged by the gate comes with
   the profile that explains it);
 * ``PROFILE_kernel.txt`` — the printed table, for quick diffing.
-
-``--mode generator`` profiles the reference path instead — diffing the
-two tables is how the callback fast path's wins were found (and is the
-first thing to reach for when the process-modes gate regresses).
 """
 
 from __future__ import annotations
@@ -40,9 +36,9 @@ FIG5_STYLE = SimConfig(num_requests=scaled(480, 240),
                        transfer_unit=4096, request_size=1 << 16)
 
 
-def profile_run(mode: str, top: int) -> tuple[Path, Path]:
+def profile_run(top: int) -> tuple[Path, Path]:
     """Profile one run; returns (pstats path, text path)."""
-    model = SwiftSimModel(FIG5_STYLE, process_mode=mode)
+    model = SwiftSimModel(FIG5_STYLE)
     profiler = cProfile.Profile()
     profiler.enable()
     result = model.run()
@@ -56,8 +52,7 @@ def profile_run(mode: str, top: int) -> tuple[Path, Path]:
     stats = pstats.Stats(profiler, stream=buffer)
     stats.sort_stats("cumulative").print_stats(top)
     table = buffer.getvalue()
-    header = (f"fig5-shaped run, process_mode={mode}: "
-              f"{result.completed} requests, "
+    header = (f"fig5-shaped run: {result.completed} requests, "
               f"{model.env._eid} events, sim time {result.duration_s:.2f}s\n")
     text = RESULTS_DIR / "PROFILE_kernel.txt"
     text.write_text(header + table)
@@ -68,15 +63,11 @@ def profile_run(mode: str, top: int) -> tuple[Path, Path]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--mode", choices=("callback", "generator"),
-                        default="callback",
-                        help="process execution mode to profile "
-                             "(default: callback)")
     parser.add_argument("--top", type=int, default=20,
                         help="rows of the cumulative-time table "
                              "(default: 20)")
     options = parser.parse_args(argv)
-    profile_run(options.mode, options.top)
+    profile_run(options.top)
     return 0
 
 

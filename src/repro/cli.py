@@ -33,14 +33,30 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
     return sizes
 
 
-def _parse_workers(text: str) -> int:
+def _int_at_least(minimum: int, name: str):
+    """An argparse type: an integer no smaller than ``minimum``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{name} must be an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"{name} must be at least {minimum}")
+        return value
+    return parse
+
+
+def _parse_scale(text: str) -> float:
     try:
-        workers = int(text)
+        scale = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad worker count {text!r}") from None
-    if workers < 1:
-        raise argparse.ArgumentTypeError("workers must be at least 1")
-    return workers
+        raise argparse.ArgumentTypeError(
+            f"scale must be a number, got {text!r}") from None
+    if not scale > 0:
+        raise argparse.ArgumentTypeError("scale must be positive")
+    return scale
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -53,7 +69,9 @@ def _build_parser() -> argparse.ArgumentParser:
     for table in ("table1", "table2", "table3", "table4"):
         table_parser = sub.add_parser(
             table, help=f"regenerate {table} of the paper")
-        table_parser.add_argument("--samples", type=int, default=8,
+        table_parser.add_argument("--samples",
+                                  type=_int_at_least(2, "samples"),
+                                  default=8,
                                   help="runs per cell (paper: 8)")
         table_parser.add_argument("--sizes", type=_parse_sizes,
                                   default=(3, 6, 9),
@@ -63,10 +81,12 @@ def _build_parser() -> argparse.ArgumentParser:
     for figure in ("fig3", "fig4", "fig5", "fig6"):
         figure_parser = sub.add_parser(
             figure, help=f"regenerate {figure} of the paper")
-        figure_parser.add_argument("--requests", type=int, default=250,
+        figure_parser.add_argument("--requests",
+                                   type=_int_at_least(1, "requests"),
+                                   default=250,
                                    help="measured completions per run")
         figure_parser.add_argument(
-            "--workers", type=_parse_workers, default=1,
+            "--workers", type=_int_at_least(1, "workers"), default=1,
             help="worker processes for independent runs (default 1: serial)")
         figure_parser.add_argument(
             "--cache", metavar="DIR",
@@ -78,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="bottleneck location: speed each component up, see what moves")
     sensitivity_parser.add_argument("--operation", choices=("read", "write"),
                                     default="read")
-    sensitivity_parser.add_argument("--scale", type=float, default=2.0,
+    sensitivity_parser.add_argument("--scale", type=_parse_scale, default=2.0,
                                     help="speed-up factor (default 2.0)")
 
     sub.add_parser("demo", help="run the quickstart demo")

@@ -10,11 +10,12 @@ object costs a fraction of that.
 
 The trade is explicitness: a subclass writes its control flow as states
 (methods) connected by :meth:`wait` edges instead of straight-line
-``yield`` code.  Generator processes therefore remain the general API and
-the bit-identity reference — callback ports are reserved for measured hot
-loops (``sim/model.py``, the NIC pumps, the disk service loop, the Swift
-packet pumps), and ``benchmarks/bench_process_modes.py`` pins the two
-modes' results equal field for field.
+``yield`` code.  Generator processes therefore remain the general API —
+callback processes are reserved for measured hot loops (the §5 model's
+request path in ``sim/model.py``, the NIC pumps, the disk service loop,
+the Swift packet pumps).  ``tests/sim/reference_model.py`` keeps a
+generator twin of the §5 request path, and
+``tests/sim/test_process_modes.py`` pins the two equal field for field.
 
 A CallbackProcess is itself an :class:`Event`, exactly like ``Process``:
 it triggers when a state calls :meth:`_finish` (value = the process
@@ -24,7 +25,7 @@ callback processes, or :meth:`adopt` it as a join-counted child.
 
 Three deliberate event-count reductions versus the generator path (all
 result-neutral — same timestamps, same draws, same resource queueing —
-and pinned bit-identical by the mode A/B tests):
+and pinned bit-identical by those tests):
 
 * holds release through :meth:`~repro.des.resources.Resource.release_quiet`,
   which never materialises the inert ``Release`` event;

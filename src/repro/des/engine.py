@@ -102,20 +102,18 @@ class Environment:
     **Cohort dispatch.**  Most events in a hot run are scheduled *at the
     current timestamp* (resource grants, releases, ``succeed()`` fan-out):
     they join the same-time cohort the engine is already draining.  With
-    ``cohort_dispatch=True`` (the default) and no tie shuffle or schedule
-    monitors, those events skip the heap entirely — no key packing, no
-    entry tuple, no sift — and land on an append-ordered ready deque.
-    The drain order is provably the heap order: every ready entry carries
-    a larger event id than every same-time heap entry (heap entries at
-    the current time were necessarily scheduled earlier, or are urgent
-    and outrank normal events anyway), so "heap first while its top is at
-    ``now``, then the deque in append order" reproduces ``(time,
-    priority, eid)`` exactly.  ``cohort_dispatch=False`` forces every
-    event through the one-heap reference path — the A/B side of
-    ``benchmarks/bench_kernel_batched.py``'s bit-identity check — and
-    attaching a schedule monitor or a tie-break seed disables the cohort
-    fast path implicitly, exactly as pooling is disabled, so detectors
-    always observe the fully ordered, individually dispatched engine.
+    no tie shuffle or schedule monitors, those events skip the heap
+    entirely — no key packing, no entry tuple, no sift — and land on an
+    append-ordered ready deque.  The drain order is provably the heap
+    order: every ready entry carries a larger event id than every
+    same-time heap entry (heap entries at the current time were
+    necessarily scheduled earlier, or are urgent and outrank normal
+    events anyway), so "heap first while its top is at ``now``, then the
+    deque in append order" reproduces ``(time, priority, eid)`` exactly.
+    Attaching a schedule monitor or a tie-break seed sends every event
+    through the one-heap path instead, exactly as pooling is disabled,
+    so detectors always observe the fully ordered, individually
+    dispatched engine.
     """
 
     #: Events scheduled with urgent priority run before normal events that
@@ -124,8 +122,7 @@ class Environment:
     PRIORITY_NORMAL = 1
 
     def __init__(self, initial_time: float = 0.0,
-                 tie_break_seed: Optional[int] = None,
-                 cohort_dispatch: bool = True):
+                 tie_break_seed: Optional[int] = None):
         self._now = float(initial_time)
         self._queue: list = []
         # Same-timestamp cohort: events scheduled at the current time by
@@ -134,7 +131,6 @@ class Environment:
         # monitor attaching mid-run spills it back into the heap (see
         # _refresh_fast_flags).
         self._ready: deque = deque()
-        self._cohort = bool(cohort_dispatch)
         self._eid = 0
         self._active_process: Optional[Process] = None
         # Free lists of processed Timeout / Release / Request objects
@@ -185,8 +181,7 @@ class Environment:
 
     def _refresh_fast_flags(self) -> None:
         """Recompute the cached hot-path gates (see __init__)."""
-        self._schedule_fast = (self._cohort
-                               and self._tie_seed_prefix is None
+        self._schedule_fast = (self._tie_seed_prefix is None
                                and not self._schedule_monitors)
         self._unmonitored = not (self._step_monitors
                                  or self._schedule_monitors
@@ -404,10 +399,9 @@ class Environment:
         Callback processes about to emit a deterministic chain of k
         timeouts consult this: when True they may pre-draw the k service
         times in reference order and schedule one completion via
-        :meth:`timeout_at`; when False (any monitor attached, tie-break
-        shuffling, or ``cohort_dispatch=False``) they must expand the
-        chain event for event so every observer sees the reference
-        sequence.
+        :meth:`timeout_at`; when False (any monitor attached, or
+        tie-break shuffling) they must expand the chain event for event
+        so every observer sees the reference sequence.
         """
         return self._span_fast
 

@@ -213,40 +213,6 @@ class Resource:
             return request
         return Request(self, priority)
 
-    def request_inline(self, priority: float = 0.0) -> Request:
-        """A claim granted *without a grant event* when nothing contends.
-
-        The callback-process hold sequence calls this: when the server is
-        free, the queue empty and no monitor attached, the request is
-        granted on the spot and returned already *processed*
-        (``callbacks is None``) — no calendar entry, no dispatch — and
-        the caller continues inline.  The resource state transition is
-        identical to :meth:`request` (``users`` grows at call time either
-        way; the grant event is pure wakeup latency), so contenders
-        arriving later queue exactly as before.  Contended or monitored
-        calls fall back to :meth:`request`; callers distinguish the two
-        outcomes by ``request.callbacks is None``.
-        """
-        env = self.env
-        if (env._unmonitored and not self._waiting
-                and len(self.users) < self.capacity):
-            pool = env._request_pool
-            if pool:
-                request = pool.pop()
-            else:
-                request = Request.__new__(Request)
-                request.env = env
-                request._stale = None
-            request._defused = False
-            request.resource = self
-            request.priority = priority
-            request._ok = True
-            request._value = None
-            request.callbacks = None
-            self.users.append(request)
-            return request
-        return self.request(priority)
-
     def release(self, request: Request) -> Release:
         """Give a server back (or withdraw a waiting request).
 

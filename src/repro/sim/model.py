@@ -72,33 +72,14 @@ class SwiftSimModel:
     for the §6 "collection of Raids" configuration.  The default is the
     configured plain disk.
 
-    ``cohort_dispatch=False`` forces the engine's one-heap reference
-    scheduler; results are bit-identical either way (the A/B contract
-    ``benchmarks/bench_kernel_batched.py`` measures and pins).
-
-    ``process_mode`` selects how the per-request hot loops execute:
-    ``"callback"`` (the default) runs them as slotted
-    :class:`~repro.des.callback.CallbackProcess` state machines with
-    quiet releases, inline joins and — when no monitor forbids it —
-    event-span coalescing of the write path's deterministic disk chain;
-    ``"generator"`` is the yield-based reference.  Results are
-    bit-identical between modes (the A/B contract
-    ``benchmarks/bench_process_modes.py`` measures and pins), so the
-    mode is an execution detail, deliberately *not* part of
-    :class:`SimConfig` and invisible to the result cache.
+    Requests run as the :class:`~repro.des.callback.CallbackProcess`
+    state machines defined after this class.
     """
 
     def __init__(self, config: SimConfig, storage_factory=None,
-                 trace=None, cohort_dispatch: bool = True,
-                 process_mode: str = "callback"):
-        if process_mode not in ("callback", "generator"):
-            raise ValueError(
-                f"process_mode must be 'callback' or 'generator', "
-                f"got {process_mode!r}")
-        self.process_mode = process_mode
+                 trace=None):
         self.config = config
-        self.env = Environment(tie_break_seed=config.tie_break_seed,
-                               cohort_dispatch=cohort_dispatch)
+        self.env = Environment(tie_break_seed=config.tie_break_seed)
         self.streams = StreamFactory(config.seed)
         cost = mips_cost_model(config.host_mips)
         self.ring = TokenRing(self.env, "ring",
@@ -224,18 +205,12 @@ class SwiftSimModel:
         start_agent = self._next_start_agent
         self._next_start_agent = (start_agent + 1) % config.num_disks
         shares = config.blocks_per_agent(start_agent)
-        if self.process_mode == "callback":
-            # Immediate start mirrors the generator path's `yield from`:
-            # the op's first CPU request is created in this very
-            # dispatch, so grant queueing is identical between modes.
-            if is_read:
-                yield _ReadOp(self.env, self, client, shares, priority)
-            else:
-                yield _WriteOp(self.env, self, client, shares, priority)
-        elif is_read:
-            yield from self._read(client, shares, priority)
+        # The op starts immediately: its first CPU request is created in
+        # this very dispatch, queueing in arrival order.
+        if is_read:
+            yield _ReadOp(self.env, self, client, shares, priority)
         else:
-            yield from self._write(client, shares, priority)
+            yield _WriteOp(self.env, self, client, shares, priority)
         self._completed += 1
         if self._completed > config.warmup_requests:
             if self._window_start is None:
@@ -252,8 +227,6 @@ class SwiftSimModel:
                 and not done.triggered):
             done.succeed()
 
-    # -- read path ------------------------------------------------------------------
-
     def _disk_priority(self, arrived: float, is_realtime: bool) -> float:
         """Disk queue priority for a request that arrived at ``arrived``.
 
@@ -269,109 +242,21 @@ class SwiftSimModel:
             deadline *= config.background_deadline_factor
         return arrived + deadline
 
-    def _read(self, client: Host, shares: list[int], priority: float = 0.0):
-        # Multicast the small request: one packet on the ring.
-        yield from client.consume_cpu(
-            client.send_cost.time(CONTROL_PACKET_SIZE_BYTES))
-        yield from self.ring.occupy(
-            self.ring.transmission_time(CONTROL_PACKET_SIZE_BYTES))
-        servers = [
-            self.env.process(self._agent_read(index, blocks, client,
-                                              priority))
-            for index, blocks in enumerate(shares) if blocks
-        ]
-        yield self.env.all_of(servers)
 
-    def _agent_read(self, index: int, blocks: int, client: Host,
-                    priority: float = 0.0):
-        host, disk = self.agents[index]
-        unit = self.config.transfer_unit
-        yield from host.consume_cpu(
-            host.recv_cost.time(CONTROL_PACKET_SIZE_BYTES))
-        transmissions = []
-        with disk.resource.request(priority=priority) as grant:
-            yield grant
-            disk.monitor.busy()
-            try:
-                for _ in range(blocks):
-                    yield self.env.timeout(disk.block_service_time(unit))
-                    disk.blocks_served += 1
-                    disk.bytes_served += unit
-                    # "Once a block has been read from disk it is scheduled
-                    # for transmission over the network."
-                    transmissions.append(
-                        self.env.process(self._send_block(host, client, unit)))
-            finally:
-                if disk.resource.queue_length == 0:
-                    disk.monitor.idle()
-        yield self.env.all_of(transmissions)
-
-    def _send_block(self, host: Host, client: Host, size: int):
-        yield from host.consume_cpu(host.send_cost.time(size))
-        yield from self.ring.occupy(self.ring.transmission_time(size))
-        yield from client.consume_cpu(client.recv_cost.time(size))
-
-    # -- write path ------------------------------------------------------------------
-
-    def _write(self, client: Host, shares: list[int], priority: float = 0.0):
-        agents_done = []
-        unit = self.config.transfer_unit
-        # "A write request transmits the data to each of the storage
-        # agents" — every block pays client CPU and ring time serially at
-        # the client, arriving at its agent as it is sent.
-        for index, blocks in enumerate(shares):
-            if not blocks:
-                continue
-            for _ in range(blocks):
-                yield from client.consume_cpu(client.send_cost.time(unit))
-                yield from self.ring.occupy(self.ring.transmission_time(unit))
-            agents_done.append(self.env.process(
-                self._agent_write(index, blocks, client, priority)))
-        # "Once the blocks have been transmitted the client awaits an
-        # acknowledgement from the storage agents that the data have been
-        # written to disk."
-        yield self.env.all_of(agents_done)
-
-    def _agent_write(self, index: int, blocks: int, client: Host,
-                     priority: float = 0.0):
-        host, disk = self.agents[index]
-        unit = self.config.transfer_unit
-        for _ in range(blocks):
-            yield from host.consume_cpu(host.recv_cost.time(unit))
-        with disk.resource.request(priority=priority) as grant:
-            yield grant
-            disk.monitor.busy()
-            try:
-                for _ in range(blocks):
-                    yield self.env.timeout(disk.block_service_time(unit))
-                    disk.blocks_served += 1
-                    disk.bytes_served += unit
-            finally:
-                if disk.resource.queue_length == 0:
-                    disk.monitor.idle()
-        # The acknowledgement.
-        yield from host.consume_cpu(
-            host.send_cost.time(CONTROL_PACKET_SIZE_BYTES))
-        yield from self.ring.occupy(
-            self.ring.transmission_time(CONTROL_PACKET_SIZE_BYTES))
-        yield from client.consume_cpu(
-            client.recv_cost.time(CONTROL_PACKET_SIZE_BYTES))
-
-
-# -- callback execution mode --------------------------------------------------
+# -- request state machines ---------------------------------------------------
 #
-# State-machine twins of the generator request path above, one class per
-# generator method, mirrored step for step: every resource request is
-# created at the same dispatch, every service time is drawn at the same
-# point in the same stream order, every busy/idle transition lands on the
-# same timestamp.  The deliberate divergences — quiet releases, inline
-# join counters instead of AllOf events, and the coalesced write-path
-# disk chain — are result-neutral and pinned bit-identical by
-# tests/sim/test_process_modes.py and benchmarks/bench_process_modes.py.
+# One CallbackProcess per step of the §5.1 request path: the client's read
+# or write, each agent's share of it, and each read block's trip back over
+# the ring.  Holds grant a free server on the spot and release quietly,
+# parents count their children down instead of building an AllOf event,
+# and the write path's disk chain lands as one completion when the engine
+# permits.  None of this moves a result: tests/sim/test_process_modes.py
+# compares every SimResult field with the generator reference in
+# tests/sim/reference_model.py.
 
 
 class _ReadOp(CallbackProcess):
-    """Callback twin of ``SwiftSimModel._read`` (started immediately)."""
+    """A client read: multicast the request, then await every agent's share."""
 
     __slots__ = ("model", "client", "shares", "priority")
 
@@ -408,7 +293,7 @@ class _ReadOp(CallbackProcess):
 
 
 class _AgentRead(CallbackProcess):
-    """Callback twin of ``SwiftSimModel._agent_read``."""
+    """One agent's read share: read its blocks, sending each as it is read."""
 
     __slots__ = ("model", "index", "blocks", "client", "priority",
                  "_host", "_disk", "_grant", "_left", "_unit")
@@ -477,7 +362,7 @@ class _AgentRead(CallbackProcess):
 
 
 class _SendBlock(CallbackProcess):
-    """Callback twin of ``SwiftSimModel._send_block``."""
+    """One read block's trip: agent CPU, ring, client CPU."""
 
     __slots__ = ("model", "host", "client", "size")
 
@@ -506,7 +391,7 @@ class _SendBlock(CallbackProcess):
 
 
 class _WriteOp(CallbackProcess):
-    """Callback twin of ``SwiftSimModel._write`` (started immediately)."""
+    """A client write: send each agent its blocks in turn, then await acks."""
 
     __slots__ = ("model", "client", "priority", "_pairs", "_pos",
                  "_blocks_left", "_unit")
@@ -561,7 +446,7 @@ class _WriteOp(CallbackProcess):
 
 
 class _AgentWrite(CallbackProcess):
-    """Callback twin of ``SwiftSimModel._agent_write``.
+    """One agent's write share: receive, write under one disk hold, ack.
 
     The disk chain here is the model's span-coalescing site: B blocks
     hit the platter back to back under one spindle hold with no

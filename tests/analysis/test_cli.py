@@ -55,11 +55,21 @@ def test_figure_fanout_flags_reach_the_series(monkeypatch, tmp_path,
     assert fanned["cache"].root == runs
 
 
+BAD_ARGUMENTS = [
+    ["fig5", "--workers", "0"],
+    ["fig5", "--workers", "two"],
+    ["fig5", "--requests", "0"],
+    ["table2", "--samples", "1", "--sizes", "1"],
+    ["sensitivity", "--scale", "0"],
+]
+
+
 def test_bad_workers_rejected():
-    with pytest.raises(SystemExit):
-        main(["fig5", "--workers", "0"])
-    with pytest.raises(SystemExit):
-        main(["fig5", "--workers", "two"])
+    # Each is a usage error (exit 2) from the parser, before any run.
+    for argv in BAD_ARGUMENTS:
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2, argv
 
 
 def test_bad_sizes_rejected():

@@ -508,7 +508,10 @@ def test_span_coalescing_gate_follows_monitors():
     assert not env.span_coalescing
     env.tie_break_seed = None
     assert env.span_coalescing
-    assert not Environment(cohort_dispatch=False).span_coalescing
+    env.add_schedule_monitor(probe)
+    assert not env.span_coalescing
+    env.remove_schedule_monitor(probe)
+    assert env.span_coalescing
 
 
 def test_release_quiet_regrants_and_recycles():

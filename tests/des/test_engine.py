@@ -233,9 +233,9 @@ def test_trigger_copies_another_events_outcome():
 # Same-timestamp events normally skip the heap and drain from an
 # append-ordered ready deque (see the Environment docstring).  The
 # contract: dispatch order is bit-identical to the one-heap reference
-# path (cohort_dispatch=False), and anything that must observe every
-# event individually — a schedule monitor, a tie-break seed — disables
-# the fast path and spills any pending cohort back into the heap.
+# path, and anything that must observe every event individually — a
+# schedule monitor, a tie-break seed — disables the fast path and spills
+# any pending cohort back into the heap.
 
 
 def _mixed_workload(env, order):
@@ -279,7 +279,10 @@ def _mixed_workload(env, order):
 
 
 def _run_mixed(cohort):
-    env = Environment(cohort_dispatch=cohort)
+    env = Environment()
+    if not cohort:
+        # A no-op schedule monitor forces the one-heap reference path.
+        env.add_schedule_monitor(lambda event, process: None)
     order = []
     _mixed_workload(env, order)
     env.run()

@@ -1,24 +1,28 @@
-"""Process execution modes: the callback fast path is an execution
-detail, not a model change.
+"""The §5 model's callback state machines against their generator twin.
 
-``SwiftSimModel(process_mode="callback")`` (the default) runs the
-per-request hot loops as slotted state machines with quiet releases,
-inline joins, pooled timeouts and — when no monitor forbids it —
-event-span coalescing of the deterministic disk chains.
-``process_mode="generator"`` is the yield-based reference.  These tests
-pin the two contracts docs/ARCHITECTURE.md states:
+``SwiftSimModel`` runs every request as slotted callback state machines
+with quiet releases, inline joins, pooled timeouts and — when no monitor
+forbids it — event-span coalescing of the deterministic disk chains.
+:class:`~tests.sim.reference_model.GeneratorModel` runs the same request
+path as straight-line generators.  These tests pin the two contracts
+docs/ARCHITECTURE.md states:
 
-* **bit identity** — every SimResult field is equal between modes, for
-  read-heavy, write-heavy, real-time and reference-scheduler shapes;
+* **bit identity** — every SimResult field is equal between the two
+  models, for read-heavy, write-heavy, real-time and one-heap-scheduler
+  shapes and for any small drawn config;
 * **monitor-gated fallback** — with any monitor attached (HB detector,
   sanitizers, conservation ledger, schedule tracing) the coalesced
-  paths expand to the full reference event sequence, the monitors stay
-  green, and the result is *still* bit-identical.
+  paths expand to the full event sequence, the monitors stay green, and
+  the result is *still* bit-identical.
+
+Exact engine event counts pin what the callback machines are for:
+scheduling a third of the generator twin's events.
 """
 
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.check import (
     alias_sanitize,
@@ -29,6 +33,11 @@ from repro.check import (
 )
 from repro.sim.model import SwiftSimModel
 from repro.sim.workload import SimConfig
+from repro.simdisk import RaidArray
+
+from .reference_model import GeneratorModel
+
+KB = 1 << 10
 
 # Small fig3/fig5-shaped runs: the paper's read-heavy baseline and the
 # write-dominated small-transfer shape that stresses the span-coalesced
@@ -45,12 +54,23 @@ REALTIME_SHAPE = dataclasses.replace(
 SHAPES = [FIG3_SHAPE, FIG5_SHAPE, REALTIME_SHAPE]
 SHAPE_IDS = ["fig3", "fig5", "realtime"]
 
+#: Engine events (``env._eid``) per shape: (SwiftSimModel, GeneratorModel).
+#: A change to either count changes the request path's event schedule
+#: and should be a deliberate one.
+EVENT_COUNTS = [(9_877, 29_813), (7_911, 23_541), (9_884, 29_813)]
+
 BASE = SimConfig(num_requests=24, warmup_requests=4)
 
 
-def _run(config, process_mode, cohort_dispatch=True):
-    return SwiftSimModel(config, cohort_dispatch=cohort_dispatch,
-                         process_mode=process_mode).run()
+def _one_heap(model):
+    """Attach a no-op schedule monitor: every event goes through the heap.
+
+    A schedule monitor turns off the same-timestamp cohort fast path,
+    pooling and span coalescing, so the run takes the engine's one-heap
+    reference scheduler with every event dispatched individually.
+    """
+    model.env.add_schedule_monitor(lambda event, process: None)
+    return model
 
 
 @pytest.fixture(params=list(zip(SHAPES, SHAPE_IDS)), ids=SHAPE_IDS)
@@ -58,28 +78,33 @@ def shape(request):
     return request.param[0]
 
 
-def test_mode_must_be_known():
-    with pytest.raises(ValueError, match="process_mode"):
-        SwiftSimModel(FIG3_SHAPE, process_mode="threads")
-
-
 def test_callback_matches_generator_bit_identical(shape):
-    assert _run(shape, "callback") == _run(shape, "generator")
+    assert SwiftSimModel(shape).run() == GeneratorModel(shape).run()
 
 
 def test_callback_identical_under_reference_scheduler(shape):
-    # cohort_dispatch=False forces the one-heap reference scheduler and
-    # (with it) disables span coalescing; the callback machines must
-    # expand their chains and still land on the reference result.
-    reference = _run(shape, "generator")
-    assert _run(shape, "callback", cohort_dispatch=False) == reference
+    # The one-heap scheduler also disables span coalescing; the callback
+    # machines must expand their chains and still land on the reference
+    # result.
+    reference = GeneratorModel(shape).run()
+    assert _one_heap(SwiftSimModel(shape)).run() == reference
+
+
+@pytest.mark.parametrize("config, counts", list(zip(SHAPES, EVENT_COUNTS)),
+                         ids=SHAPE_IDS)
+def test_event_counts_are_pinned(config, counts):
+    callback = SwiftSimModel(config)
+    callback.run()
+    generator = GeneratorModel(config)
+    generator.run()
+    assert (callback.env._eid, generator.env._eid) == counts
 
 
 def test_cohort_dispatch_off_is_bit_identical():
     # The engine's one-heap reference scheduler and the cohort fast path
-    # must agree on every result field (the bench_kernel_batched A/B).
+    # must agree on every result field.
     cold = SwiftSimModel(BASE).run()
-    reference = SwiftSimModel(BASE, cohort_dispatch=False).run()
+    reference = _one_heap(SwiftSimModel(BASE)).run()
     assert cold == reference
 
 
@@ -87,8 +112,8 @@ def test_span_coalescing_expands_under_transfer_monitor():
     # A transfer monitor (the conservation ledger's hook) flips
     # span_coalescing off while leaving pooling on: the write path must
     # schedule every per-block event, and nothing else may move.
-    reference = _run(FIG5_SHAPE, "generator")
-    model = SwiftSimModel(FIG5_SHAPE, process_mode="callback")
+    reference = GeneratorModel(FIG5_SHAPE).run()
+    model = SwiftSimModel(FIG5_SHAPE)
     records = []
     model.env.add_transfer_monitor(lambda kind, **info:
                                    records.append(kind))
@@ -99,9 +124,9 @@ def test_span_coalescing_expands_under_transfer_monitor():
 def test_callback_expands_more_events_when_monitored():
     # The coalesced run condenses each deterministic k-block chain into
     # one calendar entry; a monitored run must expand them all again.
-    plain = SwiftSimModel(FIG5_SHAPE, process_mode="callback")
+    plain = SwiftSimModel(FIG5_SHAPE)
     plain_result = plain.run()
-    monitored = SwiftSimModel(FIG5_SHAPE, process_mode="callback")
+    monitored = SwiftSimModel(FIG5_SHAPE)
     steps = []
     monitored.env.add_step_monitor(lambda when, event: steps.append(when))
     assert monitored.run() == plain_result
@@ -109,18 +134,18 @@ def test_callback_expands_more_events_when_monitored():
 
 
 def test_hb_detector_green_on_callback_run():
-    model = SwiftSimModel(FIG3_SHAPE, process_mode="callback")
+    model = SwiftSimModel(FIG3_SHAPE)
     with detect_races(model.env) as detector:
         result = model.run()
     assert detector.races == []
-    assert result == _run(FIG3_SHAPE, "generator")
+    assert result == GeneratorModel(FIG3_SHAPE).run()
 
 
 def test_hb_detector_sees_callback_processes():
     # The detector must key segments by the state machines themselves:
     # a callback deployment's accesses may not all collapse into the
     # anonymous "<callback phase>" bucket.
-    model = SwiftSimModel(FIG3_SHAPE, process_mode="callback")
+    model = SwiftSimModel(FIG3_SHAPE)
     with detect_races(model.env) as detector:
         model.run()
     labels = set(detector._owner_labels.values())
@@ -128,31 +153,32 @@ def test_hb_detector_sees_callback_processes():
 
 
 def test_sanitizers_green_on_callback_run():
-    model = SwiftSimModel(FIG3_SHAPE, process_mode="callback")
+    model = SwiftSimModel(FIG3_SHAPE)
     with sanitize(model.env, model.streams):
         with alias_sanitize(model.env):
             result = model.run()
-    assert result == _run(FIG3_SHAPE, "generator")
+    assert result == GeneratorModel(FIG3_SHAPE).run()
 
 
 def test_conservation_ledger_green_on_callback_run():
-    model = SwiftSimModel(FIG5_SHAPE, process_mode="callback")
+    model = SwiftSimModel(FIG5_SHAPE)
     with conserve(model.env) as ledger:
         result = model.run()
     assert ledger.errors == []
-    assert result == _run(FIG5_SHAPE, "generator")
+    assert result == GeneratorModel(FIG5_SHAPE).run()
 
 
-@pytest.mark.parametrize("mode", ["callback", "generator"])
-def test_modes_are_schedule_invariant(mode):
+@pytest.mark.parametrize("model_class", [SwiftSimModel, GeneratorModel],
+                         ids=["callback", "generator"])
+def test_modes_are_schedule_invariant(model_class):
     # Tie-break shuffles (which also force span expansion) must not
-    # move a single metric in either mode — the perturbation harness is
-    # what licenses the fast path's same-timestamp micro-reorderings.
+    # move a single metric in either model — the perturbation harness
+    # is what licenses the fast path's same-timestamp micro-reorderings.
     def scenario(tie_break_seed, trace):
         config = dataclasses.replace(FIG3_SHAPE, num_requests=30,
                                      warmup_requests=3,
                                      tie_break_seed=tie_break_seed)
-        model = SwiftSimModel(config, process_mode=mode)
+        model = model_class(config)
         trace.attach(model.env)
         metrics = dataclasses.asdict(model.run())
         metrics.pop("config")
@@ -160,3 +186,39 @@ def test_modes_are_schedule_invariant(mode):
 
     report = assert_schedule_invariant(scenario, permutations=4)
     assert report.invariant
+
+
+def _raid_factory(env, index, streams):
+    return RaidArray(env, num_members=3,
+                     stream=streams.stream(f"raid/{index}"))
+
+
+@st.composite
+def small_configs(draw):
+    """A 30-request config anywhere in the model's small parameter space."""
+    scheduling = {}
+    if draw(st.booleans()):
+        scheduling = {"disk_scheduling": "edf",
+                      "deadline_s": draw(st.sampled_from([0.05, 0.5])),
+                      "realtime_fraction": draw(st.sampled_from([0.25, 1.0]))}
+    return SimConfig(
+        num_disks=draw(st.integers(min_value=1, max_value=6)),
+        transfer_unit=draw(st.sampled_from([4 * KB, 16 * KB, 32 * KB])),
+        # Any size: one the unit does not divide rounds up a block.
+        request_size=draw(st.integers(min_value=4 * KB,
+                                      max_value=200 * KB)),
+        arrival_rate=draw(st.sampled_from([5.0, 20.0, 80.0])),
+        read_fraction=draw(st.sampled_from([0.0, 0.2, 0.8, 1.0])),
+        num_clients=draw(st.integers(min_value=1, max_value=4)),
+        num_requests=30, warmup_requests=3,
+        seed=draw(st.integers(min_value=0, max_value=50)),
+        **scheduling)
+
+
+@settings(max_examples=25, deadline=None)
+@given(config=small_configs(),
+       storage_factory=st.sampled_from([None, _raid_factory]))
+def test_model_matches_reference_on_any_small_config(config,
+                                                     storage_factory):
+    assert (SwiftSimModel(config, storage_factory=storage_factory).run()
+            == GeneratorModel(config, storage_factory=storage_factory).run())
