@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: install test lint check-aliasing check-effects check-model check-model-full bench bench-full bench-smoke profile tables figures examples clean
+.PHONY: install test lint check-aliasing check-effects check-model check-model-full bench bench-full bench-smoke e2e-check profile tables figures examples clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation
@@ -57,6 +57,22 @@ bench-smoke:
 	REPRO_BENCH_WORKERS=2 $(PYTHON) -m pytest benchmarks/bench_sweep_parallel.py --benchmark-only
 	$(PYTHON) benchmarks/check_regression.py
 	$(PYTHON) benchmarks/profile_kernel.py
+
+# Golden-hash gate: one run of each end-to-end benchmark workload at
+# seed 0, whose cells must all match e2ebench/golden.json.  run.py exits
+# 0 even when cells fail, so the gate reads `failed` from the JSON line
+# it prints last; a missing or non-JSON last line fails too.
+E2E_WORKLOADS := fig5_search fig3_curve tables
+
+e2e-check:
+	@for workload in $(E2E_WORKLOADS); do \
+		echo "e2e-check: $$workload"; \
+		out=$$($(PYTHON) e2ebench/run.py --workload $$workload --seed 0 \
+			--seconds 1 --trace 0) || { echo "$$out"; exit 1; }; \
+		printf '%s\n' "$$out" | tail -n 1 | $(PYTHON) -c \
+			'import json, sys; r = json.loads(sys.stdin.read()); print("failed", r["failed"], "of", r["attempted"]); sys.exit(r["failed"] != 0)' \
+			|| { echo "$$out"; exit 1; }; \
+	done
 
 # cProfile a fig5-shaped model run: top-20 cumulative hot spots on
 # stdout, raw dump in benchmarks/results/PROFILE_kernel.pstats.

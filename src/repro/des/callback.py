@@ -12,10 +12,12 @@ The trade is explicitness: a subclass writes its control flow as states
 (methods) connected by :meth:`wait` edges instead of straight-line
 ``yield`` code.  Generator processes therefore remain the general API —
 callback processes are reserved for measured hot loops (the §5 model's
-request path in ``sim/model.py``, the NIC pumps, the disk service loop,
-the Swift packet pumps).  ``tests/sim/reference_model.py`` keeps a
-generator twin of the §5 request path, and
-``tests/sim/test_process_modes.py`` pins the two equal field for field.
+request path in ``sim/model.py``, whose CPU and ring stages go further
+and skip Resource holds for analytic FIFO servers; the NIC pumps, the
+disk service loop, the Swift packet pumps).
+``tests/sim/reference_model.py`` keeps a generator twin of the §5
+request path, and ``tests/sim/test_process_modes.py`` pins the two
+equal field for field.
 
 A CallbackProcess is itself an :class:`Event`, exactly like ``Process``:
 it triggers when a state calls :meth:`_finish` (value = the process
@@ -33,6 +35,11 @@ and pinned bit-identical by those tests):
   of building an ``AllOf`` condition event;
 * a process nobody waits on completes silently when unmonitored
   (:meth:`_finish`), skipping the no-op completion event.
+
+A running process is a reference cycle (it stores bound methods of
+itself: its wakeup edges and pending states).  :meth:`_finish` breaks
+the cycle, so a finished process is freed by reference counting as soon
+as nothing else holds it, instead of waiting for the cyclic collector.
 """
 
 from __future__ import annotations
@@ -68,7 +75,7 @@ class CallbackProcess(Event):
 
     __slots__ = ("_state", "_target", "_bound_step", "_bound_hold",
                  "_bound_child", "_children", "_join_state",
-                 "_h_res", "_h_req", "_h_duration", "_h_next", "_h_mon")
+                 "_h_res", "_h_req", "_h_duration", "_h_next")
 
     def __init__(self, env: "Environment", immediate: bool = False):
         # Flattened Event.__init__, as for Request/Timeout: one of these
@@ -199,17 +206,14 @@ class CallbackProcess(Event):
         timeout.callbacks.append(self._bound_step)
 
     def hold(self, resource: "Resource", duration: float, next_state: State,
-             monitor=None, priority: float = 0.0) -> None:
+             priority: float = 0.0) -> None:
         """Request ``resource``, hold it ``duration`` seconds, release, go on.
 
         The canonical hold sequence, event for event the same as::
 
             with resource.request(priority=...) as grant:
                 yield grant
-                monitor.busy()
                 yield env.timeout(duration)
-                if resource.queue_length == 0:
-                    monitor.idle()
 
         except that the release is quiet (no Release event) and an
         uncontended grant is a token claim (no grant event, no Request
@@ -219,13 +223,10 @@ class CallbackProcess(Event):
         *before* the request, exactly as a generator evaluates its
         timeout argument; holds whose service time depends on grant-time
         state (disk positioning, cable contention) write their own
-        states instead.  ``monitor`` is an optional
-        :class:`~repro.des.stats.UtilizationMonitor` marked busy at grant
-        and idle at release when the queue drained.
+        states instead.
         """
         self._h_res = resource
         self._h_next = next_state
-        self._h_mon = monitor
         env = self.env
         if (env._unmonitored and not resource._waiting
                 and len(resource.users) < resource.capacity):
@@ -234,8 +235,6 @@ class CallbackProcess(Event):
             # is already proven, so the pool gate shrinks to two tests).
             resource.users.append(_TOKEN)
             self._h_req = None
-            if monitor is not None:
-                monitor.busy()
             pool = env._timeout_pool
             if pool and env._schedule_fast:
                 if duration < 0:
@@ -263,9 +262,6 @@ class CallbackProcess(Event):
             request.callbacks.append(self._bound_step)
 
     def _hold_granted(self, _value: Any) -> None:
-        monitor = self._h_mon
-        if monitor is not None:
-            monitor.busy()
         self._target = timeout = self.env.timeout(self._h_duration)
         timeout.callbacks.append(self._bound_hold)
 
@@ -279,9 +275,6 @@ class CallbackProcess(Event):
         env._active_process = self
         try:
             resource = self._h_res
-            monitor = self._h_mon
-            if monitor is not None and resource.queue_length == 0:
-                monitor.idle()
             request = self._h_req
             if request is None:
                 resource.release_slot()
@@ -359,7 +352,13 @@ class CallbackProcess(Event):
         micro-reordering — pinned result-invariant by the perturbation
         harness).  With a monitor attached it triggers normally so every
         observer sees a real completion event in the expanded sequence.
+
+        Either way the process first drops the bound methods of itself it
+        stores, so that it is no longer a reference cycle (see the module
+        docstring).
         """
+        self._bound_step = self._bound_hold = self._bound_child = None
+        self._state = self._h_next = self._join_state = None
         env = self.env
         if env._unmonitored:
             callbacks = self.callbacks

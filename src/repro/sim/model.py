@@ -73,7 +73,9 @@ class SwiftSimModel:
     configured plain disk.
 
     Requests run as the :class:`~repro.des.callback.CallbackProcess`
-    state machines defined after this class.
+    state machines defined after this class; they hold the disks as
+    Resources and the host CPUs and the ring through analytic FIFO
+    servers (:class:`_Server`).
     """
 
     def __init__(self, config: SimConfig, storage_factory=None,
@@ -99,6 +101,19 @@ class SwiftSimModel:
                         send_cost=cost, recv_cost=cost)
             disk = storage_factory(self.env, index, self.streams)
             self.agents.append((host, disk))
+        # Requests hold the CPUs and the ring through analytic servers
+        # (_Server), not the hosts' and ring's Resources; every host
+        # shares one cost model, so four service times cover every hold.
+        self._client_cpus = {client: _Server(self.env)
+                             for client in self.clients}
+        self._agent_cpus = [_Server(self.env) for _ in self.agents]
+        self._ring_server = _Server(self.env, self.ring.monitor)
+        unit = config.transfer_unit
+        self._cpu_control_s = cost.time(CONTROL_PACKET_SIZE_BYTES)
+        self._cpu_unit_s = cost.time(unit)
+        self._ring_control_s = self.ring.transmission_time(
+            CONTROL_PACKET_SIZE_BYTES)
+        self._ring_unit_s = self.ring.transmission_time(unit)
         self._arrivals = self.streams.stream("arrivals")
         self._mix = self.streams.stream("read-write-mix")
         self._class_mix = self.streams.stream("deadline-class")
@@ -205,12 +220,13 @@ class SwiftSimModel:
         start_agent = self._next_start_agent
         self._next_start_agent = (start_agent + 1) % config.num_disks
         shares = config.blocks_per_agent(start_agent)
-        # The op starts immediately: its first CPU request is created in
-        # this very dispatch, queueing in arrival order.
+        # The op starts immediately: its first CPU hold is served in this
+        # very dispatch, queueing in arrival order.
+        cpu = self._client_cpus[client]
         if is_read:
-            yield _ReadOp(self.env, self, client, shares, priority)
+            yield _ReadOp(self.env, self, cpu, shares, priority)
         else:
-            yield _WriteOp(self.env, self, client, shares, priority)
+            yield _WriteOp(self.env, self, cpu, shares, priority)
         self._completed += 1
         if self._completed > config.warmup_requests:
             if self._window_start is None:
@@ -243,50 +259,111 @@ class SwiftSimModel:
         return arrived + deadline
 
 
+# -- servers ------------------------------------------------------------------
+
+
+class _Server:
+    """A first-come-first-served single server with known hold times.
+
+    Every CPU and ring hold of the §5 model has capacity 1, priority 0
+    and a service time computed before the request, so its end is known
+    the moment it is requested — Lindley's recursion, ``start =
+    max(now, previous end)``, ``end = start + duration``.  The
+    :class:`~repro.des.resources.Resource` reference grants a queued
+    hold when the previous one's timeout fires at that previous end and
+    schedules ``end_prev + duration``: the very same float.  So a hold
+    costs one calendar entry, its completion, and no queue bookkeeping.
+
+    ``monitor`` (the ring's) goes busy when a hold finds the server idle,
+    and idle in :meth:`done` when the ending hold left nothing queued:
+    a hold requested before that completion already pushed ``free_at``
+    past ``now``, which is the reference's "idle at release when the
+    queue is empty".
+    """
+
+    __slots__ = ("env", "free_at", "monitor")
+
+    def __init__(self, env: Environment, monitor=None):
+        self.env = env
+        self.free_at = env.now
+        self.monitor = monitor
+
+    def serve(self, now: float, duration: float) -> float:
+        """Queue a ``duration``-second hold requested at ``now``; its end."""
+        env = self.env
+        if env._access_monitors:
+            # Serve order is FIFO order: two unordered same-time serves
+            # are a race, as two Resource.request calls are.
+            env._notify_access(self, "Server.serve", True)
+        start = self.free_at
+        if start <= now:
+            start = now
+            if self.monitor is not None:
+                self.monitor.busy()
+        self.free_at = end = start + duration
+        return end
+
+    def done(self, now: float) -> None:
+        """A hold ended at ``now`` (monitored servers only: the ring)."""
+        if self.free_at == now:
+            self.monitor.idle()
+
+
 # -- request state machines ---------------------------------------------------
 #
-# One CallbackProcess per step of the §5.1 request path: the client's read
-# or write, each agent's share of it, and each read block's trip back over
-# the ring.  Holds grant a free server on the spot and release quietly,
-# parents count their children down instead of building an AllOf event,
-# and the write path's disk chain lands as one completion when the engine
-# permits.  None of this moves a result: tests/sim/test_process_modes.py
-# compares every SimResult field with the generator reference in
+# A client's read or write and each agent's share of it run as
+# CallbackProcess state machines; every CPU and ring stage is one
+# _Server.serve and one absolute timeout at its end.  A read block's
+# trip back (agent CPU, ring, client CPU) rides on its agent's share as
+# two timeouts with plain callbacks.  The client-CPU receive that ends a
+# block or an acknowledgement has no next stage, so it gets no event:
+# the client CPU is FIFO, so the op's last such receive ends last, and
+# the op completes at that end.  Disk holds stay Resource holds (EDF
+# priorities, grant-time service draws), with the write path's disk
+# chain landing as one completion when the engine permits.  None of this
+# moves a result: tests/sim/test_process_modes.py compares every
+# SimResult field with the generator reference in
 # tests/sim/reference_model.py.
 
 
 class _ReadOp(CallbackProcess):
-    """A client read: multicast the request, then await every agent's share."""
+    """A client read: multicast the request, then receive every block."""
 
-    __slots__ = ("model", "client", "shares", "priority")
+    __slots__ = ("model", "cpu", "shares", "priority", "_blocks")
 
-    def __init__(self, env, model, client, shares, priority):
+    def __init__(self, env, model, cpu, shares, priority):
         self.model = model
-        self.client = client
+        self.cpu = cpu
         self.shares = shares
         self.priority = priority
+        self._blocks = sum(shares)
         super().__init__(env, immediate=True)
 
     def _start(self, value):
-        client = self.client
-        self.hold(client.cpu,
-                  client.send_cost.time(CONTROL_PACKET_SIZE_BYTES),
-                  self._multicast)
+        env = self.env
+        end = self.cpu.serve(env._now, self.model._cpu_control_s)
+        self.wait(env.timeout_at(end), self._multicast)
 
     def _multicast(self, value):
-        ring = self.model.ring
-        self.hold(ring.cable,
-                  ring.transmission_time(CONTROL_PACKET_SIZE_BYTES),
-                  self._fan_out, monitor=ring.monitor)
+        env = self.env
+        model = self.model
+        end = model._ring_server.serve(env._now, model._ring_control_s)
+        self.wait(env.timeout_at(end), self._fan_out)
 
     def _fan_out(self, value):
         env = self.env
         model = self.model
+        model._ring_server.done(env._now)
         for index, blocks in enumerate(self.shares):
             if blocks:
-                self.adopt(_AgentRead(env, model, index, blocks,
-                                      self.client, self.priority))
-        self.join(self._served)
+                _AgentRead(env, model, index, blocks, self)
+
+    def receive(self, now):
+        """A block came off the ring at ``now``: the client CPU takes it."""
+        end = self.cpu.serve(now, self.model._cpu_unit_s)
+        self._blocks -= 1
+        if not self._blocks:
+            self.wait(self.env.timeout_at(end), self._served)
 
     def _served(self, value):
         self._finish()
@@ -295,25 +372,22 @@ class _ReadOp(CallbackProcess):
 class _AgentRead(CallbackProcess):
     """One agent's read share: read its blocks, sending each as it is read."""
 
-    __slots__ = ("model", "index", "blocks", "client", "priority",
-                 "_host", "_disk", "_grant", "_left", "_unit")
+    __slots__ = ("model", "op", "cpu", "blocks", "_disk", "_grant", "_left",
+                 "_unit")
 
-    def __init__(self, env, model, index, blocks, client, priority):
+    def __init__(self, env, model, index, blocks, op):
         self.model = model
-        self.index = index
+        self.op = op
+        self.cpu = model._agent_cpus[index]
         self.blocks = blocks
-        self.client = client
-        self.priority = priority
+        self._disk = model.agents[index][1]
         self._unit = model.config.transfer_unit
         super().__init__(env, immediate=True)
 
     def _start(self, value):
-        host, disk = self.model.agents[self.index]
-        self._host = host
-        self._disk = disk
-        self.hold(host.cpu,
-                  host.recv_cost.time(CONTROL_PACKET_SIZE_BYTES),
-                  self._request_disk)
+        env = self.env
+        end = self.cpu.serve(env._now, self.model._cpu_control_s)
+        self.wait(env.timeout_at(end), self._request_disk)
 
     def _request_disk(self, value):
         resource = self._disk.resource
@@ -321,7 +395,7 @@ class _AgentRead(CallbackProcess):
             self._grant = None
             self._granted(None)
         else:
-            self._grant = grant = resource.request(self.priority)
+            self._grant = grant = resource.request(self.op.priority)
             self.wait(grant, self._granted)
 
     def _granted(self, value):
@@ -335,14 +409,15 @@ class _AgentRead(CallbackProcess):
             self._block_done)
 
     def _block_done(self, value):
+        env = self.env
         disk = self._disk
         unit = self._unit
         disk.blocks_served += 1
         disk.bytes_served += unit
         # "Once a block has been read from disk it is scheduled for
         # transmission over the network."
-        self.adopt(_SendBlock(self.env, self.model, self._host,
-                              self.client, unit))
+        end = self.cpu.serve(env._now, self.model._cpu_unit_s)
+        env.timeout_at(end).callbacks.append(self._on_ring)
         self._left -= 1
         if self._left:
             self.wait_timeout(disk.block_service_time(unit),
@@ -355,91 +430,78 @@ class _AgentRead(CallbackProcess):
         else:
             disk.resource.release_quiet(self._grant)
             self._grant = None
-        self.join(self._transmitted)
-
-    def _transmitted(self, value):
         self._finish()
 
+    def _on_ring(self, _timeout):
+        env = self.env
+        model = self.model
+        end = model._ring_server.serve(env._now, model._ring_unit_s)
+        env.timeout_at(end).callbacks.append(self._delivered)
 
-class _SendBlock(CallbackProcess):
-    """One read block's trip: agent CPU, ring, client CPU."""
-
-    __slots__ = ("model", "host", "client", "size")
-
-    def __init__(self, env, model, host, client, size):
-        self.model = model
-        self.host = host
-        self.client = client
-        self.size = size
-        super().__init__(env, immediate=True)
-
-    def _start(self, value):
-        host = self.host
-        self.hold(host.cpu, host.send_cost.time(self.size), self._on_ring)
-
-    def _on_ring(self, value):
-        ring = self.model.ring
-        self.hold(ring.cable, ring.transmission_time(self.size),
-                  self._delivered, monitor=ring.monitor)
-
-    def _delivered(self, value):
-        client = self.client
-        self.hold(client.cpu, client.recv_cost.time(self.size), self._done)
-
-    def _done(self, value):
-        self._finish()
+    def _delivered(self, _timeout):
+        now = self.env._now
+        self.model._ring_server.done(now)
+        self.op.receive(now)
 
 
 class _WriteOp(CallbackProcess):
     """A client write: send each agent its blocks in turn, then await acks."""
 
-    __slots__ = ("model", "client", "priority", "_pairs", "_pos",
-                 "_blocks_left", "_unit")
+    __slots__ = ("model", "cpu", "priority", "_pairs", "_pos",
+                 "_blocks_left", "_acks")
 
-    def __init__(self, env, model, client, shares, priority):
+    def __init__(self, env, model, cpu, shares, priority):
         self.model = model
-        self.client = client
+        self.cpu = cpu
         self.priority = priority
         self._pairs = [(index, blocks)
                        for index, blocks in enumerate(shares) if blocks]
         self._pos = 0
-        self._unit = model.config.transfer_unit
+        self._acks = len(self._pairs)
         super().__init__(env, immediate=True)
 
     def _start(self, value):
-        self._next_agent(None)
+        self._next_agent()
 
-    def _next_agent(self, value):
-        if self._pos == len(self._pairs):
-            # "Once the blocks have been transmitted the client awaits an
-            # acknowledgement from the storage agents."
-            self.join(self._acknowledged)
-            return
-        self._blocks_left = self._pairs[self._pos][1]
-        self._send_block(None)
+    def _next_agent(self):
+        # After the last agent's blocks, "once the blocks have been
+        # transmitted the client awaits an acknowledgement from the
+        # storage agents": acknowledge() counts the acks down and ends
+        # the op at the last one's end.  The last agent starts only
+        # here, so that end always falls after this point.
+        if self._pos < len(self._pairs):
+            self._blocks_left = self._pairs[self._pos][1]
+            self._send_block(None)
 
     def _send_block(self, value):
-        client = self.client
-        self.hold(client.cpu,
-                  client.send_cost.time(self._unit),
-                  self._block_on_ring)
+        env = self.env
+        end = self.cpu.serve(env._now, self.model._cpu_unit_s)
+        self.wait(env.timeout_at(end), self._block_on_ring)
 
     def _block_on_ring(self, value):
-        ring = self.model.ring
-        self.hold(ring.cable,
-                  ring.transmission_time(self._unit),
-                  self._block_sent, monitor=ring.monitor)
+        env = self.env
+        model = self.model
+        end = model._ring_server.serve(env._now, model._ring_unit_s)
+        self.wait(env.timeout_at(end), self._block_sent)
 
     def _block_sent(self, value):
+        env = self.env
+        self.model._ring_server.done(env._now)
         self._blocks_left -= 1
         if self._blocks_left:
             self._send_block(None)
             return
         index, blocks = self._pairs[self._pos]
-        self.adopt(_AgentWrite(self.env, self.model, index, blocks,
-                               self.client, self.priority))
+        _AgentWrite(env, self.model, index, blocks, self)
         self._pos += 1
-        self._next_agent(None)
+        self._next_agent()
+
+    def acknowledge(self, now):
+        """An ack came off the ring at ``now``: the client CPU takes it."""
+        end = self.cpu.serve(now, self.model._cpu_control_s)
+        self._acks -= 1
+        if not self._acks:
+            self.wait(self.env.timeout_at(end), self._acknowledged)
 
     def _acknowledged(self, value):
         self._finish()
@@ -460,30 +522,26 @@ class _AgentWrite(CallbackProcess):
     of B calendar entries.
     """
 
-    __slots__ = ("model", "index", "blocks", "client", "priority",
-                 "_host", "_disk", "_grant", "_left", "_unit")
+    __slots__ = ("model", "op", "cpu", "blocks", "_disk", "_grant", "_left",
+                 "_unit")
 
-    def __init__(self, env, model, index, blocks, client, priority):
+    def __init__(self, env, model, index, blocks, op):
         self.model = model
-        self.index = index
+        self.op = op
+        self.cpu = model._agent_cpus[index]
         self.blocks = blocks
-        self.client = client
-        self.priority = priority
+        self._disk = model.agents[index][1]
         self._unit = model.config.transfer_unit
         super().__init__(env, immediate=True)
 
     def _start(self, value):
-        host, disk = self.model.agents[self.index]
-        self._host = host
-        self._disk = disk
         self._left = self.blocks
         self._recv_block(None)
 
     def _recv_block(self, value):
-        host = self._host
-        self.hold(host.cpu,
-                  host.recv_cost.time(self._unit),
-                  self._block_received)
+        env = self.env
+        end = self.cpu.serve(env._now, self.model._cpu_unit_s)
+        self.wait(env.timeout_at(end), self._block_received)
 
     def _block_received(self, value):
         self._left -= 1
@@ -495,7 +553,7 @@ class _AgentWrite(CallbackProcess):
             self._grant = None
             self._granted(None)
         else:
-            self._grant = grant = resource.request(self.priority)
+            self._grant = grant = resource.request(self.op.priority)
             self.wait(grant, self._granted)
 
     def _granted(self, value):
@@ -541,22 +599,18 @@ class _AgentWrite(CallbackProcess):
             disk.resource.release_quiet(self._grant)
             self._grant = None
         # The acknowledgement.
-        host = self._host
-        self.hold(host.cpu,
-                  host.send_cost.time(CONTROL_PACKET_SIZE_BYTES),
-                  self._ack_on_ring)
+        env = self.env
+        end = self.cpu.serve(env._now, self.model._cpu_control_s)
+        self.wait(env.timeout_at(end), self._ack_on_ring)
 
     def _ack_on_ring(self, value):
-        ring = self.model.ring
-        self.hold(ring.cable,
-                  ring.transmission_time(CONTROL_PACKET_SIZE_BYTES),
-                  self._ack_sent, monitor=ring.monitor)
+        env = self.env
+        model = self.model
+        end = model._ring_server.serve(env._now, model._ring_control_s)
+        self.wait(env.timeout_at(end), self._ack_sent)
 
     def _ack_sent(self, value):
-        client = self.client
-        self.hold(client.cpu,
-                  client.recv_cost.time(CONTROL_PACKET_SIZE_BYTES),
-                  self._done)
-
-    def _done(self, value):
+        now = self.env._now
+        self.model._ring_server.done(now)
+        self.op.acknowledge(now)
         self._finish()

@@ -64,6 +64,8 @@ class SimConfig:
             raise ValueError("read fraction must be in [0, 1]")
         if self.num_clients < 1:
             raise ValueError("need at least one client")
+        if self.warmup_requests < 0:
+            raise ValueError("warmup_requests must be non-negative")
         if self.num_requests <= self.warmup_requests:
             raise ValueError("num_requests must exceed warmup_requests")
         if self.disk_scheduling not in ("fifo", "edf"):

@@ -7,7 +7,7 @@ import pytest
 from repro.check import RaceError, detect_races
 from repro.des import Environment, Resource
 from repro.des.stats import OnlineStats
-from repro.sim.model import SwiftSimModel
+from repro.sim.model import SwiftSimModel, _Server
 from repro.sim.workload import SimConfig
 
 
@@ -144,6 +144,25 @@ def test_commuting_release_and_enqueue_are_not_reported():
         env.process(late_claimer())
         env.run()
     assert detector.races == [], detector.format_races()
+
+
+def test_same_time_server_serves_are_a_race():
+    # The §5 model's analytic CPU and ring servers take holds in serve
+    # order, so two unordered serves at one timestamp are the same hazard
+    # as two Resource enqueues: the tie-break decides who goes first.
+    env = Environment()
+    server = _Server(env)
+
+    def client():
+        yield env.timeout(1.0)
+        yield env.timeout_at(server.serve(env.now, 0.5))
+
+    with detect_races(env) as detector:
+        env.process(client())
+        env.process(client())
+        env.run()
+    assert [race.label for race in detector.races] == ["Server.serve"]
+    assert env.now == 2.0  # the second hold queued behind the first
 
 
 def test_watch_requires_an_observer_hook():

@@ -7,6 +7,9 @@ tests/sim/test_process_modes.py; this file covers the kernel primitive
 in isolation.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.des import (
@@ -14,7 +17,6 @@ from repro.des import (
     Environment,
     Interrupt,
     Resource,
-    UtilizationMonitor,
 )
 
 
@@ -115,23 +117,19 @@ def test_hold_matches_generator_hold_timing_and_queueing():
     def run(order):
         env = Environment()
         resource = Resource(env, capacity=1)
-        monitor = UtilizationMonitor(env)
         log = []
 
         def generator_hold(env):
             with resource.request() as grant:
                 yield grant
-                monitor.busy()
                 yield env.timeout(1.0)
-                if resource.queue_length == 0:
-                    monitor.idle()
             log.append(("gen", env.now))
 
         class CallbackHold(CallbackProcess):
             __slots__ = ()
 
             def _start(self, value):
-                self.hold(resource, 1.0, self._held, monitor=monitor)
+                self.hold(resource, 1.0, self._held)
 
             def _held(self, value):
                 log.append(("cb", env.now))
@@ -143,12 +141,12 @@ def test_hold_matches_generator_hold_timing_and_queueing():
             else:
                 CallbackHold(env)
         env.run()
-        return log, monitor.utilization() if env.now else None, env.now
+        return log, env.now
 
-    log, _, now = run(["gen", "cb"])
+    log, now = run(["gen", "cb"])
     assert log == [("gen", 1.0), ("cb", 2.0)]
     assert now == 2.0
-    log, _, now = run(["cb", "gen"])
+    log, now = run(["cb", "gen"])
     assert log == [("cb", 1.0), ("gen", 2.0)]
     assert now == 2.0
 
@@ -537,3 +535,37 @@ def test_release_quiet_regrants_and_recycles():
     env.run()
     assert granted == [0.0, 1.0]
     assert resource.count == 0 and resource.queue_length == 0
+
+
+def test_finished_process_is_freed_without_the_cycle_collector():
+    # A process stores bound methods of itself (its wakeup edges and
+    # pending states), a reference cycle while it runs.  Once finished
+    # it must be freed by reference counting alone: with the cyclic
+    # collector off, nothing of it may outlive the run.
+    class Holder(CallbackProcess):
+        __slots__ = ("resource", "__weakref__")
+
+        def __init__(self, env, resource):
+            self.resource = resource
+            super().__init__(env)
+
+        def _start(self, value):
+            self.hold(self.resource, 1.0, self._held)
+
+        def _held(self, value):
+            self._finish()
+
+    env = Environment()
+    resource = Resource(env, capacity=1)
+    # The second holder queues behind the first: one token grant and one
+    # Request grant.
+    refs = [weakref.ref(Holder(env, resource)) for _ in range(2)]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        env.run()
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
+    assert env.now == 2.0

@@ -7,8 +7,9 @@ production :class:`~repro.sim.model.SwiftSimModel`'s callback state
 machines (``_ReadOp`` … ``_AgentWrite``).  Both draw the same service
 times in the same stream order and queue on every resource in the same
 order, so every :class:`~repro.sim.model.SimResult` field must agree;
-the callback machines only schedule fewer engine events (quiet
-releases, inline joins and the coalesced write-path disk chain).
+the callback machines only schedule fewer engine events (analytic CPU
+and ring servers instead of Resource holds, counted blocks and acks
+instead of joins, and the coalesced write-path disk chain).
 
 Only the tests build it: ``tests/sim/test_process_modes.py`` compares
 the two models field for field and pins both models' event counts.

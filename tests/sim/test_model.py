@@ -28,6 +28,10 @@ def test_config_validation():
         quick_config(read_fraction=1.5)
     with pytest.raises(ValueError):
         quick_config(num_requests=5, warmup_requests=5)
+    # A negative warmup would start fewer requests than run() waits for,
+    # so every such run would silently end at the horizon guard.
+    with pytest.raises(ValueError):
+        SimConfig(num_requests=20, warmup_requests=-1, arrival_rate=5.0)
 
 
 def test_total_blocks_ceiling():

@@ -1,8 +1,9 @@
 """The §5 model's callback state machines against their generator twin.
 
 ``SwiftSimModel`` runs every request as slotted callback state machines
-with quiet releases, inline joins, pooled timeouts and — when no monitor
-forbids it — event-span coalescing of the deterministic disk chains.
+that hold the CPUs and the ring through analytic FIFO servers, count
+their blocks and acks down inline, use pooled timeouts and — when no
+monitor forbids it — coalesce the deterministic write-path disk chains.
 :class:`~tests.sim.reference_model.GeneratorModel` runs the same request
 path as straight-line generators.  These tests pin the two contracts
 docs/ARCHITECTURE.md states:
@@ -16,7 +17,7 @@ docs/ARCHITECTURE.md states:
   the result is *still* bit-identical.
 
 Exact engine event counts pin what the callback machines are for:
-scheduling a third of the generator twin's events.
+scheduling about a quarter of the generator twin's events.
 """
 
 import dataclasses
@@ -57,7 +58,7 @@ SHAPE_IDS = ["fig3", "fig5", "realtime"]
 #: Engine events (``env._eid``) per shape: (SwiftSimModel, GeneratorModel).
 #: A change to either count changes the request path's event schedule
 #: and should be a deliberate one.
-EVENT_COUNTS = [(9_877, 29_813), (7_911, 23_541), (9_884, 29_813)]
+EVENT_COUNTS = [(7_965, 29_813), (7_050, 23_541), (7_965, 29_813)]
 
 BASE = SimConfig(num_requests=24, warmup_requests=4)
 
@@ -139,6 +140,17 @@ def test_hb_detector_green_on_callback_run():
         result = model.run()
     assert detector.races == []
     assert result == GeneratorModel(FIG3_SHAPE).run()
+
+
+def test_hb_detector_green_on_write_heavy_run():
+    # Writes serve the client CPU and the ring once per block and the
+    # agent CPUs once per block and ack: no two of those serves may be
+    # unordered at one timestamp.
+    model = SwiftSimModel(FIG5_SHAPE)
+    with detect_races(model.env) as detector:
+        result = model.run()
+    assert detector.races == [], detector.format_races()
+    assert result == GeneratorModel(FIG5_SHAPE).run()
 
 
 def test_hb_detector_sees_callback_processes():
