@@ -74,8 +74,9 @@ e2e-check:
 			|| { echo "$$out"; exit 1; }; \
 	done
 
-# cProfile a fig5-shaped model run: top-20 cumulative hot spots on
-# stdout, raw dump in benchmarks/results/PROFILE_kernel.pstats.
+# cProfile a fig5-shaped model run and a Table 3-shaped NFS sample:
+# top-20 cumulative hot spots of each on stdout, raw dumps in
+# benchmarks/results/PROFILE_kernel.pstats and PROFILE_tables.pstats.
 profile:
 	$(PYTHON) benchmarks/profile_kernel.py
 

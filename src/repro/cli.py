@@ -30,6 +30,8 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad size list {text!r}") from None
     if not sizes or any(size < 1 for size in sizes):
         raise argparse.ArgumentTypeError("sizes must be positive megabytes")
+    if len(set(sizes)) != len(sizes):
+        raise argparse.ArgumentTypeError(f"duplicate size in {text!r}")
     return sizes
 
 

@@ -11,7 +11,7 @@ from .engine import EmptySchedule, Environment, StopSimulation
 from .events import AllOf, AnyOf, Event, Interrupt, Timeout
 from .process import Process
 from .random_streams import RandomStream, StreamFactory
-from .resources import Resource, Store
+from .resources import FifoServer, Resource, Store
 from .stats import (
     ConfidenceInterval,
     Histogram,
@@ -33,6 +33,7 @@ __all__ = [
     "Process",
     "CallbackProcess",
     "Resource",
+    "FifoServer",
     "Store",
     "RandomStream",
     "StreamFactory",

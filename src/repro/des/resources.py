@@ -1,7 +1,9 @@
 """Shared resources: the queueing building blocks of every device model.
 
 :class:`Resource` models a server pool with a FIFO (optionally priority)
-request queue — disks, CPUs and network media are all built on it.
+request queue — disks are built on it.  :class:`FifoServer` is the
+single FIFO server whose hold times are known on arrival — host CPUs
+and network cables — served by arithmetic instead of events.
 :class:`Store` is a producer/consumer buffer of Python objects — message
 queues, mailboxes, free-lists.
 """
@@ -17,7 +19,8 @@ from .events import _POOL_LIMIT, PENDING, Event
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Environment
 
-__all__ = ["Request", "Release", "Resource", "Store", "StorePut", "StoreGet"]
+__all__ = ["Request", "Release", "Resource", "FifoServer", "Store",
+           "StorePut", "StoreGet"]
 
 
 class Request(Event):
@@ -424,6 +427,53 @@ class Resource:
                 ready.append(request)
 
 
+class FifoServer:
+    """A first-come-first-served single server with known hold times.
+
+    Every host-CPU and cable hold has capacity 1, priority 0 and a
+    service time computed before the request, so its end is known the
+    moment it is requested — Lindley's recursion, ``start = max(now,
+    previous end)``, ``end = start + duration``.  A :class:`Resource`
+    grants a queued hold when the previous one's timeout fires at that
+    previous end and schedules ``end_prev + duration``: the very same
+    float.  So a hold costs the caller one calendar entry, its
+    completion (``env.timeout_at(end)``), and no queue bookkeeping.
+
+    ``monitor`` (a medium's) goes busy when a hold finds the server
+    idle, and idle in :meth:`done` when the ending hold left nothing
+    queued: a hold requested before that completion already pushed
+    ``free_at`` past ``now``, which is the Resource's "idle at release
+    when the queue is empty".
+    """
+
+    __slots__ = ("env", "free_at", "monitor")
+
+    def __init__(self, env: "Environment", monitor=None):
+        self.env = env
+        self.free_at = env.now
+        self.monitor = monitor
+
+    def serve(self, now: float, duration: float) -> float:
+        """Queue a ``duration``-second hold requested at ``now``; its end."""
+        env = self.env
+        if env._access_monitors:
+            # Serve order is FIFO order: two unordered same-time serves
+            # are a race, as two Resource.request calls are.
+            env._notify_access(self, "Server.serve", True)
+        start = self.free_at
+        if start <= now:
+            start = now
+            if self.monitor is not None:
+                self.monitor.busy()
+        self.free_at = end = start + duration
+        return end
+
+    def done(self, now: float) -> None:
+        """A hold ended at ``now`` (monitored servers only)."""
+        if self.free_at == now:
+            self.monitor.idle()
+
+
 class StorePut(Event):
     """A pending put into a :class:`Store`."""
 
@@ -484,6 +534,24 @@ class Store:
     def put(self, item: Any) -> StorePut:
         """Deposit ``item``; fires once there is room."""
         return StorePut(self, item)
+
+    def put_nowait(self, item: Any) -> None:
+        """Deposit ``item`` at once, without a :class:`StorePut` event.
+
+        For producers that never wait on their put (a socket's receive
+        buffer, which enforces its own limit): the item lands and any
+        waiting get it matches is satisfied exactly as :meth:`put` would,
+        one calendar entry cheaper.  Raises ``RuntimeError`` when the
+        store is full.
+        """
+        env = self.env
+        if env._access_monitors:
+            env._notify_access(self, "Store.put", True)
+        if self._put_queue or len(self.items) >= self.capacity:
+            raise RuntimeError("put_nowait on a full store")
+        self.items.append(item)
+        if self._get_queue:
+            self._dispatch()
 
     def get(self, predicate: Optional[Callable[[Any], bool]] = None) -> StoreGet:
         """Withdraw the first item (matching ``predicate`` if given)."""

@@ -328,15 +328,21 @@ class UtilizationMonitor:
         if self._busy_since is not None:
             self._busy_since = self.env.now
 
-    def busy(self) -> None:
-        """Mark the device busy from now (idempotent)."""
-        if self._busy_since is None:
-            self._busy_since = self.env.now
+    def busy(self, at: float | None = None) -> None:
+        """Mark the device busy from ``at`` (default now; idempotent).
 
-    def idle(self) -> None:
-        """Mark the device idle from now (idempotent)."""
+        An explicit ``at`` no later than now records a mark that was
+        computed rather than simulated (the folded background bursts of
+        :class:`~repro.simnet.ethernet.BackgroundLoad`).
+        """
+        if self._busy_since is None:
+            self._busy_since = self.env.now if at is None else at
+
+    def idle(self, at: float | None = None) -> None:
+        """Mark the device idle from ``at`` (default now; idempotent)."""
         if self._busy_since is not None:
-            self._busy_total += self.env.now - self._busy_since
+            self._busy_total += (self.env.now if at is None else at) \
+                - self._busy_since
             self._busy_since = None
 
     @property

@@ -74,8 +74,8 @@ class SwiftSimModel:
 
     Requests run as the :class:`~repro.des.callback.CallbackProcess`
     state machines defined after this class; they hold the disks as
-    Resources and the host CPUs and the ring through analytic FIFO
-    servers (:class:`_Server`).
+    Resources and serve the host CPUs and the ring's cable, which are
+    analytic FIFO servers (:class:`~repro.des.resources.FifoServer`).
     """
 
     def __init__(self, config: SimConfig, storage_factory=None,
@@ -101,13 +101,10 @@ class SwiftSimModel:
                         send_cost=cost, recv_cost=cost)
             disk = storage_factory(self.env, index, self.streams)
             self.agents.append((host, disk))
-        # Requests hold the CPUs and the ring through analytic servers
-        # (_Server), not the hosts' and ring's Resources; every host
-        # shares one cost model, so four service times cover every hold.
-        self._client_cpus = {client: _Server(self.env)
-                             for client in self.clients}
-        self._agent_cpus = [_Server(self.env) for _ in self.agents]
-        self._ring_server = _Server(self.env, self.ring.monitor)
+        # Requests serve each host's CPU and the ring's cable (bound here
+        # for the hot path); every host shares one cost model, so four
+        # service times cover every hold.
+        self._cable = self.ring.cable
         unit = config.transfer_unit
         self._cpu_control_s = cost.time(CONTROL_PACKET_SIZE_BYTES)
         self._cpu_unit_s = cost.time(unit)
@@ -222,11 +219,10 @@ class SwiftSimModel:
         shares = config.blocks_per_agent(start_agent)
         # The op starts immediately: its first CPU hold is served in this
         # very dispatch, queueing in arrival order.
-        cpu = self._client_cpus[client]
         if is_read:
-            yield _ReadOp(self.env, self, cpu, shares, priority)
+            yield _ReadOp(self.env, self, client.cpu, shares, priority)
         else:
-            yield _WriteOp(self.env, self, cpu, shares, priority)
+            yield _WriteOp(self.env, self, client.cpu, shares, priority)
         self._completed += 1
         if self._completed > config.warmup_requests:
             if self._window_start is None:
@@ -259,61 +255,11 @@ class SwiftSimModel:
         return arrived + deadline
 
 
-# -- servers ------------------------------------------------------------------
-
-
-class _Server:
-    """A first-come-first-served single server with known hold times.
-
-    Every CPU and ring hold of the §5 model has capacity 1, priority 0
-    and a service time computed before the request, so its end is known
-    the moment it is requested — Lindley's recursion, ``start =
-    max(now, previous end)``, ``end = start + duration``.  The
-    :class:`~repro.des.resources.Resource` reference grants a queued
-    hold when the previous one's timeout fires at that previous end and
-    schedules ``end_prev + duration``: the very same float.  So a hold
-    costs one calendar entry, its completion, and no queue bookkeeping.
-
-    ``monitor`` (the ring's) goes busy when a hold finds the server idle,
-    and idle in :meth:`done` when the ending hold left nothing queued:
-    a hold requested before that completion already pushed ``free_at``
-    past ``now``, which is the reference's "idle at release when the
-    queue is empty".
-    """
-
-    __slots__ = ("env", "free_at", "monitor")
-
-    def __init__(self, env: Environment, monitor=None):
-        self.env = env
-        self.free_at = env.now
-        self.monitor = monitor
-
-    def serve(self, now: float, duration: float) -> float:
-        """Queue a ``duration``-second hold requested at ``now``; its end."""
-        env = self.env
-        if env._access_monitors:
-            # Serve order is FIFO order: two unordered same-time serves
-            # are a race, as two Resource.request calls are.
-            env._notify_access(self, "Server.serve", True)
-        start = self.free_at
-        if start <= now:
-            start = now
-            if self.monitor is not None:
-                self.monitor.busy()
-        self.free_at = end = start + duration
-        return end
-
-    def done(self, now: float) -> None:
-        """A hold ended at ``now`` (monitored servers only: the ring)."""
-        if self.free_at == now:
-            self.monitor.idle()
-
-
 # -- request state machines ---------------------------------------------------
 #
 # A client's read or write and each agent's share of it run as
 # CallbackProcess state machines; every CPU and ring stage is one
-# _Server.serve and one absolute timeout at its end.  A read block's
+# FifoServer.serve and one absolute timeout at its end.  A read block's
 # trip back (agent CPU, ring, client CPU) rides on its agent's share as
 # two timeouts with plain callbacks.  The client-CPU receive that ends a
 # block or an acknowledgement has no next stage, so it gets no event:
@@ -347,13 +293,13 @@ class _ReadOp(CallbackProcess):
     def _multicast(self, value):
         env = self.env
         model = self.model
-        end = model._ring_server.serve(env._now, model._ring_control_s)
+        end = model._cable.serve(env._now, model._ring_control_s)
         self.wait(env.timeout_at(end), self._fan_out)
 
     def _fan_out(self, value):
         env = self.env
         model = self.model
-        model._ring_server.done(env._now)
+        model._cable.done(env._now)
         for index, blocks in enumerate(self.shares):
             if blocks:
                 _AgentRead(env, model, index, blocks, self)
@@ -378,7 +324,7 @@ class _AgentRead(CallbackProcess):
     def __init__(self, env, model, index, blocks, op):
         self.model = model
         self.op = op
-        self.cpu = model._agent_cpus[index]
+        self.cpu = model.agents[index][0].cpu
         self.blocks = blocks
         self._disk = model.agents[index][1]
         self._unit = model.config.transfer_unit
@@ -435,12 +381,12 @@ class _AgentRead(CallbackProcess):
     def _on_ring(self, _timeout):
         env = self.env
         model = self.model
-        end = model._ring_server.serve(env._now, model._ring_unit_s)
+        end = model._cable.serve(env._now, model._ring_unit_s)
         env.timeout_at(end).callbacks.append(self._delivered)
 
     def _delivered(self, _timeout):
         now = self.env._now
-        self.model._ring_server.done(now)
+        self.model._cable.done(now)
         self.op.receive(now)
 
 
@@ -481,12 +427,12 @@ class _WriteOp(CallbackProcess):
     def _block_on_ring(self, value):
         env = self.env
         model = self.model
-        end = model._ring_server.serve(env._now, model._ring_unit_s)
+        end = model._cable.serve(env._now, model._ring_unit_s)
         self.wait(env.timeout_at(end), self._block_sent)
 
     def _block_sent(self, value):
         env = self.env
-        self.model._ring_server.done(env._now)
+        self.model._cable.done(env._now)
         self._blocks_left -= 1
         if self._blocks_left:
             self._send_block(None)
@@ -528,7 +474,7 @@ class _AgentWrite(CallbackProcess):
     def __init__(self, env, model, index, blocks, op):
         self.model = model
         self.op = op
-        self.cpu = model._agent_cpus[index]
+        self.cpu = model.agents[index][0].cpu
         self.blocks = blocks
         self._disk = model.agents[index][1]
         self._unit = model.config.transfer_unit
@@ -606,11 +552,11 @@ class _AgentWrite(CallbackProcess):
     def _ack_on_ring(self, value):
         env = self.env
         model = self.model
-        end = model._ring_server.serve(env._now, model._ring_control_s)
+        end = model._cable.serve(env._now, model._ring_control_s)
         self.wait(env.timeout_at(end), self._ack_sent)
 
     def _ack_sent(self, value):
         now = self.env._now
-        self.model._ring_server.done(now)
+        self.model._cable.done(now)
         self.op.acknowledge(now)
         self._finish()

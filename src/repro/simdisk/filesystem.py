@@ -250,12 +250,14 @@ class LocalFileSystem:
             # file blocks are never adjacent on disk.
             disk_block = self._next_disk_block * 7919 + 13
             self._next_disk_block += 1
-        existing = set(inode.blocks.values())
         if file_block > 0 and (file_block - 1) in inode.blocks:
             if inode.blocks[file_block - 1] + 1 != disk_block:
                 inode.contiguous = False
-        if disk_block in existing:  # pragma: no cover - allocator is monotonic
-            raise FileSystemError("allocator handed out a duplicate block")
+        # Every live block of every file is in the store (unlink pops
+        # freed ones), so this catches reuse across files in O(1).
+        if disk_block in self._store:
+            raise FileSystemError(
+                f"allocator handed out block {disk_block}, already in use")
         inode.blocks[file_block] = disk_block
         return disk_block
 

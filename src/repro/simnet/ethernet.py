@@ -7,9 +7,10 @@ raw-wire goodput of ~1.2 MB/s; the *measured* maximum capacity of
 1.12 MB/s quoted in §4 emerges once host per-packet costs are added (see
 ``prototype/calibration.py``).
 
-A :class:`BackgroundLoad` process reproduces the "shared departmental
+A :class:`BackgroundLoad` reproduces the "shared departmental
 Ethernet ... less than 5% of its capacity" conditions of the NFS and
-second-segment measurements.
+second-segment measurements, as cable holds computed on demand rather
+than simulated.
 """
 
 from __future__ import annotations
@@ -42,9 +43,12 @@ class Ethernet(Medium):
     With ``contention=True`` the model charges CSMA/CD collision-resolution
     time: each frame sent while other stations are queued pays an extra
     backoff drawn per waiting station (an aggregate approximation of
-    truncated binary exponential backoff).  Off by default — the base
-    model is a collision-free ideal cable, which matches the paper's
-    measured capacity well below saturation.
+    truncated binary exponential backoff).  The penalty is drawn when the
+    frame joins the cable queue, since the cable is a FIFO server that
+    fixes a frame's end on arrival; it counts the other stations with a
+    frame on the cable or queued for it at that instant.  Off by
+    default — the base model is a collision-free ideal cable, which
+    matches the paper's measured capacity well below saturation.
     """
 
     def __init__(self, env: Environment, name: str = "ethernet",
@@ -97,7 +101,21 @@ class BackgroundLoad:
     """Occupies a fraction of a segment — the 'lightly loaded shared' net.
 
     Holds the cable for ``fraction`` of each (jittered) period, modelling
-    other departmental traffic competing with the measured transfer.
+    other departmental traffic competing with the measured transfer: a
+    burst is requested an exponential gap after the previous one ended,
+    and lasts that gap times ``fraction / (1 - fraction)``.
+
+    Nothing goes on the calendar.  The schedule is drawn lazily from
+    ``stream`` (gap, then the next gap once that burst is placed), and
+    :meth:`fold` queues every burst requested by a given time on the
+    cable — the medium calls it before each cable serve, at each frame's
+    completion and before each utilization read.  Frames are served in
+    time order and each folds first, so a burst requested at ``r`` starts
+    at ``max(r, free_at)`` with ``free_at`` holding exactly the holds
+    requested before ``r``: the start a queued cable request would get.
+    A burst's busy and idle marks go to the medium's monitor at their
+    own times; the idle mark at a burst's end waits until it is known
+    that nothing queued behind it.
     """
 
     def __init__(self, env: Environment, medium: Medium, fraction: float,
@@ -111,11 +129,46 @@ class BackgroundLoad:
         self.fraction = fraction
         self.stream = stream
         self.period_s = period_s
-        self.process = env.process(self._run()) if fraction > 0 else None
+        #: The end of the last burst while its idle mark is pending.
+        self._idle_at: float | None = None
+        self._request_at = float("inf")
+        if fraction > 0:
+            if medium._background is not None:
+                raise ValueError(
+                    f"{medium.name!r} already carries a background load")
+            medium._background = self
+            self._draw(env.now)
 
-    def _run(self):
-        while True:
-            gap = self.stream.exponential(self.period_s)
-            yield self.env.timeout(gap)
-            busy = gap * self.fraction / max(1e-12, 1.0 - self.fraction)
-            yield from self.medium.occupy(busy)
+    def _draw(self, after: float) -> None:
+        """Schedule the next burst: a gap after ``after``."""
+        gap = self.stream.exponential(self.period_s)
+        self._request_at = after + gap
+        self._busy_s = gap * self.fraction / max(1e-12, 1.0 - self.fraction)
+
+    def fold(self, now: float) -> None:
+        """Queue every burst requested by ``now`` on the cable."""
+        if self._request_at <= now:
+            cable = self.medium.cable
+            while self._request_at <= now:
+                request_at = self._request_at
+                if self._idle_at is not None:
+                    self._settle(request_at)
+                start = cable.free_at
+                if start <= request_at:
+                    start = request_at
+                    self.medium.monitor.busy(request_at)
+                cable.free_at = end = start + self._busy_s
+                self._idle_at = end
+                self._draw(end)
+        if self._idle_at is not None:
+            self._settle(now)
+
+    def _settle(self, now: float) -> None:
+        """Resolve the last burst's idle mark as far as ``now`` tells."""
+        idle_at = self._idle_at
+        if self.medium.cable.free_at != idle_at:
+            # A frame queued behind the burst: its completion idles.
+            self._idle_at = None
+        elif idle_at <= now:
+            self.medium.monitor.idle(idle_at)
+            self._idle_at = None

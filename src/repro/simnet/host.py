@@ -1,10 +1,12 @@
 """Host model: CPU, network interfaces, datagram sockets.
 
-The host CPU is a single shared resource; every datagram sent or received
-charges it according to a :class:`CostModel` (a fixed per-packet cost plus a
-per-byte cost — §5.1 charges "1,500 instructions plus one instruction per
-byte in the packet", and the prototype hosts use costs calibrated to the
-measured SunOS data path).
+The host CPU is a single first-come-first-served server
+(:class:`~repro.des.resources.FifoServer`); every datagram sent or
+received charges it according to a :class:`CostModel` (a fixed per-packet
+cost plus a per-byte cost — §5.1 charges "1,500 instructions plus one
+instruction per byte in the packet", and the prototype hosts use costs
+calibrated to the measured SunOS data path).  Each charge is known when
+it is made, so it costs one timeout at its computed end.
 
 The send path mirrors SunOS behaviour the paper fought with:
 
@@ -17,10 +19,11 @@ The send path mirrors SunOS behaviour the paper fought with:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from ..des import CallbackProcess, Environment, Resource, Store
+from ..des import CallbackProcess, Environment, FifoServer, Store
 from .frames import Address, Datagram, HEADER_SIZE
 from .medium import Medium
 
@@ -84,7 +87,7 @@ class Host:
         self._speed_factor = (
             1.0 + noise_stream.uniform(-noise_fraction, noise_fraction) / 2.0
             if noise_stream is not None and noise_fraction else 1.0)
-        self.cpu = Resource(env, capacity=1)
+        self.cpu = FifoServer(env)
         self.interfaces: list[Interface] = []
         self._sockets: dict[int, DatagramSocket] = {}
         self._next_ephemeral_port = 32768
@@ -148,9 +151,8 @@ class Host:
         """Process method: hold the CPU for ``seconds``."""
         if seconds < 0:
             raise ValueError("seconds must be non-negative")
-        with self.cpu.request() as grant:
-            yield grant
-            yield self.env.timeout(seconds)
+        env = self.env
+        yield env.timeout_at(self.cpu.serve(env.now, seconds))
 
     def __repr__(self) -> str:
         return f"<Host {self.name} ifaces={len(self.interfaces)}>"
@@ -158,6 +160,13 @@ class Host:
 
 class Interface:
     """One NIC: a transmit queue drained onto the medium.
+
+    One frame at a time is on the medium (queued for or holding the
+    cable); the datagrams behind it wait in a bounded queue, and each
+    goes on the medium from its predecessor's completion, inline.  A
+    datagram arriving to a full queue is dropped.  Received frames charge
+    the host CPU from the moment they leave the cable, and one timeout
+    later land in the destination socket.
 
     ``cpu_cost_scale`` models slower attachment points — the prototype's
     second Ethernet interface sat on the S-bus, "known to achieve lower
@@ -174,10 +183,12 @@ class Interface:
         self.medium = medium
         self.cpu_cost_scale = cpu_cost_scale
         self.tx_queue_packets = tx_queue_packets
-        self._tx_queue = Store(host.env)
+        self._tx_queue: deque[Datagram] = deque()
+        self._transmitting = False
         self.tx_dropped = 0
         self.rx_dropped_no_socket = 0
-        _Transmitter(self)
+        self._bound_sent = self._sent
+        self._bound_received = self._received
 
     # -- transmit side -----------------------------------------------------------
 
@@ -187,80 +198,52 @@ class Interface:
         Returns False on drop — but note the *protocol* code never sees
         this (SunOS "claimed they had been sent"); only tests and stats do.
         """
-        if self._tx_queue.size >= self.tx_queue_packets:
+        if not self._transmitting:
+            self._transmit(datagram)
+        elif len(self._tx_queue) >= self.tx_queue_packets:
             self.tx_dropped += 1
             return False
-        self._tx_queue.put(datagram)
+        else:
+            self._tx_queue.append(datagram)
         return True
 
     @property
     def tx_backlog(self) -> int:
         """Datagrams waiting in the transmit queue."""
-        return self._tx_queue.size
+        return len(self._tx_queue)
+
+    def _transmit(self, datagram: Datagram) -> None:
+        self._transmitting = True
+        self.medium.transmit_op(datagram).callbacks.append(self._bound_sent)
+
+    def _sent(self, _event) -> None:
+        queue = self._tx_queue
+        if queue:
+            self._transmit(queue.popleft())
+        else:
+            self._transmitting = False
 
     # -- receive side -------------------------------------------------------------
 
     def receive(self, datagram: Datagram) -> None:
         """Called by the medium on delivery; charges the receiving CPU."""
-        _Receiver(self, datagram)
-
-
-class _Transmitter(CallbackProcess):
-    """The interface transmit pump, callback-mode.
-
-    Deferred start (like the generator it replaces, spawned via
-    ``env.process``), then an endless drain loop: dequeue, put the
-    datagram on the medium (:class:`~repro.simnet.medium.TransmitOp`),
-    repeat.
-    """
-
-    __slots__ = ("interface",)
-
-    def __init__(self, interface: "Interface"):
-        self.interface = interface
-        super().__init__(interface.host.env)
-
-    def _start(self, value):
-        self._drain(None)
-
-    def _drain(self, _value):
-        self.wait(self.interface._tx_queue.get(), self._got)
-
-    def _got(self, datagram):
-        self.wait(self.interface.medium.transmit_op(datagram), self._drain)
-
-
-class _Receiver(CallbackProcess):
-    """Per-datagram receive path, callback-mode.
-
-    Deferred start on purpose: the jittered CPU-cost draw happens when
-    the process *starts*, exactly where the generator version drew it —
-    immediate start would reorder draws against other same-host work.
-    """
-
-    __slots__ = ("interface", "datagram")
-
-    def __init__(self, interface: "Interface", datagram: Datagram):
-        self.interface = interface
-        self.datagram = datagram
-        super().__init__(interface.host.env)
-
-    def _start(self, value):
-        interface = self.interface
-        host = interface.host
+        host = self.host
+        env = host.env
         cost = host.jittered(
-            host.recv_cost.time(self.datagram.size) * interface.cpu_cost_scale)
-        self.hold(host.cpu, cost, self._charged)
+            host.recv_cost.time(datagram.size) * self.cpu_cost_scale)
+        timeout = env.timeout_at(host.cpu.serve(env._now, cost), datagram)
+        timeout.callbacks.append(self._bound_received)
 
-    def _charged(self, value):
-        interface = self.interface
-        datagram = self.datagram
-        socket = interface.host.socket_on(datagram.dst.port)
+    def _received(self, timeout) -> None:
+        datagram = timeout._value
+        # The timeout goes back to the engine's pool: do not let it keep
+        # the datagram (and its payload) alive.
+        timeout._value = None
+        socket = self.host.socket_on(datagram.dst.port)
         if socket is None:
-            interface.rx_dropped_no_socket += 1
+            self.rx_dropped_no_socket += 1
         else:
             socket.deliver(datagram)
-        self._finish()
 
 
 class DatagramSocket:
@@ -301,7 +284,7 @@ class DatagramSocket:
         if self.closed or self._rx.size >= self.buffer_packets:
             self.rx_dropped += 1
             return
-        self._rx.put(datagram)
+        self._rx.put_nowait(datagram)
 
     def recv(self, predicate=None):
         """Event: the next buffered datagram (optionally filtered)."""
@@ -341,8 +324,8 @@ class SocketSend(CallbackProcess):
     :meth:`DatagramSocket.send_op`).
 
     Validation, routing and datagram construction happen at the call
-    site, then the jittered CPU charge holds the host CPU and the
-    datagram joins the interface queue.
+    site, then the jittered CPU charge is served on the host CPU, one
+    timeout at its end, and the datagram joins the interface queue.
     """
 
     __slots__ = ("socket", "interface", "datagram")
@@ -366,7 +349,9 @@ class SocketSend(CallbackProcess):
         cost = host.jittered(
             host.send_cost.time(self.datagram.size)
             * self.interface.cpu_cost_scale)
-        self.hold(host.cpu, cost, self._charged)
+        env = self.env
+        self.wait(env.timeout_at(host.cpu.serve(env._now, cost)),
+                  self._charged)
 
     def _charged(self, value):
         self.interface.enqueue(self.datagram)

@@ -5,25 +5,28 @@ transmitted on it is delivered to the interface of the destination host.
 Concrete media (Ethernet, token ring) define the transmission-time
 arithmetic; this base class owns the shared-cable queueing, loss injection,
 utilization accounting and delivery.
+
+The cable is a :class:`~repro.des.resources.FifoServer`: every hold's
+duration is known when it is requested, so a frame's end is computed at
+once and costs one calendar entry.  A
+:class:`~repro.simnet.ethernet.BackgroundLoad` attached to the medium
+costs none: its bursts are folded into the cable's queue whenever the
+cable is served, a frame completes or utilization is read.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from ..des import (
-    CallbackProcess,
-    Environment,
-    RandomStream,
-    Resource,
-    UtilizationMonitor,
-)
+from ..des import Environment, FifoServer, RandomStream, UtilizationMonitor
+from ..des.events import Timeout
 from .frames import Datagram
 
 if TYPE_CHECKING:  # pragma: no cover
+    from .ethernet import BackgroundLoad
     from .host import Interface
 
-__all__ = ["Medium", "MediumStats", "TransmitOp"]
+__all__ = ["Medium", "MediumStats"]
 
 
 class MediumStats:
@@ -48,14 +51,17 @@ class Medium:
         self.name = name
         self.loss_probability = loss_probability
         self.loss_stream = loss_stream
-        self.cable = Resource(env, capacity=1)
         self.monitor = UtilizationMonitor(env)
+        self.cable = FifoServer(env, self.monitor)
         self.stats = MediumStats()
         self._interfaces: dict[str, "Interface"] = {}
         #: Stations currently transmitting or waiting for the cable,
         #: used by contention models (a station never collides with
         #: itself).
         self._active_by_host: dict[str, int] = {}
+        #: The departmental load folded into the cable queue, if any.
+        self._background: Optional["BackgroundLoad"] = None
+        self._bound_carried = self._carried
 
     # -- attachment -----------------------------------------------------------
 
@@ -97,119 +103,78 @@ class Medium:
 
     # -- the data path ----------------------------------------------------------
 
-    def transmit_op(self, datagram: Datagram) -> "TransmitOp":
-        """Occupy the cable, then deliver.
+    def transmit_op(self, datagram: Datagram) -> Timeout:
+        """Queue ``datagram`` on the cable; the event fires at its end.
 
-        Called by the sending interface's transmit pump.  Returns a
-        started :class:`TransmitOp` whose value is True if the datagram
-        was delivered to the destination host's interface (loss
-        injection and unknown destinations both give False).
+        The cable is served with the transmission time plus the
+        contention penalty, drawn now, at join; the sender counts as
+        contending until the frame leaves the cable, when the returned
+        timeout fires.  Its first callback is the medium's own:
+        deregistration, stats, the loss draw and delivery to the
+        destination host's interface, after which the event's value is
+        True if the datagram was delivered (loss injection and unknown
+        destinations both give False).  Interfaces add their own
+        callback to send the next frame; generator processes ``yield``
+        it.
         """
-        return TransmitOp(self, datagram)
+        env = self.env
+        now = env._now
+        if self._background is not None:
+            self._background.fold(now)
+        sender = datagram.src.host
+        service = self.transmission_time(datagram.size) \
+            + self.contention_penalty(sender)
+        active = self._active_by_host
+        active[sender] = active.get(sender, 0) + 1
+        timeout = env.timeout_at(self.cable.serve(now, service), datagram)
+        timeout.callbacks.append(self._bound_carried)
+        return timeout
+
+    def _carried(self, timeout: Timeout) -> None:
+        """A frame left the cable: idle check, stats, loss, delivery."""
+        datagram = timeout._value
+        now = self.env._now
+        if self._background is not None:
+            self._background.fold(now)
+        self.cable.done(now)
+        self._active_by_host[datagram.src.host] -= 1
+        stats = self.stats
+        stats.datagrams_carried += 1
+        stats.bytes_carried += datagram.size
+        if self.loss_probability \
+                and self.loss_stream.bernoulli(self.loss_probability):
+            stats.datagrams_lost += 1
+            timeout._value = False
+            return
+        target = self._interfaces.get(datagram.dst.host)
+        if target is None:
+            stats.undeliverable += 1
+            timeout._value = False
+            return
+        target.receive(datagram)
+        timeout._value = True
 
     def occupy(self, duration: float):
-        """Process method: hold the cable for ``duration`` (background load)."""
-        with self.cable.request() as grant:
-            yield grant
-            self.monitor.busy()
-            try:
-                yield self.env.timeout(duration)
-            finally:
-                if self.cable.queue_length == 0:
-                    self.monitor.idle()
+        """Process method: hold the cable for ``duration``."""
+        env = self.env
+        now = env.now
+        if self._background is not None:
+            self._background.fold(now)
+        yield env.timeout_at(self.cable.serve(now, duration))
+        now = env.now
+        if self._background is not None:
+            self._background.fold(now)
+        self.cable.done(now)
 
     def utilization(self) -> float:
-        """Busy fraction of the cable since construction."""
+        """Busy fraction of the cable since construction.
+
+        Read it here rather than from ``monitor``: this first folds in
+        the background bursts requested so far.
+        """
+        if self._background is not None:
+            self._background.fold(self.env.now)
         return self.monitor.utilization()
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name} hosts={len(self._interfaces)}>"
-
-
-class TransmitOp(CallbackProcess):
-    """One datagram on the cable, started immediately (see
-    :meth:`Medium.transmit_op`).
-
-    In order: contention registration at entry, cable occupancy with
-    the service time computed *at grant* (transmission time plus the
-    medium's contention penalty, which depends on who is fighting for
-    the cable at that instant), idle check before release,
-    deregistration, then stats, loss draw and delivery.  The cable hold
-    needs grant-time state, so it is written as explicit states rather
-    than :meth:`~repro.des.callback.CallbackProcess.hold`.
-    """
-
-    __slots__ = ("medium", "datagram", "_grant", "_holding")
-
-    def __init__(self, medium: Medium, datagram: Datagram):
-        self.medium = medium
-        self.datagram = datagram
-        self._grant = None
-        self._holding = False
-        super().__init__(medium.env, immediate=True)
-
-    def _start(self, value):
-        medium = self.medium
-        sender = self.datagram.src.host
-        active = medium._active_by_host
-        active[sender] = active.get(sender, 0) + 1
-        cable = medium.cable
-        if cable.try_acquire():
-            self._granted(None)
-        else:
-            self._grant = grant = cable.request()
-            self.wait(grant, self._granted)
-
-    def _granted(self, value):
-        medium = self.medium
-        self._holding = True
-        medium.monitor.busy()
-        datagram = self.datagram
-        service = medium.transmission_time(datagram.size) \
-            + medium.contention_penalty(datagram.src.host)
-        self.wait_timeout(service, self._sent)
-
-    def _sent(self, value):
-        medium = self.medium
-        self._release_cable()
-        datagram = self.datagram
-        medium._active_by_host[datagram.src.host] -= 1
-        stats = medium.stats
-        stats.datagrams_carried += 1
-        stats.bytes_carried += datagram.size
-        if medium.loss_probability \
-                and medium.loss_stream.bernoulli(medium.loss_probability):
-            stats.datagrams_lost += 1
-            self._finish(False)
-            return
-        target = medium._interfaces.get(datagram.dst.host)
-        if target is None:
-            stats.undeliverable += 1
-            self._finish(False)
-            return
-        target.receive(datagram)
-        self._finish(True)
-
-    def _release_cable(self):
-        medium = self.medium
-        cable = medium.cable
-        if cable.queue_length == 0:
-            medium.monitor.idle()
-        self._holding = False
-        if self._grant is None:
-            cable.release_slot()
-        else:
-            cable.release_quiet(self._grant)
-            self._grant = None
-
-    def _on_failure(self, exc):
-        # Idle check and release while holding, withdraw while queued,
-        # deregister either way.
-        medium = self.medium
-        if self._holding:
-            self._release_cable()
-        elif self._grant is not None:
-            medium.cable.release_quiet(self._grant)
-            self._grant = None
-        medium._active_by_host[self.datagram.src.host] -= 1
-        raise exc

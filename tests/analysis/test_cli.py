@@ -60,6 +60,7 @@ BAD_ARGUMENTS = [
     ["fig5", "--workers", "two"],
     ["fig5", "--requests", "0"],
     ["table2", "--samples", "1", "--sizes", "1"],
+    ["table2", "--samples", "2", "--sizes", "1,1"],
     ["sensitivity", "--scale", "0"],
 ]
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.baselines import NfsBaseline
+from repro.des import RandomStream
 
 MB = 1 << 20
 
@@ -56,3 +57,18 @@ def test_nfs_write_much_slower_than_read():
     writer = NfsBaseline(seed=5)
     write_rate = writer.measure_write("f", 3 * MB)
     assert read_rate > 3.5 * write_rate
+
+
+def test_lost_request_is_a_clean_error():
+    # NFS over UDP here has no retransmission: with every datagram lost
+    # the reply never comes.  The background load puts nothing on the
+    # calendar, so the run ends with an error instead of spinning.
+    baseline = NfsBaseline(seed=5)
+    baseline.prepare_file("f", MB)
+    segment = baseline.network.medium("departmental")
+    segment.loss_probability = 1.0
+    segment.loss_stream = RandomStream(1)
+    with pytest.raises(RuntimeError, match="schedule is empty"):
+        baseline.measure_read("f", MB)
+    assert segment.stats.datagrams_lost == 1
+    assert baseline.env.now < 0.01

@@ -5,9 +5,9 @@ import dataclasses
 import pytest
 
 from repro.check import RaceError, detect_races
-from repro.des import Environment, Resource
+from repro.des import Environment, FifoServer, Resource
 from repro.des.stats import OnlineStats
-from repro.sim.model import SwiftSimModel, _Server
+from repro.sim.model import SwiftSimModel
 from repro.sim.workload import SimConfig
 
 
@@ -151,7 +151,7 @@ def test_same_time_server_serves_are_a_race():
     # order, so two unordered serves at one timestamp are the same hazard
     # as two Resource enqueues: the tie-break decides who goes first.
     env = Environment()
-    server = _Server(env)
+    server = FifoServer(env)
 
     def client():
         yield env.timeout(1.0)

@@ -316,6 +316,30 @@ def test_store_get_with_predicate():
     assert [m["seq"] for m in store.items] == [1, 3]
 
 
+def test_store_put_nowait_wakes_a_matching_get_without_an_event():
+    env = Environment()
+    store = Store(env, capacity=2)
+    got = []
+
+    def consumer(env):
+        item = yield store.get(lambda m: m["seq"] == 2)
+        got.append((item["seq"], env.now))
+
+    env.process(consumer(env))
+    env.run()
+    scheduled = env._eid
+    store.put_nowait({"seq": 1})
+    store.put_nowait({"seq": 2})
+    # One event: the consumer's wakeup, not a put per item.
+    assert env._eid == scheduled + 1
+    env.run()
+    assert got == [(2, 0.0)]
+    assert [m["seq"] for m in store.items] == [1]
+    store.put_nowait({"seq": 3})
+    with pytest.raises(RuntimeError):
+        store.put_nowait({"seq": 4})
+
+
 def test_store_invalid_capacity():
     env = Environment()
     with pytest.raises(ValueError):

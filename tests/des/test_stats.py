@@ -135,6 +135,18 @@ def test_utilization_monitor_idempotent_marks():
     assert monitor.utilization() == 0.0
 
 
+def test_utilization_monitor_marks_at_explicit_times():
+    # Marks computed after the fact land at their own times, not now.
+    env = Environment()
+    monitor = UtilizationMonitor(env)
+    env.run(until=10.0)
+    monitor.busy(at=2.0)
+    monitor.idle(at=6.0)
+    monitor.busy(at=8.0)
+    assert monitor.busy_time == 6.0
+    assert monitor.utilization() == pytest.approx(0.6)
+
+
 def test_histogram_quantiles_nearest_rank():
     from repro.des import Histogram
     histogram = Histogram()

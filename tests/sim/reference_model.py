@@ -11,10 +11,17 @@ the callback machines only schedule fewer engine events (analytic CPU
 and ring servers instead of Resource holds, counted blocks and acks
 instead of joins, and the coalesced write-path disk chain).
 
+The reference shares no server code with production: it holds its own
+:class:`~repro.des.resources.Resource` per host CPU and for the ring,
+through :meth:`GeneratorModel._consume_cpu` and
+:meth:`GeneratorModel._occupy`, the Resource-hold bodies ``Host`` and
+``Medium`` used before their CPUs and cables became analytic servers.
+
 Only the tests build it: ``tests/sim/test_process_modes.py`` compares
 the two models field for field and pins both models' event counts.
 """
 
+from repro.des import Resource
 from repro.sim.model import CONTROL_PACKET_SIZE_BYTES, SwiftSimModel
 from repro.simnet import Host
 
@@ -23,6 +30,31 @@ __all__ = ["GeneratorModel"]
 
 class GeneratorModel(SwiftSimModel):
     """:class:`SwiftSimModel` with its request path run as generators."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        hosts = self.clients + [host for host, _ in self.agents]
+        self._cpus = {host: Resource(self.env, capacity=1) for host in hosts}
+        self._ring_cable = Resource(self.env, capacity=1)
+
+    def _consume_cpu(self, host: Host, seconds: float):
+        """Process method: hold ``host``'s CPU for ``seconds``."""
+        if seconds < 0:
+            raise ValueError("seconds must be non-negative")
+        with self._cpus[host].request() as grant:
+            yield grant
+            yield self.env.timeout(seconds)
+
+    def _occupy(self, duration: float):
+        """Process method: hold the ring for ``duration``."""
+        with self._ring_cable.request() as grant:
+            yield grant
+            self.ring.monitor.busy()
+            try:
+                yield self.env.timeout(duration)
+            finally:
+                if self._ring_cable.queue_length == 0:
+                    self.ring.monitor.idle()
 
     def _request(self, client: Host, is_read: bool, done):
         config = self.config
@@ -56,9 +88,9 @@ class GeneratorModel(SwiftSimModel):
 
     def _read(self, client: Host, shares: list[int], priority: float = 0.0):
         # Multicast the small request: one packet on the ring.
-        yield from client.consume_cpu(
-            client.send_cost.time(CONTROL_PACKET_SIZE_BYTES))
-        yield from self.ring.occupy(
+        yield from self._consume_cpu(
+            client, client.send_cost.time(CONTROL_PACKET_SIZE_BYTES))
+        yield from self._occupy(
             self.ring.transmission_time(CONTROL_PACKET_SIZE_BYTES))
         servers = [
             self.env.process(self._agent_read(index, blocks, client,
@@ -71,8 +103,8 @@ class GeneratorModel(SwiftSimModel):
                     priority: float = 0.0):
         host, disk = self.agents[index]
         unit = self.config.transfer_unit
-        yield from host.consume_cpu(
-            host.recv_cost.time(CONTROL_PACKET_SIZE_BYTES))
+        yield from self._consume_cpu(
+            host, host.recv_cost.time(CONTROL_PACKET_SIZE_BYTES))
         transmissions = []
         with disk.resource.request(priority=priority) as grant:
             yield grant
@@ -92,9 +124,9 @@ class GeneratorModel(SwiftSimModel):
         yield self.env.all_of(transmissions)
 
     def _send_block(self, host: Host, client: Host, size: int):
-        yield from host.consume_cpu(host.send_cost.time(size))
-        yield from self.ring.occupy(self.ring.transmission_time(size))
-        yield from client.consume_cpu(client.recv_cost.time(size))
+        yield from self._consume_cpu(host, host.send_cost.time(size))
+        yield from self._occupy(self.ring.transmission_time(size))
+        yield from self._consume_cpu(client, client.recv_cost.time(size))
 
     # -- write path ------------------------------------------------------------------
 
@@ -108,8 +140,9 @@ class GeneratorModel(SwiftSimModel):
             if not blocks:
                 continue
             for _ in range(blocks):
-                yield from client.consume_cpu(client.send_cost.time(unit))
-                yield from self.ring.occupy(self.ring.transmission_time(unit))
+                yield from self._consume_cpu(
+                    client, client.send_cost.time(unit))
+                yield from self._occupy(self.ring.transmission_time(unit))
             agents_done.append(self.env.process(
                 self._agent_write(index, blocks, client, priority)))
         # "Once the blocks have been transmitted the client awaits an
@@ -122,7 +155,7 @@ class GeneratorModel(SwiftSimModel):
         host, disk = self.agents[index]
         unit = self.config.transfer_unit
         for _ in range(blocks):
-            yield from host.consume_cpu(host.recv_cost.time(unit))
+            yield from self._consume_cpu(host, host.recv_cost.time(unit))
         with disk.resource.request(priority=priority) as grant:
             yield grant
             disk.monitor.busy()
@@ -135,9 +168,9 @@ class GeneratorModel(SwiftSimModel):
                 if disk.resource.queue_length == 0:
                     disk.monitor.idle()
         # The acknowledgement.
-        yield from host.consume_cpu(
-            host.send_cost.time(CONTROL_PACKET_SIZE_BYTES))
-        yield from self.ring.occupy(
+        yield from self._consume_cpu(
+            host, host.send_cost.time(CONTROL_PACKET_SIZE_BYTES))
+        yield from self._occupy(
             self.ring.transmission_time(CONTROL_PACKET_SIZE_BYTES))
-        yield from client.consume_cpu(
-            client.recv_cost.time(CONTROL_PACKET_SIZE_BYTES))
+        yield from self._consume_cpu(
+            client, client.recv_cost.time(CONTROL_PACKET_SIZE_BYTES))

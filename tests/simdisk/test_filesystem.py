@@ -9,6 +9,7 @@ from repro.simdisk import (
     Disk,
     FileExists,
     FileNotFound,
+    FileSystemError,
     LocalFileSystem,
 )
 
@@ -154,6 +155,19 @@ def test_unlink_drops_cache_entries():
     run(env, fs.write("f", 0, b"z" * 8192))
     fs.unlink("f")
     assert len(fs.cache) == 0
+
+
+def test_allocator_reuse_across_files_is_caught():
+    # A block handed out twice would silently overwrite the first file's
+    # bytes; the allocator's check looks across files, not one inode.
+    env, fs = make_fs()
+    fs.create("a")
+    run(env, fs.write("a", 0, b"a" * 8192))
+    fs._next_disk_block = 0
+    fs.create("b")
+    with pytest.raises(FileSystemError):
+        run(env, fs.write("b", 0, b"b" * 8192))
+    assert run(env, fs.read("a", 0, 8192)) == b"a" * 8192
 
 
 def test_contiguous_allocation_reads_sequentially():

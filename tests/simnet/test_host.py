@@ -115,22 +115,27 @@ def test_interface_cost_scale_multiplies_cpu_time():
 
 
 def test_tx_queue_overflow_drops_silently():
-    env, net = make_pair(tx_queue_packets=2)
-    a = net.host("a")
-    net.host("b").bind(9, buffer_packets=100)
-    a_sock = a.bind(100)
+    # Blast out 20 large datagrams with zero CPU cost: the wire is slow,
+    # one frame goes on it, the queue holds the next ones, and the rest
+    # are dropped like SunOS did.  Each delivered frame costs the wire
+    # 6.8544 ms.
+    cases = [(1, 18, 2, "0.0137088"), (2, 17, 3, "0.0205632"),
+             (5, 14, 6, "0.041126399999999994")]
+    for queue, dropped, delivered, end in cases:
+        env, net = make_pair(tx_queue_packets=queue)
+        a = net.host("a")
+        b_sock = net.host("b").bind(9, buffer_packets=100)
+        a_sock = a.bind(100)
 
-    def sender(env):
-        # Blast out many large datagrams with zero CPU cost: the wire is
-        # slow, the queue holds 2, the rest are dropped like SunOS did.
-        for _ in range(20):
-            yield a_sock.send_op(Address("b", 9), payload_size=8192)
+        def sender(env, a_sock=a_sock):
+            for _ in range(20):
+                yield a_sock.send_op(Address("b", 9), payload_size=8192)
 
-    env.process(sender(env))
-    env.run()
-    iface = a.interfaces[0]
-    assert iface.tx_dropped > 0
-    assert iface.tx_dropped + 2 + 1 >= 20  # queued 2, maybe 1 in flight
+        env.process(sender(env))
+        env.run()
+        assert a.interfaces[0].tx_dropped == dropped, queue
+        assert b_sock.pending == delivered, queue
+        assert repr(env.now) == end, queue
 
 
 def test_socket_buffer_overflow_drops():

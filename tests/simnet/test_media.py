@@ -110,6 +110,32 @@ def test_background_load_fraction_reached():
     assert ether.utilization() == pytest.approx(0.05, abs=0.02)
 
 
+def test_frame_requested_inside_a_burst_waits_for_its_end():
+    from repro.simnet import Host
+    env = Environment()
+    ether = Ethernet(env)
+    for name in ("a", "b"):
+        Host(env, name).attach(ether)
+    BackgroundLoad(env, ether, 0.05, RandomStream(1))
+    # The first burst, from a twin of the load's stream: requested one
+    # exponential gap after the start, lasting gap * 0.05 / 0.95.
+    twin = RandomStream(1)
+    gap = twin.exponential(0.005)
+    busy = gap * 0.05 / (1.0 - 0.05)
+    done = []
+
+    def tx(env):
+        yield env.timeout(gap + busy / 2)
+        delivered = yield ether.transmit_op(
+            Datagram(Address("a", 1), Address("b", 5), 500))
+        done.append((env.now, delivered))
+
+    env.run(until=env.process(tx(env)))
+    assert done == [((gap + busy) + ether.transmission_time(500), True)]
+    # Busy from the burst's request through the frame's end.
+    assert ether.utilization() == pytest.approx((env.now - gap) / env.now)
+
+
 def test_background_load_validation():
     env = Environment()
     ether = Ethernet(env)
