@@ -11,7 +11,7 @@ from __future__ import annotations
 import ast
 import re
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .findings import Finding, Severity
 
@@ -151,11 +151,4 @@ class LintEngine:
         findings: list[Finding] = []
         for path in iter_python_files(Path(root)):
             findings.extend(self.check_file(path))
-        return findings
-
-    def check_paths(self, paths: Iterable[Path]) -> list[Finding]:
-        """All findings across an explicit set of files/directories."""
-        findings: list[Finding] = []
-        for path in paths:
-            findings.extend(self.check_tree(Path(path)))
         return findings

@@ -578,14 +578,6 @@ class AliasSanitizer:
         # First captured frame is the emitter behind env._notify_alias.
         state.frames = _capture_frames(self.stack_depth, skip=3)
 
-    # -- introspection ------------------------------------------------------
-
-    @property
-    def pooled_events(self) -> int:
-        """Events currently parked (poisoned) across the three pools."""
-        return sum(len(getattr(self.env, attr))
-                   for attr, _ in self._POOL_ATTRS)
-
 
 @contextmanager
 def alias_sanitize(env: "Environment", stack_depth: int = 4):

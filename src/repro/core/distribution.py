@@ -743,7 +743,7 @@ class _StreamPackets(CallbackProcess):
         self.indices = list(indices)
         self.op = op
         self._pos = 0
-        super().__init__(dist.env, immediate=True)
+        super().__init__(dist.env)
 
     def _start(self, value):
         self._next_packet()

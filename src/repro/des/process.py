@@ -127,6 +127,10 @@ class Process(Event):
                 callbacks.append(self._bound_resume)
                 return
         except StopIteration as exc:
+            # Drop the one bound method of itself the process stores, so
+            # that a finished process is freed by reference counting
+            # instead of waiting for the cyclic collector.
+            self._bound_resume = None
             self._ok = True
             self._value = exc.value
             env.schedule(self)

@@ -38,7 +38,6 @@ named streams; the hot paths in :mod:`repro.simdisk` and
 
 from __future__ import annotations
 
-import math
 import random
 from math import log as _log
 from typing import Callable, Optional
@@ -229,10 +228,6 @@ class StreamFactory:
         for stream in self._issued.values():
             stream.observer = None
 
-    def issued_streams(self) -> list[RandomStream]:
-        """The streams issued so far, in creation order."""
-        return list(self._issued.values())
-
     def _derive(self, name: str) -> int:
         # A small, stable string hash (Python's hash() is salted per run).
         digest = 2166136261
@@ -242,10 +237,3 @@ class StreamFactory:
 
     def __contains__(self, name: str) -> bool:
         return name in self._issued
-
-
-def _erlang_check() -> float:  # pragma: no cover - numeric sanity helper
-    """Quick internal sanity: mean of exponential(2.0) over many draws ≈ 2."""
-    stream = RandomStream(1)
-    draws = [stream.exponential(2.0) for _ in range(10000)]
-    return math.fsum(draws) / len(draws)

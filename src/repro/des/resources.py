@@ -264,8 +264,9 @@ class Resource:
         A Release event is inert — no callbacks ever attach to it, and
         the regrant of the next waiter already happens at release time,
         not when the Release is processed — so for callers that do not
-        need the returned event (the callback-process hold sequence in
-        :mod:`repro.des.callback`) skipping it removes one calendar
+        need the returned event (the spindle holds of
+        :class:`~repro.simdisk.disk.DiskAccess` and the §5 model's agent
+        state machines) skipping it removes one calendar
         entry per hold.  Grant order, monitor notification order and
         request recycling are identical to :meth:`release`; with any
         step/schedule/resource/access monitor attached the release

@@ -283,7 +283,7 @@ class _ReadOp(CallbackProcess):
         self.shares = shares
         self.priority = priority
         self._blocks = sum(shares)
-        super().__init__(env, immediate=True)
+        super().__init__(env)
 
     def _start(self, value):
         env = self.env
@@ -328,7 +328,7 @@ class _AgentRead(CallbackProcess):
         self.blocks = blocks
         self._disk = model.agents[index][1]
         self._unit = model.config.transfer_unit
-        super().__init__(env, immediate=True)
+        super().__init__(env)
 
     def _start(self, value):
         env = self.env
@@ -404,7 +404,7 @@ class _WriteOp(CallbackProcess):
                        for index, blocks in enumerate(shares) if blocks]
         self._pos = 0
         self._acks = len(self._pairs)
-        super().__init__(env, immediate=True)
+        super().__init__(env)
 
     def _start(self, value):
         self._next_agent()
@@ -478,7 +478,7 @@ class _AgentWrite(CallbackProcess):
         self.blocks = blocks
         self._disk = model.agents[index][1]
         self._unit = model.config.transfer_unit
-        super().__init__(env, immediate=True)
+        super().__init__(env)
 
     def _start(self, value):
         self._left = self.blocks

@@ -135,13 +135,13 @@ class DiskAccess(CallbackProcess):
 
     __slots__ = ("disk", "nbytes", "blocks", "sequential", "at_block",
                  "per_block_extra_s", "on_block",
-                 "_started", "_grant", "_holding", "_head_continues",
-                 "_index")
+                 "_started", "_grant", "_head_continues", "_index")
 
     def __init__(self, disk: Disk, nbytes: int, blocks: int = 1,
                  sequential: bool = False, at_block: Optional[int] = None,
                  per_block_extra_s: float = 0.0, on_block=None):
-        # Argument validation must precede the immediate start.
+        # Argument validation must precede the start, which the
+        # constructor runs.
         if blocks < 1:
             raise ValueError(f"blocks must be >= 1, got {blocks}")
         if nbytes < 0:
@@ -155,8 +155,7 @@ class DiskAccess(CallbackProcess):
         self.at_block = at_block
         self.per_block_extra_s = per_block_extra_s
         self.on_block = on_block
-        self._holding = False
-        super().__init__(disk.env, immediate=True)
+        super().__init__(disk.env)
 
     def _start(self, value):
         self._started = self.env.now
@@ -170,7 +169,6 @@ class DiskAccess(CallbackProcess):
 
     def _granted(self, value):
         disk = self.disk
-        self._holding = True
         # The head position must be read *after* the grant: requests
         # that queued ahead of us may have moved it.
         head_continues = (self.at_block is not None
@@ -228,29 +226,16 @@ class DiskAccess(CallbackProcess):
         self._complete()
 
     def _complete(self):
-        self._release_spindle()
-        self._finish(self.env.now - self._started)
-
-    def _release_spindle(self):
-        # In order: head update, idle check while still holding, then
-        # the release.
+        # In order: head update, idle check while still holding, the
+        # release, then the finish.
         disk = self.disk
         disk._head = (self.at_block + self.blocks
                       if self.at_block is not None else None)
         if disk.resource.count <= 1:
             disk.monitor.idle()
-        self._holding = False
         if self._grant is None:
             disk.resource.release_slot()
         else:
             disk.resource.release_quiet(self._grant)
             self._grant = None
-
-    def _on_failure(self, exc):
-        if self._holding:
-            self._release_spindle()
-        elif self._grant is not None:
-            # Interrupted while queued: withdraw the pending request.
-            self.disk.resource.release_quiet(self._grant)
-            self._grant = None
-        raise exc
+        self._finish(self.env.now - self._started)

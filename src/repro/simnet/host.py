@@ -342,7 +342,7 @@ class SocketSend(CallbackProcess):
         size = payload_size + HEADER_SIZE
         self.datagram = Datagram(src=socket.address, dst=dst, size=size,
                                  message=message)
-        super().__init__(host.env, immediate=True)
+        super().__init__(host.env)
 
     def _start(self, value):
         host = self.socket.host

@@ -77,11 +77,6 @@ class Medium:
         """True if a host of that name is attached."""
         return host_name in self._interfaces
 
-    @property
-    def attached_hosts(self) -> list[str]:
-        """Names of attached hosts, sorted."""
-        return sorted(self._interfaces)
-
     # -- timing ---------------------------------------------------------------
 
     def transmission_time(self, size: int) -> float:

@@ -1,4 +1,4 @@
-"""CallbackProcess semantics: waits, holds, joins, failures, interrupts.
+"""CallbackProcess semantics: waits, token-grant holds, failures.
 
 Every behaviour here is pinned against the generator ``Process``
 reference: same timestamps, same resource grant order, same failure
@@ -15,7 +15,6 @@ import pytest
 from repro.des import (
     CallbackProcess,
     Environment,
-    Interrupt,
     Resource,
 )
 
@@ -25,9 +24,9 @@ class Stepper(CallbackProcess):
 
     __slots__ = ("log",)
 
-    def __init__(self, env, log, immediate=False):
+    def __init__(self, env, log):
         self.log = log
-        super().__init__(env, immediate=immediate)
+        super().__init__(env)
 
     def _start(self, value):
         self.log.append(("start", self.env.now))
@@ -40,6 +39,43 @@ class Stepper(CallbackProcess):
     def _end(self, value):
         self.log.append(("end", self.env.now))
         self._finish("done")
+
+
+class Holder(CallbackProcess):
+    """Holds ``resource`` for one second the way DiskAccess does.
+
+    Uncontended, the grant is a token claim
+    (:meth:`~repro.des.resources.Resource.try_acquire`) with no Request
+    object; contended, a queued Request.  Then one timeout, the matching
+    quiet release, and the process finishes with the release time.
+    """
+
+    __slots__ = ("resource", "priority", "_grant")
+
+    def __init__(self, env, resource, priority=0.0):
+        self.resource = resource
+        self.priority = priority
+        super().__init__(env)
+
+    def _start(self, value):
+        resource = self.resource
+        if resource.try_acquire():
+            self._grant = None
+            self._granted(None)
+        else:
+            self._grant = grant = resource.request(self.priority)
+            self.wait(grant, self._granted)
+
+    def _granted(self, value):
+        self.wait_timeout(1.0, self._held)
+
+    def _held(self, value):
+        if self._grant is None:
+            self.resource.release_slot()
+        else:
+            self.resource.release_quiet(self._grant)
+            self._grant = None
+        self._finish(self.env.now)
 
 
 def test_states_advance_through_timeouts():
@@ -91,28 +127,41 @@ def test_callback_process_can_wait_on_generator_process():
 
 def test_start_order_follows_creation_order():
     env = Environment()
-    log = []
-    Stepper(env, log)
-    second = []
-    Stepper(env, second)
+    started = []
+
+    class Named(CallbackProcess):
+        __slots__ = ("name",)
+
+        def __init__(self, env, name):
+            self.name = name
+            super().__init__(env)
+
+        def _start(self, value):
+            started.append(self.name)
+            self.wait_timeout(1.0, self._finish)
+
+    Named(env, "first")
+    Named(env, "second")
     env.run()
-    # Both started at t=0; the first-created dispatched first.  The log
-    # proves it observed time first (identical here), so pin via the
-    # init-event ordering instead: interleave a marker.
-    assert log[0] == ("start", 0.0) and second[0] == ("start", 0.0)
+    assert started == ["first", "second"]
 
 
 def test_immediate_start_runs_inside_constructor():
     env = Environment()
     log = []
-    Stepper(env, log, immediate=True)
+    Stepper(env, log)
     assert log == [("start", 0.0)]  # before env.run()
     env.run()
     assert log == [("start", 0.0), ("mid", 1.0), ("end", 3.0)]
 
 
 def test_hold_matches_generator_hold_timing_and_queueing():
-    """A callback hold and a generator hold contend identically."""
+    """A token grant and a Request grant contend like generator holds.
+
+    Every holder is created from inside a generator process, so start
+    order is creation order: the callback holder claims a token when it
+    comes first and queues a Request behind the generator otherwise.
+    """
 
     def run(order):
         env = Environment()
@@ -125,21 +174,13 @@ def test_hold_matches_generator_hold_timing_and_queueing():
                 yield env.timeout(1.0)
             log.append(("gen", env.now))
 
-        class CallbackHold(CallbackProcess):
-            __slots__ = ()
-
-            def _start(self, value):
-                self.hold(resource, 1.0, self._held)
-
-            def _held(self, value):
-                log.append(("cb", env.now))
-                self._finish()
+        def callback_hold(env):
+            yield Holder(env, resource)
+            log.append(("cb", env.now))
 
         for kind in order:
-            if kind == "gen":
-                env.process(generator_hold(env))
-            else:
-                CallbackHold(env)
+            hold = generator_hold if kind == "gen" else callback_hold
+            env.process(hold(env))
         env.run()
         return log, env.now
 
@@ -154,118 +195,14 @@ def test_hold_matches_generator_hold_timing_and_queueing():
 def test_hold_priority_orders_grants():
     env = Environment()
     resource = Resource(env, capacity=1)
-    log = []
-
-    class Holder(CallbackProcess):
-        __slots__ = ("name", "priority")
-
-        def __init__(self, env, name, priority):
-            self.name = name
-            self.priority = priority
-            super().__init__(env)
-
-        def _start(self, value):
-            self.hold(resource, 1.0, self._held, priority=self.priority)
-
-        def _held(self, value):
-            log.append(self.name)
-            self._finish()
-
-    Holder(env, "low", 5.0)
-    Holder(env, "high", 1.0)
-    Holder(env, "mid", 3.0)
+    holders = {name: Holder(env, resource, priority=priority)
+               for name, priority in (("low", 5.0), ("high", 1.0),
+                                      ("mid", 3.0))}
     env.run()
-    # First grant is FIFO (uncontended when "low" requested); the queue
-    # then orders by priority.
-    assert log == ["low", "high", "mid"]
-
-
-def test_adopt_join_counts_children():
-    env = Environment()
-    finished = []
-
-    class Child(CallbackProcess):
-        __slots__ = ("delay",)
-
-        def __init__(self, env, delay):
-            self.delay = delay
-            super().__init__(env)
-
-        def _start(self, value):
-            self.wait(self.env.timeout(self.delay), self._end)
-
-        def _end(self, value):
-            self._finish(self.delay)
-
-    class Parent(CallbackProcess):
-        __slots__ = ()
-
-        def _start(self, value):
-            for delay in (3.0, 1.0, 2.0):
-                self.adopt(Child(self.env, delay))
-            self.join(self._all_done)
-
-        def _all_done(self, value):
-            finished.append(self.env.now)
-            self._finish()
-
-    Parent(env)
-    env.run()
-    assert finished == [3.0]
-
-
-def test_join_with_no_children_runs_inline():
-    env = Environment()
-    log = []
-
-    class Parent(CallbackProcess):
-        __slots__ = ()
-
-        def _start(self, value):
-            self.join(self._all_done)
-
-        def _all_done(self, value):
-            log.append(self.env.now)
-            self._finish()
-
-    Parent(env)
-    env.run()
-    assert log == [0.0]
-
-
-def test_adopting_finished_child_does_not_block_join():
-    env = Environment()
-    log = []
-
-    class Child(CallbackProcess):
-        __slots__ = ()
-
-        def _start(self, value):
-            self._finish("early")
-
-    class Parent(CallbackProcess):
-        __slots__ = ("child",)
-
-        def __init__(self, env, child):
-            self.child = child
-            super().__init__(env)
-
-        def _start(self, value):
-            # The child finished at t=0 before our init event dispatched.
-            self.wait(self.env.timeout(1.0), self._later)
-
-        def _later(self, value):
-            self.adopt(self.child)
-            self.join(self._all_done)
-
-        def _all_done(self, value):
-            log.append(self.env.now)
-            self._finish()
-
-    child = Child(env)
-    Parent(env, child)
-    env.run()
-    assert log == [1.0]
+    # First grant is FIFO (a token claim: "low" found the server free);
+    # the queue then orders by priority.
+    released = {name: holder.value for name, holder in holders.items()}
+    assert released == {"low": 1.0, "high": 2.0, "mid": 3.0}
 
 
 def test_state_exception_fails_process_and_propagates_to_waiter():
@@ -306,95 +243,71 @@ def test_unwaited_failure_raises_from_run():
         env.run()
 
 
-def test_child_failure_fails_joining_parent():
+def test_failed_wait_target_fails_process_and_reaches_waiter():
     env = Environment()
+    target = env.event()
+    error = ValueError("target failed")
     caught = []
 
-    class BadChild(CallbackProcess):
+    class Waiter(CallbackProcess):
         __slots__ = ()
 
         def _start(self, value):
-            self.wait(self.env.timeout(1.0), self._boom)
+            self.wait(target, self._got)
 
-        def _boom(self, value):
-            raise ValueError("child failed")
+        def _got(self, value):  # pragma: no cover - the target fails
+            self._finish()
 
-    class Parent(CallbackProcess):
-        __slots__ = ()
+    def failer(env):
+        yield env.timeout(2.0)
+        target.fail(error)
 
-        def _start(self, value):
-            self.adopt(BadChild(self.env))
-            self.join(self._all_done)
-
-        def _all_done(self, value):  # pragma: no cover - must not run
-            raise AssertionError("join fired despite child failure")
-
-    def waiter(env, target):
+    def observer(env, process):
         try:
-            yield target
+            yield process
         except ValueError as exc:
-            caught.append(str(exc))
+            caught.append((exc, env.now))
 
-    env.process(waiter(env, Parent(env)))
+    waiter = Waiter(env)
+    env.process(failer(env))
+    env.process(observer(env, waiter))
     env.run()
-    assert caught == ["child failed"]
+    assert caught == [(error, 2.0)]
+    assert not waiter.is_alive and waiter.value is error
 
 
-def test_interrupt_delivers_and_default_handler_fails_process():
+def test_wait_on_processed_failed_event_fails_process():
     env = Environment()
+    error = ValueError("failed earlier")
+    failed = env.event()
+    failed.fail(error)
+    failed.defuse()  # processed at t=0 with nobody waiting
+    caught = []
 
-    class Sleeper(CallbackProcess):
+    class LateWaiter(CallbackProcess):
         __slots__ = ()
 
         def _start(self, value):
-            self.wait(self.env.timeout(100.0), self._end)
+            self.wait_timeout(1.0, self._late)
 
-        def _end(self, value):  # pragma: no cover - interrupted first
+        def _late(self, value):
+            self.wait(failed, self._got)
+
+        def _got(self, value):  # pragma: no cover - the target failed
             self._finish()
 
-    sleeper = Sleeper(env)
+    def observer(env, process):
+        try:
+            yield process
+        except ValueError as exc:
+            caught.append((exc, env.now))
 
-    def interrupter(env):
-        yield env.timeout(1.0)
-        sleeper.interrupt("wake up")
-
-    env.process(interrupter(env))
-    with pytest.raises(Interrupt):
-        env.run()
-    assert env.now == 1.0
-    assert not sleeper.is_alive
-
-
-def test_interrupt_handler_can_recover():
-    env = Environment()
-    log = []
-
-    class Sleeper(CallbackProcess):
-        __slots__ = ()
-
-        def _start(self, value):
-            self.wait(self.env.timeout(100.0), self._end)
-
-        def _on_failure(self, exc):
-            if isinstance(exc, Interrupt):
-                log.append((exc.cause, self.env.now))
-                self._finish("recovered")
-                return
-            raise exc
-
-        def _end(self, value):  # pragma: no cover - interrupted first
-            self._finish()
-
-    sleeper = Sleeper(env)
-
-    def interrupter(env):
-        yield env.timeout(1.0)
-        sleeper.interrupt("wake up")
-
-    env.process(interrupter(env))
+    waiter = LateWaiter(env)
+    env.process(observer(env, waiter))
     env.run()
-    assert log == [("wake up", 1.0)]
-    assert sleeper.value == "recovered"
+    assert failed.processed
+    assert caught == [(error, 1.0)]
+    assert not waiter.is_alive and waiter.value is error
 
 
 def test_silent_completion_still_observable_as_processed():
@@ -538,28 +451,18 @@ def test_release_quiet_regrants_and_recycles():
 
 
 def test_finished_process_is_freed_without_the_cycle_collector():
-    # A process stores bound methods of itself (its wakeup edges and
-    # pending states), a reference cycle while it runs.  Once finished
-    # it must be freed by reference counting alone: with the cyclic
+    # A process stores bound methods of itself (its wakeup edge and
+    # pending state), a reference cycle while it runs.  Once finished it
+    # must be freed by reference counting alone: with the cyclic
     # collector off, nothing of it may outlive the run.
-    class Holder(CallbackProcess):
-        __slots__ = ("resource", "__weakref__")
-
-        def __init__(self, env, resource):
-            self.resource = resource
-            super().__init__(env)
-
-        def _start(self, value):
-            self.hold(self.resource, 1.0, self._held)
-
-        def _held(self, value):
-            self._finish()
+    class WeakHolder(Holder):
+        __slots__ = ("__weakref__",)
 
     env = Environment()
     resource = Resource(env, capacity=1)
     # The second holder queues behind the first: one token grant and one
     # Request grant.
-    refs = [weakref.ref(Holder(env, resource)) for _ in range(2)]
+    refs = [weakref.ref(WeakHolder(env, resource)) for _ in range(2)]
     enabled = gc.isenabled()
     gc.disable()
     try:

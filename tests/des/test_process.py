@@ -1,8 +1,11 @@
 """Process semantics: returns, exceptions, interrupts, waiting on processes."""
 
+import gc
+import weakref
+
 import pytest
 
-from repro.des import Environment, Interrupt
+from repro.des import Environment, Interrupt, Process
 
 
 def test_process_return_value_is_event_value():
@@ -16,6 +19,30 @@ def test_process_return_value_is_event_value():
     env.run()
     assert process.value == "result"
     assert not process.is_alive
+
+
+def test_finished_process_is_freed_without_the_cycle_collector():
+    # A process stores a bound method of itself (its resume edge), a
+    # reference cycle while it runs.  Once its generator returns it must
+    # be freed by reference counting alone.
+    class WeakProcess(Process):
+        __slots__ = ("__weakref__",)
+
+    def proc(env):
+        yield env.timeout(1.0)
+        return "result"
+
+    env = Environment()
+    ref = weakref.ref(WeakProcess(env, proc(env)))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        env.run()
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+    assert env.now == 1.0
 
 
 def test_process_requires_generator():

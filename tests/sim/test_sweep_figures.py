@@ -59,6 +59,26 @@ def test_max_sustainable_grows_with_unit():
     assert large.client_data_rate > 3 * small.client_data_rate
 
 
+def test_figure3_sustainability_flips_below_the_papers_22_req_s():
+    """The known Figure 3 fidelity gap, pinned so changing it is deliberate.
+
+    The paper quotes ~22 req/s as the maximum sustainable load for 32
+    disks with 32 KB units, and the knee of our curve sits at ~20-25
+    req/s (EXPERIMENTS.md, Figure 3).  The stricter criterion the sweeps
+    use, mean completion <= mean interarrival, flips between 10 and 15
+    req/s: at seed 0 with the CLI's 250 requests the mean completion is
+    ~78 ms at 10 req/s (<= 100 ms), ~100 ms at 15 req/s (> 66.7 ms) and
+    ~190 ms at 22 req/s (> 45.5 ms).
+    """
+    points = figure3_series(rates=(10.0, 15.0, 22.0), disk_counts=(32,),
+                            block_sizes=(32 * KB,), num_requests=250,
+                            seed=0)
+    assert [point.result.config.warmup_requests for point in points] == \
+        [25, 25, 25]
+    verdicts = {point.x: point.result.sustainable for point in points}
+    assert verdicts == {10.0: True, 15.0: False, 22.0: False}
+
+
 def test_figure3_series_structure():
     points = figure3_series(rates=(2.0, 6.0), disk_counts=(4, 8),
                             block_sizes=(32 * KB,), num_requests=60)
