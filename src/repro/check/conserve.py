@@ -5,7 +5,7 @@ computed copy; the wire carries it all as packets.  Each hand-off is an
 opportunity to leak or double-count bytes, and such bugs corrupt every
 reported data-rate while leaving the protocol superficially healthy.
 This module keeps a **ledger** of one invariant per hand-off, fed by the
-engine's transfer-monitor hook (:meth:`Environment.add_transfer_monitor`):
+engine's transfer hook (``env.observe("transfer", ...)``):
 
 * **striped writes** — the logical bytes of the request equal the sum of
   the per-agent region bytes plus the bytes deliberately skipped on
@@ -85,13 +85,13 @@ class ConservationLedger:
 
     def install(self) -> "ConservationLedger":
         if not self._installed:
-            self.env.add_transfer_monitor(self._on_event)
+            self.env.observe("transfer", self._on_event)
             self._installed = True
         return self
 
     def uninstall(self) -> None:
         if self._installed:
-            self.env.remove_transfer_monitor(self._on_event)
+            self.env.unobserve("transfer", self._on_event)
             self._installed = False
 
     @property

@@ -18,12 +18,12 @@ The happens-before relation is tracked with per-process vector clocks
 fed by the engine's monitor hooks:
 
 * **scheduling** stamps every event with the logical clock of the
-  segment that scheduled it (:meth:`Environment.add_schedule_monitor`);
+  segment that scheduled it (``env.observe("schedule", ...)``);
 * **stepping** joins a popped event's clock into every process it
   resumes, and into anything scheduled from its callbacks
-  (:meth:`Environment.add_step_monitor`);
+  (``env.observe("step", ...)``);
 * **resources** add a release→acquire edge so serialized holders are
-  ordered (:meth:`Environment.add_resource_monitor`).
+  ordered (``env.observe("resource", ...)``).
 
 Accesses come from the engine's access instrumentation (``Resource``
 queue mutations, ``Store`` puts/gets/purges) and from any stats
@@ -212,20 +212,20 @@ class RaceDetector:
         """Attach to the environment's monitor hooks."""
         if self._installed:  # pragma: no cover - defensive
             return
-        self.env.add_schedule_monitor(self._on_schedule)
-        self.env.add_step_monitor(self._on_step)
-        self.env.add_resource_monitor(self._on_resource)
-        self.env.add_access_monitor(self._on_access)
+        self.env.observe("schedule", self._on_schedule)
+        self.env.observe("step", self._on_step)
+        self.env.observe("resource", self._on_resource)
+        self.env.observe("access", self._on_access)
         self._installed = True
 
     def uninstall(self) -> None:
         """Detach every hook and restore watched observers."""
         if not self._installed:  # pragma: no cover - defensive
             return
-        self.env.remove_schedule_monitor(self._on_schedule)
-        self.env.remove_step_monitor(self._on_step)
-        self.env.remove_resource_monitor(self._on_resource)
-        self.env.remove_access_monitor(self._on_access)
+        self.env.unobserve("schedule", self._on_schedule)
+        self.env.unobserve("step", self._on_step)
+        self.env.unobserve("resource", self._on_resource)
+        self.env.unobserve("access", self._on_access)
         for obj, previous in self._watched:
             obj.observer = previous
         self._watched.clear()

@@ -56,7 +56,7 @@ class ScheduleTrace:
 
     def attach(self, env) -> None:
         """Start recording ``env``'s schedule (idempotent per env)."""
-        env.add_step_monitor(self._on_step)
+        env.observe("step", self._on_step)
 
     def _on_step(self, when: float, event) -> None:
         value = getattr(event, "_value", None)

@@ -113,9 +113,9 @@ class Sanitizer:
         if self._installed:  # pragma: no cover - defensive
             return
         if self.check_monotonicity:
-            self.env.add_step_monitor(self._on_step)
+            self.env.observe("step", self._on_step)
         if self.check_leaks:
-            self.env.add_resource_monitor(self._on_resource)
+            self.env.observe("resource", self._on_resource)
         if self.streams is not None and self.on_shared_stream != "ignore":
             self.streams.attach_observer(self._on_draw)
         self._installed = True
@@ -124,8 +124,8 @@ class Sanitizer:
         """Detach every hook (leaves collected state readable)."""
         if not self._installed:  # pragma: no cover - defensive
             return
-        self.env.remove_step_monitor(self._on_step)
-        self.env.remove_resource_monitor(self._on_resource)
+        self.env.unobserve("step", self._on_step)
+        self.env.unobserve("resource", self._on_resource)
         if self.streams is not None:
             self.streams.detach_observer()
         self._installed = False
@@ -511,7 +511,7 @@ class AliasSanitizer:
                     event._stale = pool
             setattr(self.env, attr, pool)
             self._pools.append(pool)
-        self.env.add_alias_monitor(self._on_alias)
+        self.env.observe("alias", self._on_alias)
         self._installed = True
 
     def uninstall(self) -> None:
@@ -529,7 +529,7 @@ class AliasSanitizer:
             self._recycled_base += pool.recycled
             self._rearmed_base += pool.rearmed
         self._pools.clear()
-        self.env.remove_alias_monitor(self._on_alias)
+        self.env.unobserve("alias", self._on_alias)
         self._installed = False
 
     # -- pool hooks ---------------------------------------------------------

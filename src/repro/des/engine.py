@@ -37,6 +37,11 @@ _FNV_OFFSET = 2166136261
 _FNV_PRIME = 16777619
 _FNV_MASK = (1 << 64) - 1
 
+#: What :meth:`Environment.observe` accepts, one monitor list per kind.
+_MONITOR_KINDS = ("step", "schedule", "resource", "access", "transfer",
+                  "alias")
+
+
 class EmptySchedule(Exception):
     """Raised internally when the calendar runs dry."""
 
@@ -110,8 +115,8 @@ class Environment:
     necessarily scheduled earlier, or are urgent and outrank normal
     events anyway), so "heap first while its top is at ``now``, then the
     deque in append order" reproduces ``(time, priority, eid)`` exactly.
-    Attaching a schedule monitor or a tie-break seed sends every event
-    through the one-heap path instead, exactly as pooling is disabled,
+    A schedule monitor or a tie-break seed sends every event through
+    the one-heap path instead, exactly as pooling is disabled,
     so detectors always observe the fully ordered, individually
     dispatched engine.
     """
@@ -138,28 +143,24 @@ class Environment:
         self._timeout_pool: list = []
         self._release_pool: list = []
         self._request_pool: list = []
-        # Monitoring hooks (repro.check.sanitize and repro.check.hb attach
-        # here).  All lists are empty in normal runs so the hot loop pays
-        # only a truthiness test per event.
+        # Monitor lists, one per kind (see observe()).  All are empty in
+        # normal runs so the hot loop pays only a truthiness test per
+        # event.
         self._step_monitors: list = []
         self._resource_monitors: list = []
         self._schedule_monitors: list = []
         self._access_monitors: list = []
         self._transfer_monitors: list = []
         self._alias_monitors: list = []
-        # The setter below also caches the seed-dependent half of
-        # tie_break_key so schedule() folds only the eid digits per event
-        # (None = ties sort by raw eid, the default contract), and
-        # refreshes the two derived fast-path flags:
-        #   _schedule_fast — triggering code may push a
-        #       (now+delay, _NORMAL_KEY_BASE+eid, event) entry directly,
-        #       bypassing schedule(): no shuffle, no schedule monitors.
-        #   _unmonitored — no step/schedule/resource/access monitors at
-        #       all, so event pooling and the inlined monitor-free
-        #       resource paths are allowed.
-        # Both are recomputed on every monitor attach/detach, turning
-        # several per-event list-truthiness tests into one slot read.
-        self.tie_break_seed = tie_break_seed
+        # The seed-dependent half of tie_break_key, cached so schedule()
+        # folds only the eid digits per event (None = ties sort by raw
+        # eid, the default contract).  Fixed at construction: heap keys
+        # are ints without a seed and tuples with one, and the two never
+        # meet in one calendar.
+        self._tie_break_seed = tie_break_seed
+        self._tie_seed_prefix = (None if tie_break_seed is None
+                                 else _tie_prefix(tie_break_seed))
+        self._refresh_fast_flags()
 
     # -- clock ----------------------------------------------------------------
 
@@ -173,35 +174,26 @@ class Environment:
         """Seed of the deterministic tie shuffle (None = insertion order)."""
         return self._tie_break_seed
 
-    @tie_break_seed.setter
-    def tie_break_seed(self, seed: Optional[int]) -> None:
-        self._tie_break_seed = seed
-        self._tie_seed_prefix = None if seed is None else _tie_prefix(seed)
-        self._refresh_fast_flags()
-
     def _refresh_fast_flags(self) -> None:
-        """Recompute the cached hot-path gates (see __init__)."""
+        """Recompute the two cached hot-path gates.
+
+        ``_schedule_fast``: no tie shuffle and no schedule monitors, so
+        triggering code may push ``(now+delay, _NORMAL_KEY_BASE+eid,
+        event)`` directly, bypassing :meth:`schedule`.  ``_unmonitored``:
+        no step, schedule, resource or access monitors, so event pooling
+        and the inlined monitor-free resource paths are allowed.
+        """
         self._schedule_fast = (self._tie_seed_prefix is None
                                and not self._schedule_monitors)
         self._unmonitored = not (self._step_monitors
                                  or self._schedule_monitors
                                  or self._resource_monitors
                                  or self._access_monitors)
-        # Event-span coalescing (callback processes replacing a chain of
-        # k deterministic timeouts with one computed completion) demands
-        # the strictest gate of all: any observer — including the
-        # transfer ledger and the aliasing sanitizer, which deliberately
-        # leave _unmonitored alone — must see the chain fully expanded,
-        # event by event.
-        self._span_fast = (self._schedule_fast
-                           and self._unmonitored
-                           and not self._transfer_monitors
-                           and not self._alias_monitors)
         if not self._schedule_fast and self._ready:
-            # A monitor (or shuffle seed) arrived while a cohort was
-            # pending: spill it into the heap so the one-queue reference
-            # path sees every event.  Fresh ids keep append order and
-            # stay above every same-time key already in the heap.
+            # A schedule monitor arrived while a cohort was pending:
+            # spill it into the heap so the one-queue reference path
+            # sees every event.  Fresh ids keep append order and stay
+            # above every same-time key already in the heap.
             ready = self._ready
             queue = self._queue
             now = self._now
@@ -217,131 +209,69 @@ class Environment:
 
     # -- monitoring hooks ---------------------------------------------------
 
-    def add_step_monitor(self, callback) -> None:
-        """Call ``callback(when, event)`` as each event is popped.
+    def observe(self, kind: str, callback) -> None:
+        """Call ``callback`` on every occurrence of ``kind`` in this run.
 
-        The callback runs *before* the clock advances and before the
-        event's callbacks, so a monitor sees (and may veto, by raising)
-        any non-monotonic timestamp the engine itself would trip over.
+        ==========  ====================================  ==================
+        ``kind``    callback signature                    gate it clears
+        ==========  ====================================  ==================
+        step        ``(when, event)``                     ``_unmonitored``
+        schedule    ``(event, active_process)``           ``_unmonitored``,
+                                                          ``_schedule_fast``
+        resource    ``(action, resource, request)``       ``_unmonitored``
+        access      ``(obj, label, is_write)``            ``_unmonitored``
+        transfer    ``(kind, **info)``                    none
+        alias       ``(kind, buffer)``                    none
+        ==========  ====================================  ==================
+
+        *step* runs as each event is popped, before the clock advances
+        and the event's callbacks run, so it may veto a non-monotonic
+        timestamp by raising.  *schedule* runs as an event is placed on
+        the calendar; ``active_process`` is the process whose segment
+        scheduled it (None in the callback phase or at setup).
+        *resource* runs on every ``Resource`` grant or release
+        (``action`` is ``"acquire"`` or ``"release"``), *access* on every
+        instrumented shared-state access, *transfer* on every data-path
+        accounting event (the conservation ledger) and *alias* on every
+        shared buffer mutate or retire (the aliasing sanitizer).
+
+        Clearing ``_unmonitored`` turns off event pooling, token grants
+        and inline finishes, because detectors key state by event
+        identity and need every completion event.  Clearing
+        ``_schedule_fast`` also routes every event through the heap, so
+        schedule callbacks see each one.  Transfer and alias callbacks
+        leave both gates alone: their emitters guard on the list, so the
+        observed run is the production engine.  Span coalescing runs
+        under every kind — a coalesced chain lands at the same instant
+        as the expanded one.  An unknown ``kind`` raises ``ValueError``.
         """
-        self._step_monitors.append(callback)
+        self._monitors(kind).append(callback)
         self._refresh_fast_flags()
 
-    def remove_step_monitor(self, callback) -> None:
-        """Detach a step monitor (no-op if absent)."""
-        try:
-            self._step_monitors.remove(callback)
-        except ValueError:
-            pass
+    def unobserve(self, kind: str, callback) -> None:
+        """Detach a callback :meth:`observe` attached (no-op if absent)."""
+        monitors = self._monitors(kind)
+        if callback in monitors:
+            monitors.remove(callback)
         self._refresh_fast_flags()
 
-    def add_resource_monitor(self, callback) -> None:
-        """Call ``callback(action, resource, request)`` on every grant or
-        release of any :class:`~repro.des.resources.Resource` in this
-        environment (``action`` is ``"acquire"`` or ``"release"``)."""
-        self._resource_monitors.append(callback)
-        self._refresh_fast_flags()
-
-    def remove_resource_monitor(self, callback) -> None:
-        """Detach a resource monitor (no-op if absent)."""
-        try:
-            self._resource_monitors.remove(callback)
-        except ValueError:
-            pass
-        self._refresh_fast_flags()
+    def _monitors(self, kind: str) -> list:
+        if kind not in _MONITOR_KINDS:
+            raise ValueError(f"unknown monitor kind {kind!r}; "
+                             f"expected one of {', '.join(_MONITOR_KINDS)}")
+        return getattr(self, f"_{kind}_monitors")
 
     def _notify_resource(self, action: str, resource, request) -> None:
         for callback in self._resource_monitors:
             callback(action, resource, request)
 
-    def add_schedule_monitor(self, callback) -> None:
-        """Call ``callback(event, active_process)`` whenever an event is
-        placed on the calendar.
-
-        ``active_process`` is the process whose segment scheduled the
-        event (None for callback-phase or setup-time scheduling).  The
-        happens-before tracker uses this to stamp each event with the
-        logical clock of the segment that caused it.
-        """
-        self._schedule_monitors.append(callback)
-        self._refresh_fast_flags()
-
-    def remove_schedule_monitor(self, callback) -> None:
-        """Detach a schedule monitor (no-op if absent)."""
-        try:
-            self._schedule_monitors.remove(callback)
-        except ValueError:
-            pass
-        self._refresh_fast_flags()
-
-    def add_access_monitor(self, callback) -> None:
-        """Call ``callback(obj, label, is_write)`` on every instrumented
-        shared-state access (:class:`~repro.des.resources.Resource` queue
-        mutations, :class:`~repro.des.resources.Store` puts/gets/purges).
-        """
-        self._access_monitors.append(callback)
-        self._refresh_fast_flags()
-
-    def remove_access_monitor(self, callback) -> None:
-        """Detach an access monitor (no-op if absent)."""
-        try:
-            self._access_monitors.remove(callback)
-        except ValueError:
-            pass
-        self._refresh_fast_flags()
-
     def _notify_access(self, obj, label: str, is_write: bool) -> None:
         for callback in self._access_monitors:
             callback(obj, label, is_write)
 
-    def add_transfer_monitor(self, callback) -> None:
-        """Call ``callback(kind, **info)`` on every data-path accounting
-        event an instrumented component emits (striped write/read begin
-        and end, per-agent regions, wire payloads, parity reconstruction).
-        The conservation ledger (:mod:`repro.check.conserve`) attaches
-        here; emitters guard on ``env._transfer_monitors`` so the data
-        path pays one falsy test when no ledger is installed.  Attaching
-        disables event-span coalescing (``_span_fast``) so the ledger
-        sees every per-block event, but leaves pooling and the inlined
-        resource paths on.
-        """
-        self._transfer_monitors.append(callback)
-        self._refresh_fast_flags()
-
-    def remove_transfer_monitor(self, callback) -> None:
-        """Detach a transfer monitor (no-op if absent)."""
-        try:
-            self._transfer_monitors.remove(callback)
-        except ValueError:
-            pass
-        self._refresh_fast_flags()
-
     def _notify_transfer(self, kind: str, **info) -> None:
         for callback in self._transfer_monitors:
             callback(kind, **info)
-
-    def add_alias_monitor(self, callback) -> None:
-        """Call ``callback(kind, buffer)`` on every buffer-lifecycle event
-        an instrumented component emits (``"buffer-mutate"`` when a
-        shared write buffer grows in place, ``"buffer-retire"`` when it
-        is swapped out at flush).  The aliasing sanitizer
-        (:mod:`repro.check.sanitize`) attaches here; like the transfer
-        hook this deliberately does **not** flip ``_unmonitored``, so
-        event pooling and the inlined fast paths stay active and the
-        sanitizer observes exactly the production engine.  It does
-        disable event-span coalescing (``_span_fast``): coalesced chains
-        skip per-block events the sanitizer may want to order against.
-        """
-        self._alias_monitors.append(callback)
-        self._refresh_fast_flags()
-
-    def remove_alias_monitor(self, callback) -> None:
-        """Detach an alias monitor (no-op if absent)."""
-        try:
-            self._alias_monitors.remove(callback)
-        except ValueError:
-            pass
-        self._refresh_fast_flags()
 
     def _notify_alias(self, kind: str, buffer) -> None:
         for callback in self._alias_monitors:
@@ -391,19 +321,6 @@ class Environment:
                 self.schedule(timeout, delay=delay)
             return timeout
         return Timeout(self, delay, value)
-
-    @property
-    def span_coalescing(self) -> bool:
-        """True when event-span coalescing is currently permitted.
-
-        Callback processes about to emit a deterministic chain of k
-        timeouts consult this: when True they may pre-draw the k service
-        times in reference order and schedule one completion via
-        :meth:`timeout_at`; when False (any monitor attached, or
-        tie-break shuffling) they must expand the chain event for event
-        so every observer sees the reference sequence.
-        """
-        return self._span_fast
 
     def timeout_at(self, when: float, value: Any = None) -> Timeout:
         """A Timeout at the *absolute* calendar time ``when``.
@@ -492,8 +409,7 @@ class Environment:
             key = (priority, _fnv_fold(prefix, str(eid)), eid)
         heappush(self._queue, (when, key, event))
 
-    def _schedule_at(self, event: Event, when: float,
-                     priority: int = PRIORITY_NORMAL) -> None:
+    def _schedule_at(self, event: Event, when: float) -> None:
         """:meth:`schedule` at an absolute time (no ``now + delay`` round).
 
         Only :meth:`timeout_at` routes here; the relative-delay
@@ -505,13 +421,12 @@ class Environment:
                 monitor(event, self._active_process)
         prefix = self._tie_seed_prefix
         if prefix is None:
-            if (when == self._now and priority == 1
-                    and self._schedule_fast):
+            if when == self._now and self._schedule_fast:
                 self._ready.append(event)
                 return
-            key = (priority << _PRIORITY_SHIFT) + eid
+            key = _NORMAL_KEY_BASE + eid
         else:
-            key = (priority, _fnv_fold(prefix, str(eid)), eid)
+            key = (self.PRIORITY_NORMAL, _fnv_fold(prefix, str(eid)), eid)
         heappush(self._queue, (when, key, event))
 
     def peek(self) -> float:

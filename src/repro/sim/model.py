@@ -458,14 +458,13 @@ class _AgentWrite(CallbackProcess):
 
     The disk chain here is the model's span-coalescing site: B blocks
     hit the platter back to back under one spindle hold with no
-    intervening choice, so when the engine permits
-    (:attr:`~repro.des.engine.Environment.span_coalescing`) the B
-    service times are pre-drawn in reference stream order — legal
-    because this process holds the spindle, and per-disk streams are
-    drawn only by the spindle holder — accumulated with the exact float
-    additions the expanded chain would perform, and landed as one
+    intervening choice, so the B service times are pre-drawn in
+    reference stream order — legal because this process holds the
+    spindle, and per-disk streams are drawn only by the spindle holder
+    — accumulated with the exact float additions the expanded chain
+    would perform, and landed as one
     :meth:`~repro.des.engine.Environment.timeout_at` completion instead
-    of B calendar entries.
+    of B calendar entries, monitored or not.
     """
 
     __slots__ = ("model", "op", "cpu", "blocks", "_disk", "_grant", "_left",
@@ -507,36 +506,15 @@ class _AgentWrite(CallbackProcess):
         disk = self._disk
         unit = self._unit
         disk.monitor.busy()
-        if env._span_fast:
-            when = env.now
-            for _ in range(self.blocks):
-                when += disk.block_service_time(unit)
-            self.wait(env.timeout_at(when), self._span_done)
-            return
-        self._left = self.blocks
-        self.wait_timeout(disk.block_service_time(unit),
-                          self._block_written)
-
-    def _block_written(self, value):
-        disk = self._disk
-        unit = self._unit
-        disk.blocks_served += 1
-        disk.bytes_served += unit
-        self._left -= 1
-        if self._left:
-            self.wait_timeout(disk.block_service_time(unit),
-                              self._block_written)
-            return
-        self._release_disk()
+        when = env.now
+        for _ in range(self.blocks):
+            when += disk.block_service_time(unit)
+        self.wait(env.timeout_at(when), self._span_done)
 
     def _span_done(self, value):
         disk = self._disk
         disk.blocks_served += self.blocks
         disk.bytes_served += self.blocks * self._unit
-        self._release_disk()
-
-    def _release_disk(self):
-        disk = self._disk
         if disk.resource.queue_length == 0:
             disk.monitor.idle()
         if self._grant is None:

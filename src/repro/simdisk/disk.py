@@ -96,10 +96,9 @@ class Disk:
 
         Returns a started :class:`DiskAccess` — an event a generator
         process can ``yield`` (value: total service time) or a callback
-        process can ``wait`` on.  When the engine permits
-        (:attr:`~repro.des.engine.Environment.span_coalescing`) and no
-        ``on_block`` needs intermediate completions, the whole multiblock
-        chain lands as one pre-drawn completion event.
+        process can ``wait`` on.  When no ``on_block`` needs
+        intermediate completions, the whole multiblock chain lands as
+        one pre-drawn completion event.
         """
         return DiskAccess(self, nbytes, blocks, sequential, at_block,
                           per_block_extra_s, on_block)
@@ -126,11 +125,12 @@ class DiskAccess(CallbackProcess):
     positioning in block order, bumps the counters and calls
     ``on_block`` as it completes; the head update and the idle-if-last
     check run before the release.  The disk chain is a span-coalescing
-    site: with no ``on_block`` and no monitor attached, the per-block
-    service times are pre-drawn in block order — legal
-    because this process holds the spindle and per-disk streams are
-    drawn only by the spindle holder — and land as a single computed
-    completion (:meth:`~repro.des.engine.Environment.timeout_at`).
+    site: with no ``on_block``, the per-block service times are
+    pre-drawn in block order — legal because this process holds the
+    spindle and per-disk streams are drawn only by the spindle holder —
+    and land as a single computed completion
+    (:meth:`~repro.des.engine.Environment.timeout_at`) at the instant
+    the expanded chain would end, monitored or not.
     """
 
     __slots__ = ("disk", "nbytes", "blocks", "sequential", "at_block",
@@ -175,7 +175,7 @@ class DiskAccess(CallbackProcess):
                           and self.at_block == disk._head)
         disk.monitor.busy()
         env = self.env
-        if self.on_block is None and env._span_fast:
+        if self.on_block is None:
             spec = disk.spec
             nbytes = self.nbytes
             extra = self.per_block_extra_s

@@ -175,7 +175,7 @@ def test_monitor_attached_mid_run_suspends_pooling_cleanly():
 
     def attach_later(env):
         yield env.timeout(1.0)
-        env.add_step_monitor(lambda when, event: stepped.append(when))
+        env.observe("step", lambda when, event: stepped.append(when))
         yield env.timeout(1.0)
 
     env.process(attach_later(env))

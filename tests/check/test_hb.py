@@ -4,11 +4,15 @@ import dataclasses
 
 import pytest
 
+from repro.baselines import NfsBaseline
 from repro.check import RaceError, detect_races
 from repro.des import Environment, FifoServer, Resource
 from repro.des.stats import OnlineStats
+from repro.prototype import PrototypeTestbed
 from repro.sim.model import SwiftSimModel
 from repro.sim.workload import SimConfig
+
+MB = 1 << 20
 
 
 def test_same_time_unordered_writes_are_a_race():
@@ -203,3 +207,33 @@ def test_figure3_workload_is_race_free():
     # The instrumented run still produced a meaningful result.
     assert result.completed > 0
     assert dataclasses.asdict(result)["client_data_rate"] > 0
+
+
+def _prototype(table):
+    """The seed-3 testbed behind ``table`` (Table 3 is the NFS one)."""
+    if table == "table3":
+        return NfsBaseline(seed=3)
+    return PrototypeTestbed(seed=3, second_ethernet=table == "table4")
+
+
+def _prototype_rates(bed):
+    """A 1 MB prepare, read and write: the read and write rates."""
+    if isinstance(bed, NfsBaseline):
+        bed.prepare_file("f", MB)
+        return bed.measure_read("f", MB), bed.measure_write("g", MB)
+    bed.prepare_object("obj", MB)
+    return bed.measure_read("obj", MB), bed.measure_write("obj", MB)
+
+
+@pytest.mark.parametrize("table, pairs", [
+    ("table1", 9), ("table4", 45), ("table3", 0)])
+def test_prototype_race_reports_are_pinned(table, pairs):
+    # The per-agent writers send at one instant, so their datagrams
+    # reach a host CPU or a cable unordered: the only pairs reported
+    # are same-time serves of one FIFO server.
+    bed = _prototype(table)
+    with detect_races(bed.env) as detector:
+        rates = _prototype_rates(bed)
+    assert len(detector.races) == pairs
+    assert {race.label for race in detector.races} <= {"Server.serve"}
+    assert rates == _prototype_rates(_prototype(table))

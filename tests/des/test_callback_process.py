@@ -333,7 +333,7 @@ def test_silent_completion_still_observable_as_processed():
 def test_completion_event_scheduled_when_monitored():
     env = Environment()
     seen = []
-    env.add_step_monitor(lambda when, event: seen.append(event))
+    env.observe("step", lambda when, event: seen.append(event))
 
     class Quiet(CallbackProcess):
         __slots__ = ()
@@ -400,29 +400,24 @@ def test_timeout_at_rejects_past():
         env.run()
 
 
-def test_span_coalescing_gate_follows_monitors():
+def test_observe_gates_follow_monitor_kinds():
+    # kind -> (_schedule_fast, _unmonitored) while one callback of that
+    # kind is attached.
+    gates = {"step": (True, False), "schedule": (False, False),
+             "resource": (True, False), "access": (True, False),
+             "transfer": (True, True), "alias": (True, True)}
     env = Environment()
-    assert env.span_coalescing
     probe = lambda *args, **kwargs: None
-    env.add_transfer_monitor(probe)
-    assert not env.span_coalescing
-    env.remove_transfer_monitor(probe)
-    assert env.span_coalescing
-    env.add_alias_monitor(probe)
-    assert not env.span_coalescing
-    env.remove_alias_monitor(probe)
-    env.add_step_monitor(probe)
-    assert not env.span_coalescing
-    env.remove_step_monitor(probe)
-    assert env.span_coalescing
-    env.tie_break_seed = 7
-    assert not env.span_coalescing
-    env.tie_break_seed = None
-    assert env.span_coalescing
-    env.add_schedule_monitor(probe)
-    assert not env.span_coalescing
-    env.remove_schedule_monitor(probe)
-    assert env.span_coalescing
+    for kind, expected in gates.items():
+        env.observe(kind, probe)
+        assert (env._schedule_fast, env._unmonitored) == expected, kind
+        env.unobserve(kind, probe)
+        assert env._schedule_fast and env._unmonitored, kind
+        env.unobserve(kind, probe)  # absent: a no-op
+    with pytest.raises(ValueError):
+        env.observe("steps", probe)
+    with pytest.raises(ValueError):
+        env.unobserve("steps", probe)
 
 
 def test_release_quiet_regrants_and_recycles():

@@ -282,7 +282,7 @@ def _run_mixed(cohort):
     env = Environment()
     if not cohort:
         # A no-op schedule monitor forces the one-heap reference path.
-        env.add_schedule_monitor(lambda event, process: None)
+        env.observe("schedule", lambda event, process: None)
     order = []
     _mixed_workload(env, order)
     env.run()
@@ -298,8 +298,18 @@ def test_tie_break_seed_disables_cohort_fast_path():
     assert not env._schedule_fast
     env = Environment()
     assert env._schedule_fast
-    env.tie_break_seed = 3
-    assert not env._schedule_fast
+
+
+def test_tie_break_seed_is_fixed_at_construction():
+    # Calendar keys are ints without a seed and tuples with one: a seed
+    # set after anything was scheduled would mix the two in one heap.
+    env = Environment()
+    env.timeout(1.0)
+    with pytest.raises(AttributeError):
+        env.tie_break_seed = 3
+    env.timeout(1.0)
+    env.run()
+    assert env.now == 1.0
 
 
 def test_schedule_monitor_spills_pending_cohort():
@@ -313,7 +323,7 @@ def test_schedule_monitor_spills_pending_cohort():
         # The succeeded events sit in the ready cohort right now.
         assert env._ready
         seen = []
-        env.add_schedule_monitor(lambda event, proc: seen.append(event))
+        env.observe("schedule", lambda event, proc: seen.append(event))
         # Attaching the monitor must have spilled them into the heap.
         assert not env._ready
         yield env.all_of(events)

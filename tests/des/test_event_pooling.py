@@ -43,7 +43,7 @@ def test_pool_is_bounded():
 
 def test_monitors_disable_recycling():
     env = Environment()
-    env.add_step_monitor(lambda when, event: None)
+    env.observe("step", lambda when, event: None)
 
     def proc(env):
         for _ in range(5):

@@ -119,8 +119,10 @@ def test_memo_repopulates_identically_in_spawned_workers():
     # the global write cannot change any result.
     parent = code_version()
     context = multiprocessing.get_context("spawn")
-    with context.Pool(2) as pool:
-        reports = pool.map(_spawn_probe, range(2))
+    # One task per worker process: a worker that served the first probe
+    # would start the second with its own memo already filled.
+    with context.Pool(2, maxtasksperchild=1) as pool:
+        reports = pool.map(_spawn_probe, range(2), chunksize=1)
     for started_empty, digest in reports:
         assert started_empty, "spawned worker must not inherit the memo"
         assert digest == parent

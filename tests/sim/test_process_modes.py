@@ -2,8 +2,8 @@
 
 ``SwiftSimModel`` runs every request as slotted callback state machines
 that hold the CPUs and the ring through analytic FIFO servers, count
-their blocks and acks down inline, use pooled timeouts and — when no
-monitor forbids it — coalesce the deterministic write-path disk chains.
+their blocks and acks down inline, use pooled timeouts and coalesce the
+deterministic write-path disk chains.
 :class:`~tests.sim.reference_model.GeneratorModel` runs the same request
 path as straight-line generators.  These tests pin the two contracts
 docs/ARCHITECTURE.md states:
@@ -11,10 +11,11 @@ docs/ARCHITECTURE.md states:
 * **bit identity** — every SimResult field is equal between the two
   models, for read-heavy, write-heavy, real-time and one-heap-scheduler
   shapes and for any small drawn config;
-* **monitor-gated fallback** — with any monitor attached (HB detector,
-  sanitizers, conservation ledger, schedule tracing) the coalesced
-  paths expand to the full event sequence, the monitors stay green, and
-  the result is *still* bit-identical.
+* **monitor invariance** — with any monitor attached (HB detector,
+  sanitizers, conservation ledger, schedule tracing) pooling, token
+  grants, inline finishes and — for schedule monitors — the cohort
+  deque switch off, the monitors stay green, and the result is *still*
+  bit-identical.
 
 Exact engine event counts pin what the callback machines are for:
 scheduling about a quarter of the generator twin's events.
@@ -32,6 +33,7 @@ from repro.check import (
     detect_races,
     sanitize,
 )
+from repro.prototype import PrototypeTestbed
 from repro.sim.model import SwiftSimModel
 from repro.sim.workload import SimConfig
 from repro.simdisk import RaidArray
@@ -39,6 +41,7 @@ from repro.simdisk import RaidArray
 from .reference_model import GeneratorModel
 
 KB = 1 << 10
+MB = 1 << 20
 
 # Small fig3/fig5-shaped runs: the paper's read-heavy baseline and the
 # write-dominated small-transfer shape that stresses the span-coalesced
@@ -67,10 +70,11 @@ def _one_heap(model):
     """Attach a no-op schedule monitor: every event goes through the heap.
 
     A schedule monitor turns off the same-timestamp cohort fast path,
-    pooling and span coalescing, so the run takes the engine's one-heap
-    reference scheduler with every event dispatched individually.
+    pooling, token grants and inline finishes, so the run takes the
+    engine's one-heap reference scheduler with every event dispatched
+    individually.  Span coalescing stays on.
     """
-    model.env.add_schedule_monitor(lambda event, process: None)
+    model.env.observe("schedule", lambda event, process: None)
     return model
 
 
@@ -84,9 +88,8 @@ def test_callback_matches_generator_bit_identical(shape):
 
 
 def test_callback_identical_under_reference_scheduler(shape):
-    # The one-heap scheduler also disables span coalescing; the callback
-    # machines must expand their chains and still land on the reference
-    # result.
+    # The one-heap scheduler dispatches every event individually; the
+    # callback machines must still land on the reference result.
     reference = GeneratorModel(shape).run()
     assert _one_heap(SwiftSimModel(shape)).run() == reference
 
@@ -109,29 +112,39 @@ def test_cohort_dispatch_off_is_bit_identical():
     assert cold == reference
 
 
-def test_span_coalescing_expands_under_transfer_monitor():
-    # A transfer monitor (the conservation ledger's hook) flips
-    # span_coalescing off while leaving pooling on: the write path must
-    # schedule every per-block event, and nothing else may move.
-    reference = GeneratorModel(FIG5_SHAPE).run()
-    model = SwiftSimModel(FIG5_SHAPE)
-    records = []
-    model.env.add_transfer_monitor(lambda kind, **info:
-                                   records.append(kind))
-    assert not model.env.span_coalescing
-    assert model.run() == reference
-
-
 def test_callback_expands_more_events_when_monitored():
-    # The coalesced run condenses each deterministic k-block chain into
-    # one calendar entry; a monitored run must expand them all again.
+    # Coalesced chains stay one calendar entry either way, but a
+    # monitored run still schedules more events: every callback process
+    # triggers its completion event and every disk hold takes a Request
+    # grant instead of a token.
     plain = SwiftSimModel(FIG5_SHAPE)
     plain_result = plain.run()
     monitored = SwiftSimModel(FIG5_SHAPE)
     steps = []
-    monitored.env.add_step_monitor(lambda when, event: steps.append(when))
+    monitored.env.observe("step", lambda when, event: steps.append(when))
     assert monitored.run() == plain_result
     assert len(steps) > plain.env._eid
+
+
+def _table1_run(kind):
+    """A seed-3 Table 1 testbed's 1 MB prepare, read and write."""
+    testbed = PrototypeTestbed(seed=3)
+    if kind is not None:
+        testbed.env.observe(kind, lambda *args, **info: None)
+    testbed.prepare_object("obj", MB)
+    rates = (testbed.measure_read("obj", MB),
+             testbed.measure_write("obj", MB))
+    return rates, testbed.network_utilization(), testbed.env.now
+
+
+@pytest.mark.parametrize("kind", ["step", "schedule", "resource",
+                                  "access", "transfer", "alias"])
+def test_no_monitor_kind_changes_a_result(kind):
+    for shape in (FIG3_SHAPE, FIG5_SHAPE):
+        model = SwiftSimModel(shape)
+        model.env.observe(kind, lambda *args, **info: None)
+        assert model.run() == GeneratorModel(shape).run()
+    assert _table1_run(kind) == _table1_run(None)
 
 
 def test_hb_detector_green_on_callback_run():
@@ -183,9 +196,9 @@ def test_conservation_ledger_green_on_callback_run():
 @pytest.mark.parametrize("model_class", [SwiftSimModel, GeneratorModel],
                          ids=["callback", "generator"])
 def test_modes_are_schedule_invariant(model_class):
-    # Tie-break shuffles (which also force span expansion) must not
-    # move a single metric in either model — the perturbation harness
-    # is what licenses the fast path's same-timestamp micro-reorderings.
+    # Tie-break shuffles must not move a single metric in either model —
+    # the perturbation harness is what licenses the fast path's
+    # same-timestamp micro-reorderings.
     def scenario(tie_break_seed, trace):
         config = dataclasses.replace(FIG3_SHAPE, num_requests=30,
                                      warmup_requests=3,

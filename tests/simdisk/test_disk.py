@@ -123,18 +123,20 @@ def test_utilization_full_when_saturated():
     assert disk.bytes_served == 10 * 32 * 1024
 
 
-def _access_chain(accesses, monitored):
+def _access_chain(accesses, expanded):
     env = Environment()
-    if monitored:
-        # A transfer monitor turns span coalescing off, pooling stays on.
-        env.add_transfer_monitor(lambda kind, **info: None)
     disk = Disk(env, DISK_CATALOG["Fujitsu M2372K"],
                 stream=RandomStream(7))
+    # Any on_block callback needs every block's completion, so the
+    # chain expands into one calendar entry per block.
+    on_block = (lambda index: None) if expanded else None
     times = []
 
     def user(env):
         for kwargs in accesses:
-            times.append((yield disk.access_op(nbytes=4096, **kwargs)))
+            times.append((yield disk.access_op(nbytes=4096,
+                                               on_block=on_block,
+                                               **kwargs)))
 
     env.process(user(env))
     env.run()
@@ -150,9 +152,8 @@ def _access_chain(accesses, monitored):
      dict(blocks=4, at_block=104)],
 ], ids=["random", "sequential", "head-continues"])
 def test_coalesced_chain_matches_expanded_chain(accesses):
-    plain_env, plain = _access_chain(accesses, monitored=False)
-    expanded_env, expanded = _access_chain(accesses, monitored=True)
-    assert plain_env.span_coalescing and not expanded_env.span_coalescing
+    plain_env, plain = _access_chain(accesses, expanded=False)
+    expanded_env, expanded = _access_chain(accesses, expanded=True)
     assert plain == expanded
     assert plain_env._eid < expanded_env._eid
 
