@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: install test lint check-aliasing check-effects check-model check-model-full bench bench-full bench-smoke e2e-check profile tables figures examples clean
+.PHONY: install test lint check-model-full bench bench-full bench-smoke e2e-check profile tables figures examples clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation
@@ -11,29 +11,17 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
-# One merged run of every static/model pass (determinism, races, units,
-# aliasing, protocol model, effects) with per-pass timing and one exit code.
+# One run of every static pass (determinism, races, units, aliasing,
+# protocol, effects) with per-pass timing, then the bounded protocol model
+# check at the CI bounds (~7 s, ~240k states, retransmit budget 1).
 lint:
-	$(PYTHON) -m repro check --all --retransmits 1 --json
+	$(PYTHON) -m repro check --json
+	$(PYTHON) -m repro check --model --retransmits 1 --json
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check src tests benchmarks; \
 	else \
 		echo "ruff not installed; skipping style pass"; \
 	fi
-
-# Zero-copy safety pass: memoryview-escape / hidden-copy / pool-leak rules
-# over the package, failing on any finding (see docs/CHECKING.md).
-check-aliasing:
-	$(PYTHON) -m repro check --aliasing src/ --fail-on error
-
-# Effect/purity pass: call-graph cache-soundness, worker-hermeticity and
-# bench-determinism contracts over the package (see docs/CHECKING.md).
-check-effects:
-	$(PYTHON) -m repro check --effects src/ --fail-on error
-
-# Bounded protocol model-checking smoke (~7 s, ~240k states): the CI gate.
-check-model:
-	$(PYTHON) -m repro check --model --retransmits 1
 
 # Full default bounds (~25 s, ~750k states): the nightly/manual target.
 check-model-full:

@@ -1,4 +1,4 @@
-"""Zero-copy aliasing lints: ``repro check --aliasing``.
+"""Zero-copy aliasing lints: the ``aliasing`` pass of ``repro check``.
 
 PR 4 rebuilt the hot data path on borrowed buffers: memoryview slices
 thread through region assembly, stripe-image parity and the packetiser,
@@ -9,7 +9,7 @@ through bounded free lists.  Two invariants make that safe:
    its backing buffer, and
 2. a recycled event must not be touched through a stale reference.
 
-This module is the static half of ``--aliasing``: a linear AST dataflow
+This module is the static half of that pass: a linear AST dataflow
 analysis per function that tracks *view-producing expressions* —
 ``memoryview(...)``, slicing of known view or bytearray locals, and
 attribute loads from the :data:`VIEW_ATTRIBUTES` annotation table
@@ -48,21 +48,15 @@ from pathlib import Path
 from typing import Iterator, Optional
 
 from .findings import Finding
-from .lint import Rule
+from .lint import Rule, dotted_name
 
 __all__ = [
-    "ALIAS_RULES",
-    "ALIAS_RULE_GROUP",
+    "AliasRule",
     "HOT_PATH_MARKER",
     "HOT_PATH_SUFFIXES",
     "VIEW_ATTRIBUTES",
-    "alias_rule_registry",
     "analyze_aliasing",
 ]
-
-#: Allow-comment group id: ``# repro: allow[aliasing]`` covers every
-#: aliasing rule (see LintEngine suppression handling).
-ALIAS_RULE_GROUP = "aliasing"
 
 #: Files whose bytes-handling is hot enough that a silent copy is a bug,
 #: not a style choice (the PR 4 zero-copy path, see docs/PERFORMANCE.md).
@@ -110,17 +104,6 @@ def _is_hot(tree: ast.Module, path: Path) -> bool:
         return True
     doc = ast.get_docstring(tree)
     return bool(doc and HOT_PATH_MARKER in doc)
-
-
-def _key(node: ast.AST) -> Optional[str]:
-    """Canonical dotted key for a Name/Attribute chain, else None."""
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        base = _key(node.value)
-        if base is not None:
-            return f"{base}.{node.attr}"
-    return None
 
 
 class _ViewInfo:
@@ -186,7 +169,7 @@ class _FunctionScan:
             func = node.func
             if (isinstance(func, ast.Name) and func.id == "memoryview"
                     and node.args):
-                return _key(node.args[0])
+                return dotted_name(node.args[0])
             return _NOT_A_VIEW
         if isinstance(node, ast.Subscript):
             base = node.value
@@ -257,7 +240,7 @@ class _FunctionScan:
                 self._handle_assign([stmt.target], stmt.value, stmt, retired)
         elif isinstance(stmt, ast.AugAssign):
             self._scan_value(stmt.value)
-            key = _key(stmt.target)
+            key = dotted_name(stmt.target)
             if key is not None:
                 self._stale_origin(key, "mutated by augmented assignment")
         elif isinstance(stmt, ast.Expr):
@@ -322,7 +305,7 @@ class _FunctionScan:
             # Rebinding a backing name is a buffer swap: views of the old
             # object dangle.  Subscript stores mutate the base in place.
             if isinstance(target, ast.Subscript):
-                base_key = _key(target.value)
+                base_key = dotted_name(target.value)
                 keep = (target.value.id
                         if isinstance(target.value, ast.Name)
                         and target.value.id in self.views else None)
@@ -330,7 +313,7 @@ class _FunctionScan:
                                    "written through a subscript store",
                                    keep=keep)
             else:
-                key = _key(target)
+                key = dotted_name(target)
                 if key is not None and not (isinstance(target, ast.Name)
                                             and value_is_view):
                     self._stale_origin(key, "rebound (buffer swap)")
@@ -434,7 +417,7 @@ class _FunctionScan:
         if not isinstance(func, ast.Attribute):
             return
         method = func.attr
-        receiver_key = _key(func.value)
+        receiver_key = dotted_name(func.value)
         receiver_root = self._root_name(func.value)
 
         if method in _FLUSH_METHODS:
@@ -500,37 +483,19 @@ def analyze_aliasing(tree: ast.Module, path: Path) -> list[Finding]:
     return findings
 
 
-class _AliasRule(Rule):
-    """Shared facade: run the analysis, keep this rule's findings."""
+class AliasRule(Rule):
+    """The three aliasing rules, from one analysis per module."""
+
+    summaries = {
+        "view-escape": "a borrowed memoryview outlives its backing buffer "
+                       "(stored on self, kept in a container, or used past "
+                       "a mutation/flush/swap/recycle horizon)",
+        "hidden-copy": "a hot path silently copies a zero-copy view: "
+                       "bytes(view), view + ..., .ljust-family padding, or "
+                       "a per-byte loop",
+        "pool-leak": "a pooled event reference is retained across the "
+                     "free-list re-arm boundary",
+    }
 
     def check(self, tree: ast.Module, path: Path) -> Iterator[Finding]:
-        for finding in analyze_aliasing(tree, path):
-            if finding.rule_id == self.rule_id:
-                yield finding
-
-
-class ViewEscapeRule(_AliasRule):
-    rule_id = "view-escape"
-    summary = ("a borrowed memoryview outlives its backing buffer "
-               "(stored on self, kept in a container, or used past a "
-               "mutation/flush/swap/recycle horizon)")
-
-
-class HiddenCopyRule(_AliasRule):
-    rule_id = "hidden-copy"
-    summary = ("a hot path silently copies a zero-copy view: bytes(view), "
-               "view + ..., .ljust-family padding, or a per-byte loop")
-
-
-class PoolLeakRule(_AliasRule):
-    rule_id = "pool-leak"
-    summary = ("a pooled event reference is retained across the free-list "
-               "re-arm boundary")
-
-
-ALIAS_RULES = (ViewEscapeRule, HiddenCopyRule, PoolLeakRule)
-
-
-def alias_rule_registry() -> dict:
-    """rule id -> rule class, for ``--rules`` selection."""
-    return {rule.rule_id: rule for rule in ALIAS_RULES}
+        return iter(analyze_aliasing(tree, path))

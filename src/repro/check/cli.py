@@ -4,83 +4,33 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
-from pathlib import Path
 
+from . import RULES, run_check
 from .adversary import AdversaryBudget
-from .aliasing import alias_rule_registry
-from .effects import analyze_effects, effect_rule_registry
 from .findings import Severity
-from .lint import LintEngine, iter_python_files
-from .model import ModelConfig, check_model, scenario_names
-from .protocol import check_protocol
-from .races import race_rule_registry
+from .lint import RULE_GROUPS
+from .model import MODEL_RULES, ModelConfig, check_model, scenario_names
 from .report import exit_code, render_json, render_text
-from .rules import rule_registry
-from .units import unit_rule_registry
 
 __all__ = ["add_check_arguments", "run_check_command", "main"]
-
-#: Package subdirectories the ``--races`` pass audits by default.  The
-#: race lints model ``yield`` as a preemption point, which only makes
-#: sense for code that runs inside the DES.
-RACE_SCAN_SUBDIRS = ("core", "des", "simnet", "simdisk")
 
 
 def add_check_arguments(parser: argparse.ArgumentParser) -> None:
     """Attach the check options to an (sub)parser."""
     parser.add_argument(
-        "--root", default=None,
-        help="package directory to audit (default: the installed repro "
-             "package)")
-    parser.add_argument(
         "--json", action="store_true",
         help="emit a machine-readable JSON report (for CI)")
     parser.add_argument(
         "--rules", default=None,
-        help="comma-separated rule ids to run (default: all); "
-             f"known: {', '.join(sorted(rule_registry()))}; under "
-             f"--races: {', '.join(sorted(race_rule_registry()))}; under "
-             f"--units: {', '.join(sorted(unit_rule_registry()))}; under "
-             f"--aliasing: {', '.join(sorted(alias_rule_registry()))}; "
-             f"under --effects: {', '.join(sorted(effect_rule_registry()))}")
-    parser.add_argument(
-        "--no-protocol", action="store_true",
-        help="skip the protocol state-machine checker")
-    parser.add_argument(
-        "--races", action="store_true",
-        help="run the interleaving race lints (yield-rmw, lock-order) "
-             "instead of the determinism pass; audits the DES-facing "
-             "subpackages (" + ", ".join(RACE_SCAN_SUBDIRS) + ") unless "
-             "--root is given")
-    parser.add_argument(
-        "--units", action="store_true",
-        help="run the dimensional-analysis lints (unit-mismatch, "
-             "unit-bitbyte, unit-magic) instead of the determinism pass; "
-             "audits the given paths (or --root, or the installed package)")
-    parser.add_argument(
-        "--aliasing", action="store_true",
-        help="run the zero-copy safety lints (view-escape, hidden-copy, "
-             "pool-leak) instead of the determinism pass; audits the given "
-             "paths (or --root, or the installed package)")
-    parser.add_argument(
-        "--effects", action="store_true",
-        help="run the call-graph effect/purity analysis (effect-ambient-"
-             "read, effect-global-write, effect-unkeyed-input, effect-"
-             "unseeded-random): cache-soundness, worker-hermeticity and "
-             "bench-determinism contracts over the given paths (or "
-             "--root, or the installed package)")
-    parser.add_argument(
-        "--all", action="store_true", dest="all_passes",
-        help="run every pass (determinism+protocol, races, units, "
-             "aliasing, model, effects) and emit one merged report with "
-             "per-pass wall time and a single exit code")
+        help="comma-separated rule ids, or groups ("
+             + ", ".join(RULE_GROUPS) + "), to run (default: every rule; "
+             "see --list-rules)")
     parser.add_argument(
         "--model", action="store_true",
-        help="run the protocol model checker: exhaustively explore the "
-             "spec machines composed with an adversarial network (drop, "
-             "duplicate, reorder, crash, stale replies) up to the "
-             "configured bounds")
+        help="run the protocol model checker instead of the static passes: "
+             "exhaustively explore the spec machines composed with an "
+             "adversarial network (drop, duplicate, reorder, crash, stale "
+             "replies) up to the configured bounds")
     parser.add_argument(
         "--depth", type=int, default=60,
         help="model: maximum schedule length to explore (default 60; "
@@ -102,332 +52,42 @@ def add_check_arguments(parser: argparse.ArgumentParser) -> None:
         help="print the rule catalogue and exit")
     parser.add_argument(
         "paths", nargs="*", default=None,
-        help="files or directories to audit (e.g. `repro check --units "
-             "src/`); overrides --root")
+        help="files or directories to audit (default: the installed repro "
+             "package)")
 
 
-def _selected_rules(spec: str | None, registry: dict):
-    if spec is None:
-        return None  # engine default: everything in the registry
-    chosen = []
-    for rule_id in (piece.strip() for piece in spec.split(",")):
-        if not rule_id:
-            continue
-        if rule_id not in registry:
-            raise SystemExit(
-                f"unknown rule {rule_id!r}; known rules: "
-                f"{', '.join(sorted(registry))}")
-        chosen.append(registry[rule_id]())
-    return chosen
-
-
-def _explicit_paths(args) -> list[Path] | None:
-    """Positional paths, validated; None when none were given."""
-    if not getattr(args, "paths", None):
-        return None
-    roots = [Path(piece) for piece in args.paths]
-    for root in roots:
-        if not root.exists():
-            raise SystemExit(f"no such path: {root}")
-    return roots
-
-
-def _race_roots(args) -> list[Path]:
-    """The directories the ``--races`` pass walks."""
-    explicit = _explicit_paths(args)
-    if explicit is not None:
-        return explicit
-    if args.root is not None:
-        root = Path(args.root)
-        if not root.exists():
-            raise SystemExit(f"no such path: {root}")
-        return [root]
-    package = Path(__file__).resolve().parent.parent
-    return [package / name for name in RACE_SCAN_SUBDIRS
-            if (package / name).exists()]
-
-
-def _fail_threshold(args) -> Severity:
-    return (Severity.WARNING if getattr(args, "fail_on", "error") == "warning"
-            else Severity.ERROR)
-
-
-def _run_model(args) -> int:
-    scenarios = ()
-    if args.scenarios:
-        scenarios = tuple(piece.strip() for piece in args.scenarios.split(",")
-                          if piece.strip())
-    config = ModelConfig(max_depth=args.depth,
-                         retransmit_bound=args.retransmits,
-                         budget=AdversaryBudget(),
-                         scenarios=scenarios)
-    try:
-        findings, stats = check_model(config)
-    except ValueError as error:
-        raise SystemExit(str(error))
-    if args.json:
-        print(render_json(findings, model_stats=stats))
-    else:
-        print(render_text(findings, model_stats=stats))
-    return exit_code(findings, fail_on=_fail_threshold(args))
-
-
-def _run_races(args) -> int:
-    registry = race_rule_registry()
-    rules = _selected_rules(args.rules, registry)
-    if rules is None:
-        rules = [rule() for rule in registry.values()]
-    engine = LintEngine(rules=rules)
-    findings = []
-    checked = 0
-    for root in _race_roots(args):
-        findings.extend(engine.check_tree(root))
-        checked += sum(1 for _ in iter_python_files(root))
-    findings.sort(key=lambda f: (str(f.path), f.line, f.rule_id))
-    if args.json:
-        print(render_json(findings, checked_paths=checked))
-    else:
-        print(render_text(findings, checked_paths=checked))
-    return exit_code(findings, fail_on=_fail_threshold(args))
-
-
-def _unit_roots(args) -> list[Path]:
-    """The paths the ``--units`` pass walks."""
-    explicit = _explicit_paths(args)
-    if explicit is not None:
-        return explicit
-    if args.root is not None:
-        root = Path(args.root)
-        if not root.exists():
-            raise SystemExit(f"no such path: {root}")
-        return [root]
-    return [Path(__file__).resolve().parent.parent]
-
-
-def _run_units(args) -> int:
-    registry = unit_rule_registry()
-    rules = _selected_rules(args.rules, registry)
-    if rules is None:
-        rules = [rule() for rule in registry.values()]
-    engine = LintEngine(rules=rules)
-    findings = []
-    checked = 0
-    for root in _unit_roots(args):
-        findings.extend(engine.check_tree(root))
-        checked += sum(1 for _ in iter_python_files(root))
-    findings.sort(key=lambda f: (str(f.path), f.line, f.rule_id))
-    if args.json:
-        print(render_json(findings, checked_paths=checked))
-    else:
-        print(render_text(findings, checked_paths=checked))
-    return exit_code(findings, fail_on=_fail_threshold(args))
-
-
-def _run_aliasing(args) -> int:
-    registry = alias_rule_registry()
-    rules = _selected_rules(args.rules, registry)
-    if rules is None:
-        rules = [rule() for rule in registry.values()]
-    engine = LintEngine(rules=rules)
-    findings = []
-    checked = 0
-    for root in _unit_roots(args):
-        findings.extend(engine.check_tree(root))
-        checked += sum(1 for _ in iter_python_files(root))
-    findings.sort(key=lambda f: (str(f.path), f.line, f.rule_id))
-    if args.json:
-        print(render_json(findings, checked_paths=checked))
-    else:
-        print(render_text(findings, checked_paths=checked))
-    return exit_code(findings, fail_on=_fail_threshold(args))
-
-
-def _run_effects(args) -> int:
-    chosen = None
-    if args.rules:
-        registry = effect_rule_registry()
-        chosen = set()
-        for rule_id in (piece.strip() for piece in args.rules.split(",")):
-            if not rule_id:
-                continue
-            if rule_id not in registry:
-                raise SystemExit(
-                    f"unknown rule {rule_id!r}; known rules: "
-                    f"{', '.join(sorted(registry))}")
-            chosen.add(rule_id)
-    roots = _unit_roots(args)
-    findings, stats = analyze_effects(roots)
-    if chosen is not None:
-        findings = [f for f in findings if f.rule_id in chosen]
-    checked = sum(sum(1 for _ in iter_python_files(root)) for root in roots)
-    if args.json:
-        print(render_json(findings, checked_paths=checked,
-                          effects_stats=stats))
-    else:
-        print(render_text(findings, checked_paths=checked,
-                          effects_stats=stats))
-    return exit_code(findings, fail_on=_fail_threshold(args))
-
-
-def _run_all(args) -> int:
-    """Every pass, one merged report, one exit code (``--all``)."""
-    package = Path(__file__).resolve().parent.parent
-    explicit = _explicit_paths(args)
-    if explicit is not None:
-        lint_roots = explicit
-    elif args.root is not None:
-        root = Path(args.root)
-        if not root.exists():
-            raise SystemExit(f"no such path: {root}")
-        lint_roots = [root]
-    else:
-        lint_roots = [package]
-    race_roots = explicit if explicit is not None else [
-        package / name for name in RACE_SCAN_SUBDIRS
-        if (package / name).exists()]
-
-    merged = []
-    passes = []
-    model_stats = None
-    effects_stats = None
-
-    def timed(name, runner):
-        start = time.perf_counter()  # repro: allow[wall-clock]
-        found = runner()
-        seconds = time.perf_counter() - start  # repro: allow[wall-clock]
-        merged.extend(found)
-        passes.append({"name": name, "seconds": round(seconds, 3),
-                       "findings": len(found)})
-
-    def determinism():
-        engine = LintEngine()
-        found = []
-        for root in lint_roots:
-            found.extend(engine.check_tree(root))
-            if not args.no_protocol:
-                found.extend(check_protocol(root))
-        return found
-
-    def per_file_pass(registry, roots):
-        engine = LintEngine(
-            rules=[rule() for rule in registry.values()])
-        found = []
-        for root in roots:
-            found.extend(engine.check_tree(root))
-        return found
-
-    def model():
-        nonlocal model_stats
-        config = ModelConfig(max_depth=args.depth,
-                             retransmit_bound=args.retransmits,
-                             budget=AdversaryBudget())
-        found, model_stats = check_model(config)
-        return found
-
-    def effects():
-        nonlocal effects_stats
-        found, effects_stats = analyze_effects(lint_roots)
-        return found
-
-    timed("determinism", determinism)
-    timed("races", lambda: per_file_pass(race_rule_registry(), race_roots))
-    timed("units", lambda: per_file_pass(unit_rule_registry(), lint_roots))
-    timed("aliasing",
-          lambda: per_file_pass(alias_rule_registry(), lint_roots))
-    timed("model", model)
-    timed("effects", effects)
-
-    merged.sort(key=lambda f: (str(f.path), f.line, f.rule_id))
-    checked = sum(sum(1 for _ in iter_python_files(root))
-                  for root in lint_roots)
-    if args.json:
-        print(render_json(merged, checked_paths=checked,
-                          model_stats=model_stats,
-                          effects_stats=effects_stats, passes=passes))
-    else:
-        print(render_text(merged, checked_paths=checked,
-                          model_stats=model_stats,
-                          effects_stats=effects_stats, passes=passes))
-    return exit_code(merged, fail_on=_fail_threshold(args))
+def _pieces(text: str | None) -> list[str]:
+    return [piece.strip() for piece in (text or "").split(",")
+            if piece.strip()]
 
 
 def run_check_command(args) -> int:
     """Execute ``repro check`` with parsed ``args``; returns exit code."""
     if args.list_rules:
-        for rule_id, rule in sorted(rule_registry().items()):
-            print(f"{rule_id:<18} {rule.summary}")
-        for rule_id, rule in sorted(race_rule_registry().items()):
-            print(f"{rule_id:<18} {rule.summary} [--races]")
-        for rule_id, rule in sorted(unit_rule_registry().items()):
-            print(f"{rule_id:<18} {rule.summary} [--units]")
-        for rule_id, rule in sorted(alias_rule_registry().items()):
-            print(f"{rule_id:<18} {rule.summary} [--aliasing]")
-        for rule_id, rule in sorted(effect_rule_registry().items()):
-            print(f"{rule_id:<22} {rule.summary} [--effects]")
-        print(f"{'protocol-spec':<18} spec vocabulary matches "
-              "agent_protocol.py")
-        print(f"{'protocol-machine':<18} state machines are sound "
-              "(reachability, timeout edges)")
-        print(f"{'protocol-transition':<18} every send has a matching "
-              "receive on the other side")
-        print(f"{'protocol-timeout':<18} lossy-transport waits are "
-              "timeout-guarded")
-        print(f"{'protocol-conformance':<18} spec machine edges match "
-              "implemented send/recv edges both ways")
-        print(f"{'model-deadlock':<18} no stuck composite state "
-              "[--model]")
-        print(f"{'model-unhandled':<18} every delivered message has a "
-              "transition or an ignore rule [--model]")
-        print(f"{'model-livelock':<18} every transfer completes or "
-              "cleanly aborts within the retransmit bound [--model]")
-        print(f"{'model-safety':<18} no byte lost or duplicated "
-              "(conservation contract) [--model]")
-        print(f"{'model-conformance':<18} semantic models simulate "
-              "exactly the spec machines' edges [--model]")
+        for name, rules in RULES.items():
+            for rule_id, summary in rules.items():
+                print(f"{rule_id:<22} {summary} [{name}]")
+        for rule_id, summary in MODEL_RULES.items():
+            print(f"{rule_id:<22} {summary} [--model]")
         return 0
-
-    if args.all_passes:
-        return _run_all(args)
-
-    if args.model:
-        return _run_model(args)
-
-    if args.effects:
-        return _run_effects(args)
-
-    if args.races:
-        return _run_races(args)
-
-    if args.units:
-        return _run_units(args)
-
-    if args.aliasing:
-        return _run_aliasing(args)
-
-    explicit = _explicit_paths(args)
-    if explicit is not None:
-        root = explicit[0] if len(explicit) == 1 else None
-        if root is None:
-            raise SystemExit(
-                "the default pass audits one root; pass a single path")
-    elif args.root is None:
-        root = Path(__file__).resolve().parent.parent
-    else:
-        root = Path(args.root)
-    if not root.exists():
-        raise SystemExit(f"no such path: {root}")
-
-    engine = LintEngine(rules=_selected_rules(args.rules, rule_registry()))
-    findings = engine.check_tree(root)
-    if not args.no_protocol:
-        findings.extend(check_protocol(root))
-    findings.sort(key=lambda f: (str(f.path), f.line, f.rule_id))
-    checked = sum(1 for _ in iter_python_files(root))
-    if args.json:
-        print(render_json(findings, checked_paths=checked))
-    else:
-        print(render_text(findings, checked_paths=checked))
-    return exit_code(findings, fail_on=_fail_threshold(args))
+    try:
+        if args.model:
+            findings, stats = check_model(ModelConfig(
+                max_depth=args.depth, retransmit_bound=args.retransmits,
+                budget=AdversaryBudget(),
+                scenarios=tuple(_pieces(args.scenarios))))
+            extras = {"model_stats": stats}
+        else:
+            run = run_check(args.paths, _pieces(args.rules) or None)
+            findings = run.findings
+            extras = {"checked_paths": run.files,
+                      "effects_stats": run.effects, "passes": run.passes}
+    except ValueError as error:  # unknown rule, scenario or path
+        raise SystemExit(str(error))
+    render = render_json if args.json else render_text
+    print(render(findings, **extras))
+    fail_on = Severity.WARNING if args.fail_on == "warning" else Severity.ERROR
+    return exit_code(findings, fail_on=fail_on)
 
 
 def main(argv: list[str] | None = None) -> int:

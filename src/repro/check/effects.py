@@ -1,4 +1,4 @@
-"""Effect-and-purity analysis: ``repro check --effects``.
+"""Effect-and-purity analysis: the ``effects`` pass of ``repro check``.
 
 ``sim/cache.py`` stakes the whole sweep pipeline on one sentence: *every
 run is a pure function of (SimConfig, code version)*.  The determinism
@@ -58,7 +58,8 @@ subsystems opt in without editing this file).
 
 ``# repro: allow[effects]`` (or a specific rule id) on the flagged line
 or the line above suppresses a finding; the acceptance bar for the
-shipped tree is zero suppressions.
+shipped tree is zero suppressions.  ``repro check --rules effects`` runs
+just this pass.
 
 The runtime companion — snapshot/diff of registered module globals and
 ambient-read traps around cached runs — is
@@ -73,7 +74,8 @@ from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
 from .findings import Finding, Severity
-from .lint import RULE_GROUPS, Rule, _suppressed_rules, iter_python_files
+from .lint import allowed_rules, dotted_name, is_suppressed, iter_python_files
+from .rules import RANDOM_MODULE_CALLS, WALL_CLOCK_CALLS
 
 __all__ = [
     "EFFECT_RULES",
@@ -84,11 +86,21 @@ __all__ = [
     "RANDOMNESS_ROOT_SUFFIXES",
     "EffectStats",
     "analyze_effects",
-    "effect_rule_registry",
+    "build_program",
 ]
 
-#: ``# repro: allow[effects]`` covers every ``effect-*`` rule.
-EFFECT_RULE_GROUP = "effects"
+#: The rules this pass reports: rule id -> one-line summary.
+EFFECT_RULES = {
+    "effect-ambient-read": "wall-clock/env/filesystem/process state read "
+                           "reachable from a cached entry point",
+    "effect-global-write": "module-global mutation reachable from "
+                           "pool-dispatched or cached code (undeclared memo)",
+    "effect-unkeyed-input": "read of mutated module-global state invisible "
+                            "to the cache key",
+    "effect-unseeded-random": "stochastic draw outside des/random_streams "
+                              "reachable from a cached or benchmark entry "
+                              "point",
+}
 
 #: Functions whose results :class:`~repro.sim.cache.ResultCache` stores:
 #: the roots of the cache-soundness contract.  ``_run_config`` is the
@@ -143,24 +155,10 @@ _ENTRY_MARKERS = {
 
 # -- ambient-effect tables ----------------------------------------------------
 
-_TIME_CALLS = frozenset({
-    "time.time", "time.time_ns", "time.monotonic", "time.monotonic_ns",
-    "time.perf_counter", "time.perf_counter_ns", "time.process_time",
-    "time.process_time_ns", "time.clock",
-    "datetime.datetime.now", "datetime.datetime.utcnow",
-    "datetime.datetime.today", "datetime.date.today",
-})
-
-_RANDOM_CALLS = frozenset({
-    "random.random", "random.randint", "random.randrange", "random.uniform",
-    "random.choice", "random.choices", "random.shuffle", "random.sample",
-    "random.expovariate", "random.gauss", "random.normalvariate",
-    "random.betavariate", "random.gammavariate", "random.paretovariate",
-    "random.vonmisesvariate", "random.weibullvariate", "random.triangular",
-    "random.lognormvariate", "random.getrandbits", "random.randbytes",
+_RANDOM_CALLS = RANDOM_MODULE_CALLS | {
     "random.seed", "os.urandom", "secrets.token_bytes", "secrets.token_hex",
     "secrets.randbelow", "secrets.choice", "uuid.uuid1", "uuid.uuid4",
-})
+}
 
 _ENV_CALLS = frozenset({
     "os.getenv", "os.environ.get", "os.environb.get", "os.putenv",
@@ -353,6 +351,8 @@ class _Program:
         self.methods_by_name: dict[str, set[str]] = {}
         #: fully-qualified module globals written anywhere.
         self.mutated_globals: set[str] = set()
+        #: file -> its allow comments (line -> granted rule ids).
+        self.allowed: dict[Path, dict[int, set[str]]] = {}
 
     def canonical(self, qualname: str) -> str:
         """Follow ``__init__`` re-export chains to the defining module."""
@@ -381,8 +381,9 @@ def _collect_module(program: _Program, path: Path) -> None:
     try:
         tree = ast.parse(source, filename=str(path))
     except SyntaxError:
-        return  # the default lint pass reports unparseable files
+        return  # the lint walk of ``run_check`` reports unparseable files
     module = ModuleInfo(name=_module_name(path), path=path, tree=tree)
+    program.allowed[path] = allowed_rules(source)
     program.modules[module.name] = module
 
     for node in tree.body:
@@ -426,7 +427,7 @@ def _collect_class(program: _Program, module: ModuleInfo, path: Path,
     info = ClassInfo(qualname=qualname, module=module.name)
     program.classes[qualname] = info
     for base in node.bases:
-        dotted = _dotted(base)
+        dotted = dotted_name(base)
         if dotted is not None:
             resolved = module.symbols.get(dotted.split(".")[0])
             if resolved is not None and "." in dotted:
@@ -442,17 +443,6 @@ def _collect_class(program: _Program, module: ModuleInfo, path: Path,
                 qualname=method_qualname, module=module.name, path=path,
                 node=item, class_name=qualname)
             program.methods_by_name.setdefault(item.name, set()).add(qualname)
-
-
-def _dotted(node: ast.expr) -> Optional[str]:
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
 
 
 # -- pass 2: per-function analysis --------------------------------------------
@@ -547,7 +537,7 @@ class _FunctionAnalyzer:
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
             name = node.value
         else:
-            name = _dotted(node)
+            name = dotted_name(node)
         if name is None:
             return None
         head, _, rest = name.partition(".")
@@ -560,7 +550,7 @@ class _FunctionAnalyzer:
 
     def qualify(self, node: ast.expr) -> Optional[str]:
         """Dotted origin of a Name/Attribute chain through the imports."""
-        dotted = _dotted(node)
+        dotted = dotted_name(node)
         if dotted is None:
             return None
         head, _, rest = dotted.partition(".")
@@ -616,7 +606,7 @@ class _FunctionAnalyzer:
             for stmt in ast.walk(func.node):
                 if isinstance(stmt, ast.Return) and \
                         isinstance(stmt.value, ast.Call):
-                    dotted = _dotted(stmt.value.func)
+                    dotted = dotted_name(stmt.value.func)
                     if dotted is None:
                         continue
                     owner = self.program.modules.get(func.module)
@@ -717,7 +707,7 @@ class _FunctionAnalyzer:
                 self._global_write(target, "next() advances the module-"
                                             "global iterator", node)
         if qualname is not None:
-            if qualname in _TIME_CALLS:
+            if qualname in WALL_CLOCK_CALLS:
                 self._effect("time", f"{qualname}()", node)
             elif qualname in _RANDOM_CALLS:
                 self._effect("random", f"{qualname}()", node)
@@ -1148,10 +1138,12 @@ def _contract_findings(program: _Program,
         if key in emitted:
             return
         emitted.add(key)
-        findings.append(Finding(
+        finding = Finding(
             rule_id=rule_id, path=info.path, line=line,
             message=f"{first_line}\n  call chain: {chain}",
-            severity=Severity.ERROR))
+            severity=Severity.ERROR)
+        if not is_suppressed(finding, program.allowed[info.path]):
+            findings.append(finding)
 
     # Worker hermeticity first, so a function that is both a cached and
     # a worker entry reports its global writes under the worker rule.
@@ -1224,31 +1216,6 @@ def _contract_findings(program: _Program,
     return findings
 
 
-# -- suppression filtering ----------------------------------------------------
-
-
-def _filter_suppressed(findings: list[Finding]) -> list[Finding]:
-    sources: dict[Path, dict[int, set[str]]] = {}
-    kept = []
-    for finding in findings:
-        allowed = sources.get(finding.path)
-        if allowed is None:
-            try:
-                allowed = _suppressed_rules(
-                    finding.path.read_text(encoding="utf-8"))
-            except OSError:  # pragma: no cover - racing file removal
-                allowed = {}
-            sources[finding.path] = allowed
-        granted = allowed.get(finding.line, ())
-        if finding.rule_id in granted or "*" in granted:
-            continue
-        if any(group in granted and finding.rule_id.startswith(prefixes)
-               for group, prefixes in RULE_GROUPS.items()):
-            continue
-        kept.append(finding)
-    return kept
-
-
 # -- public API ---------------------------------------------------------------
 
 
@@ -1263,25 +1230,9 @@ def analyze_effects(paths: Sequence[Path],
     """
     if allowed_globals is None:
         allowed_globals = ALLOWED_GLOBAL_WRITES
-    program = _Program()
-    for root in paths:
-        for path in iter_python_files(Path(root)):
-            _collect_module(program, path)
-    for module in program.modules.values():
-        for info in list(program.functions.values()):
-            if info.module == module.name:
-                _register_nested(program, module, info)
-    _record_attr_types(program)
-    _analyze_class_bodies(program)
-    for info in program.functions.values():
-        module = program.modules.get(info.module)
-        if module is None:  # pragma: no cover - defensive
-            continue
-        if isinstance(info.node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            _FunctionAnalyzer(program, module, info).analyze()
+    program = build_program(paths)
     entries = _discover_entries(program)
     findings = _contract_findings(program, entries, allowed_globals)
-    findings = _filter_suppressed(findings)
     findings.sort(key=lambda f: (str(f.path), f.line, f.rule_id))
 
     graph_edges = sum(len(info.calls) for info in program.functions.values())
@@ -1318,46 +1269,3 @@ def build_program(paths: Sequence[Path]) -> _Program:
         if isinstance(info.node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             _FunctionAnalyzer(program, module, info).analyze()
     return program
-
-
-# -- rule catalogue (for --list-rules / --rules selection) --------------------
-
-
-class _EffectRule(Rule):
-    """Descriptor-only: the effects pass is whole-program, not per-file."""
-
-    def check(self, tree, path):  # pragma: no cover - never dispatched
-        return iter(())
-
-
-class AmbientReadRule(_EffectRule):
-    rule_id = "effect-ambient-read"
-    summary = ("wall-clock/env/filesystem/process state read reachable "
-               "from a cached entry point")
-
-
-class GlobalWriteRule(_EffectRule):
-    rule_id = "effect-global-write"
-    summary = ("module-global mutation reachable from pool-dispatched or "
-               "cached code (undeclared memo)")
-
-
-class UnkeyedInputRule(_EffectRule):
-    rule_id = "effect-unkeyed-input"
-    summary = ("read of mutated module-global state invisible to the "
-               "cache key")
-
-
-class UnseededRandomRule(_EffectRule):
-    rule_id = "effect-unseeded-random"
-    summary = ("stochastic draw outside des/random_streams reachable from "
-               "a cached or benchmark entry point")
-
-
-EFFECT_RULES = (AmbientReadRule, GlobalWriteRule, UnkeyedInputRule,
-                UnseededRandomRule)
-
-
-def effect_rule_registry() -> dict[str, type[Rule]]:
-    """Rule id -> descriptor class, for --rules selection and the docs."""
-    return {rule.rule_id: rule for rule in EFFECT_RULES}

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import ast
 import re
+import time
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
 from .findings import Finding, Severity
 
-__all__ = ["Rule", "LintEngine", "iter_python_files", "RULE_GROUPS",
+__all__ = ["Rule", "LintEngine", "iter_python_files", "dotted_name",
+           "allowed_rules", "is_suppressed", "RULE_GROUPS",
            "SUPPRESS_PATTERN"]
 
 #: ``# repro: allow[rule-id]`` (several ids comma-separated, ``*`` for all).
@@ -38,17 +40,29 @@ RULE_GROUPS: dict[str, tuple[str, ...]] = {
 _SKIP_DIR_NAMES = {"__pycache__", ".git", ".pytest_cache", "fixtures"}
 
 
+def dotted_name(node: ast.AST) -> Optional[str]:
+    """Dotted text of a Name/Attribute chain (``a.b.c``), else None."""
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    parts.append(node.id)
+    return ".".join(reversed(parts))
+
+
 class Rule:
     """Base class for lint rules.
 
-    Subclasses set :attr:`rule_id` / :attr:`summary` and implement
-    :meth:`check`, yielding findings.  ``exempt_suffixes`` names path
-    suffixes (POSIX style) where the rule never applies — e.g. the RNG
-    containment rule exempts ``des/random_streams.py`` itself.
+    Subclasses set :attr:`summaries` (every rule id the rule reports ->
+    its one-line summary) and implement :meth:`check`, yielding
+    findings.  ``exempt_suffixes`` names path suffixes (POSIX style)
+    where the rule never applies — e.g. the RNG containment rule exempts
+    ``des/random_streams.py`` itself.
     """
 
-    rule_id: str = ""
-    summary: str = ""
+    summaries: dict[str, str] = {}
     severity: Severity = Severity.ERROR
     exempt_suffixes: tuple[str, ...] = ()
 
@@ -62,10 +76,12 @@ class Rule:
         """Yield findings for one parsed module."""
         raise NotImplementedError
 
-    def finding(self, path: Path, node: ast.AST, message: str) -> Finding:
-        """Convenience constructor anchored at ``node``."""
+    def finding(self, path: Path, node: ast.AST, message: str,
+                rule_id: Optional[str] = None) -> Finding:
+        """Convenience constructor anchored at ``node``; ``rule_id``
+        defaults to the rule's first id."""
         return Finding(
-            rule_id=self.rule_id,
+            rule_id=rule_id or next(iter(self.summaries)),
             path=path,
             line=getattr(node, "lineno", 1),
             message=message,
@@ -85,7 +101,7 @@ def iter_python_files(root: Path) -> Iterator[Path]:
             yield path
 
 
-def _suppressed_rules(source: str) -> dict[int, set[str]]:
+def allowed_rules(source: str) -> dict[int, set[str]]:
     """Map line number -> rule ids allowed on that line.
 
     A trailing ``allow`` comment covers only its own line; a standalone
@@ -107,14 +123,25 @@ def _suppressed_rules(source: str) -> dict[int, set[str]]:
     return allowed
 
 
-class LintEngine:
-    """Parses files and runs every registered rule over them."""
+def is_suppressed(finding: Finding, allowed: dict[int, set[str]]) -> bool:
+    """True when an allow comment in ``allowed`` (see :func:`allowed_rules`)
+    covers ``finding``: its id, ``*``, or its :data:`RULE_GROUPS` group."""
+    granted = allowed.get(finding.line, ())
+    return (finding.rule_id in granted or "*" in granted
+            or any(group in granted and finding.rule_id.startswith(prefixes)
+                   for group, prefixes in RULE_GROUPS.items()))
 
-    def __init__(self, rules: Optional[Sequence[Rule]] = None):
-        if rules is None:
-            from .rules import DEFAULT_RULES
-            rules = [factory() for factory in DEFAULT_RULES]
+
+class LintEngine:
+    """Parses each file once and runs every rule over it.
+
+    ``seconds`` accumulates the time each rule spends in :meth:`Rule.check`,
+    so one walk can still report a cost per pass.
+    """
+
+    def __init__(self, rules: Sequence[Rule]):
         self.rules: list[Rule] = list(rules)
+        self.seconds: dict[Rule, float] = {rule: 0.0 for rule in self.rules}
 
     def check_file(self, path: Path) -> list[Finding]:
         """All findings in one file (empty on syntax errors is *not* an
@@ -130,25 +157,14 @@ class LintEngine:
                 line=exc.lineno or 1,
                 message=f"file does not parse: {exc.msg}",
             )]
-        allowed = _suppressed_rules(source)
+        allowed = allowed_rules(source)
         findings = []
         for rule in self.rules:
             if not rule.applies_to(path):
                 continue
-            for finding in rule.check(tree, path):
-                granted = allowed.get(finding.line, ())
-                if finding.rule_id in granted or "*" in granted:
-                    continue
-                if any(group in granted
-                       and finding.rule_id.startswith(prefixes)
-                       for group, prefixes in RULE_GROUPS.items()):
-                    continue  # allow[group] covers the whole pass
-                findings.append(finding)
-        return findings
-
-    def check_tree(self, root: Path) -> list[Finding]:
-        """All findings under a directory tree (or in a single file)."""
-        findings: list[Finding] = []
-        for path in iter_python_files(Path(root)):
-            findings.extend(self.check_file(path))
+            start = time.perf_counter()  # repro: allow[wall-clock]
+            findings.extend(finding for finding in rule.check(tree, path)
+                            if not is_suppressed(finding, allowed))
+            elapsed = time.perf_counter() - start  # repro: allow[wall-clock]
+            self.seconds[rule] += elapsed
         return findings

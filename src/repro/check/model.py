@@ -51,10 +51,10 @@ from .adversary import (
 from .findings import Finding
 from .spec import MACHINE_PAIRS, StateMachine, machine_by_name
 
-__all__ = ["ModelConfig", "SemanticFlags", "PairModel", "WriteModel",
-           "ReadModel", "Violation", "ExploreResult", "ScenarioStats",
-           "ModelStats", "explore", "check_model", "scenario_names",
-           "build_scenario"]
+__all__ = ["MODEL_RULES", "ModelConfig", "SemanticFlags", "PairModel",
+           "WriteModel", "ReadModel", "Violation", "ExploreResult",
+           "ScenarioStats", "ModelStats", "explore", "check_model",
+           "scenario_names", "build_scenario"]
 
 #: Synthetic client states: the retransmit budget ran out (clean abort),
 #: and the crashed agent (volatile state lost, network survives).
@@ -989,6 +989,19 @@ def _check_model_conformance(model, spec_path: Path) -> list[Finding]:
                         f"{event!r}, which is not an edge of machine "
                         f"{machine_name}"))
     return findings
+
+
+#: The rules :func:`check_model` reports: rule id -> one-line summary.
+MODEL_RULES = {
+    "model-deadlock": "no stuck composite state",
+    "model-unhandled": "every delivered message has a transition or an "
+                       "ignore rule",
+    "model-livelock": "every transfer completes or cleanly aborts within "
+                      "the retransmit bound",
+    "model-safety": "no byte lost or duplicated (conservation contract)",
+    "model-conformance": "semantic models simulate exactly the spec "
+                         "machines' edges",
+}
 
 
 def check_model(config: Optional[ModelConfig] = None,

@@ -47,8 +47,8 @@ from .spec import (
     spec_message_names,
 )
 
-__all__ = ["check_protocol", "extract_side", "extract_vocabulary",
-           "ProtocolSide"]
+__all__ = ["PROTOCOL_RULES", "check_protocol", "extract_side",
+           "extract_vocabulary", "ProtocolSide"]
 
 #: Client-side sources, relative to the package root.
 CLIENT_SOURCES = (
@@ -342,6 +342,18 @@ def _check_conformance(client: ProtocolSide, agent: ProtocolSide,
 
 
 # -- the full check -----------------------------------------------------------
+
+#: The rules :func:`check_protocol` reports: rule id -> one-line summary.
+PROTOCOL_RULES = {
+    "protocol-spec": "spec vocabulary matches agent_protocol.py",
+    "protocol-machine": "state machines are sound (reachability, timeout "
+                        "edges)",
+    "protocol-transition": "every send has a matching receive on the other "
+                           "side",
+    "protocol-timeout": "lossy-transport waits are timeout-guarded",
+    "protocol-conformance": "spec machine edges match implemented send/recv "
+                            "edges both ways",
+}
 
 
 def check_protocol(root: Path) -> list[Finding]:

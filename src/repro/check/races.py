@@ -30,22 +30,9 @@ from pathlib import Path
 from typing import Iterator, Optional
 
 from .findings import Finding
-from .lint import Rule
+from .lint import Rule, dotted_name
 
-__all__ = ["RACE_RULES", "race_rule_registry", "YieldRmwRule",
-           "LockOrderRule"]
-
-
-def _chain_text(node: ast.expr) -> Optional[str]:
-    """Dotted text of a Name/Attribute chain (``a.b.c``), else None."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
+__all__ = ["YieldRmwRule", "LockOrderRule"]
 
 
 def _request_lock_name(item: ast.withitem) -> Optional[str]:
@@ -53,7 +40,7 @@ def _request_lock_name(item: ast.withitem) -> Optional[str]:
     expr = item.context_expr
     if not isinstance(expr, ast.Call):
         return None
-    chain = _chain_text(expr.func)
+    chain = dotted_name(expr.func)
     if chain is None or not chain.endswith(".request"):
         return None
     return chain[: -len(".request")]
@@ -135,7 +122,7 @@ class _RmwCollector:
         guards = frozenset(self._guards)
         # Writes: any target that is an attribute chain.
         for target in node.targets:
-            chain = _chain_text(target)
+            chain = dotted_name(target)
             if chain is not None and "." in chain:
                 names = {name.id for name in ast.walk(node.value)
                          if isinstance(name, ast.Name)}
@@ -145,7 +132,7 @@ class _RmwCollector:
         if len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
             local = node.targets[0].id
             for sub in ast.walk(node.value):
-                chain = _chain_text(sub) if isinstance(
+                chain = dotted_name(sub) if isinstance(
                     sub, ast.Attribute) else None
                 if chain is not None and "." in chain:
                     self.bindings[local] = (chain, position, node, guards)
@@ -173,8 +160,8 @@ class YieldRmwRule(Rule):
     ``Resource.request()`` across the whole section.
     """
 
-    rule_id = "yield-rmw"
-    summary = "read-modify-write of a shared attribute spans a yield"
+    summaries = {"yield-rmw":
+                 "read-modify-write of a shared attribute spans a yield"}
 
     def check(self, tree: ast.Module, path: Path) -> Iterator[Finding]:
         for function in _function_nodes(tree):
@@ -217,8 +204,8 @@ class LockOrderRule(Rule):
     resource under different names are not unified.
     """
 
-    rule_id = "lock-order"
-    summary = "Resource.request() nesting order forms a cycle (deadlock risk)"
+    summaries = {"lock-order": "Resource.request() nesting order forms a "
+                               "cycle (deadlock risk)"}
 
     def check(self, tree: ast.Module, path: Path) -> Iterator[Finding]:
         edges: dict[tuple[str, str], ast.AST] = {}
@@ -280,12 +267,3 @@ class LockOrderRule(Rule):
                     elif successor not in trail:
                         stack.append((successor, trail + [successor]))
         return found
-
-
-#: Race rule classes in reporting order (the `repro check --races` pass).
-RACE_RULES = (YieldRmwRule, LockOrderRule)
-
-
-def race_rule_registry() -> dict[str, type[Rule]]:
-    """Race rule id -> rule class, for --rules selection and the docs."""
-    return {rule.rule_id: rule for rule in RACE_RULES}

@@ -11,7 +11,7 @@ __all__ = ["render_text", "render_json", "exit_code"]
 
 #: Bumped when the JSON shape changes, so CI consumers can pin it.
 #: 2: added optional ``effects`` stats and the ``passes`` array emitted
-#: by ``repro check --all`` (per-pass wall time + finding counts).
+#: by the static ``repro check`` run (per-pass wall time + finding counts).
 REPORT_FORMAT_VERSION = 2
 
 

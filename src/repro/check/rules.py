@@ -19,9 +19,33 @@ from pathlib import Path
 from typing import Iterator, Optional
 
 from .findings import Finding
-from .lint import Rule
+from .lint import Rule, dotted_name
 
-__all__ = ["DEFAULT_RULES", "rule_registry"]
+__all__ = ["RawRandomRule", "UnseededRngRule", "WallClockRule",
+           "MutableDefaultRule", "SetIterationRule", "SaltedHashRule",
+           "ImplicitSeedRule", "RecvUnguardedRule", "RetransmitUnboundedRule",
+           "TimeoutUnitRule", "WALL_CLOCK_CALLS", "RANDOM_MODULE_CALLS"]
+
+#: Calls that read the wall clock (the effects pass reuses this table).
+WALL_CLOCK_CALLS = frozenset({
+    "time.time", "time.time_ns", "time.monotonic", "time.monotonic_ns",
+    "time.perf_counter", "time.perf_counter_ns", "time.process_time",
+    "time.process_time_ns", "time.clock",
+    "datetime.datetime.now", "datetime.datetime.utcnow",
+    "datetime.datetime.today", "datetime.date.today",
+})
+
+#: Draws from the stdlib ``random`` module's shared, OS-seeded generator
+#: (the effects pass extends this table with other ambient entropy).
+RANDOM_MODULE_CALLS = frozenset({
+    "random.random", "random.randint", "random.randrange",
+    "random.uniform", "random.choice", "random.choices",
+    "random.shuffle", "random.sample", "random.expovariate",
+    "random.gauss", "random.normalvariate", "random.betavariate",
+    "random.gammavariate", "random.paretovariate", "random.vonmisesvariate",
+    "random.weibullvariate", "random.triangular", "random.lognormvariate",
+    "random.getrandbits", "random.randbytes",
+})
 
 
 # -- shared AST helpers -------------------------------------------------------
@@ -47,19 +71,12 @@ class _ImportMap:
 
     def qualify(self, node: ast.expr) -> Optional[str]:
         """Dotted origin of a Name/Attribute chain, or None."""
-        parts: list[str] = []
-        while isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        if not isinstance(node, ast.Name):
+        dotted = dotted_name(node)
+        if dotted is None:
             return None
-        head = node.id
-        if head in self.modules:
-            head = self.modules[head]
-        elif head in self.names:
-            head = self.names[head]
-        parts.append(head)
-        return ".".join(reversed(parts))
+        head, _, rest = dotted.partition(".")
+        head = self.modules.get(head, self.names.get(head, head))
+        return f"{head}.{rest}" if rest else head
 
 
 def _call_name(imports: _ImportMap, call: ast.Call) -> Optional[str]:
@@ -88,8 +105,8 @@ class RawRandomRule(Rule):
     perturb every other component's variates.
     """
 
-    rule_id = "raw-random"
-    summary = "stdlib `random` imported outside des/random_streams.py"
+    summaries = {"raw-random":
+                 "stdlib `random` imported outside des/random_streams.py"}
     #: random_streams.py is the sanctioned draw root; check/sanitize.py
     #: imports the module only to *patch* its draw functions with trip
     #: wires while a hermetic block runs — the opposite of drawing.
@@ -121,18 +138,8 @@ class UnseededRngRule(Rule):
     ``random.Random(seed)`` explicitly.
     """
 
-    rule_id = "unseeded-rng"
-    summary = "RNG constructed or drawn without an explicit seed"
-
-    _MODULE_FUNCTIONS = frozenset({
-        "random.random", "random.randint", "random.randrange",
-        "random.uniform", "random.choice", "random.choices",
-        "random.shuffle", "random.sample", "random.expovariate",
-        "random.gauss", "random.normalvariate", "random.betavariate",
-        "random.gammavariate", "random.paretovariate", "random.vonmisesvariate",
-        "random.weibullvariate", "random.triangular", "random.lognormvariate",
-        "random.getrandbits", "random.randbytes",
-    })
+    summaries = {"unseeded-rng":
+                 "RNG constructed or drawn without an explicit seed"}
 
     def check(self, tree: ast.Module, path: Path) -> Iterator[Finding]:
         imports = _ImportMap(tree)
@@ -142,7 +149,7 @@ class UnseededRngRule(Rule):
             name = _call_name(imports, node)
             if name is None:
                 continue
-            if name in self._MODULE_FUNCTIONS:
+            if name in RANDOM_MODULE_CALLS:
                 yield self.finding(
                     path, node,
                     f"`{name}()` draws from the shared, OS-seeded global "
@@ -164,16 +171,7 @@ class WallClockRule(Rule):
     belong only in reporting code, with an explicit allow comment.
     """
 
-    rule_id = "wall-clock"
-    summary = "wall-clock read in simulation code"
-
-    _BANNED = frozenset({
-        "time.time", "time.time_ns", "time.monotonic", "time.monotonic_ns",
-        "time.perf_counter", "time.perf_counter_ns", "time.process_time",
-        "time.process_time_ns", "time.clock",
-        "datetime.datetime.now", "datetime.datetime.utcnow",
-        "datetime.datetime.today", "datetime.date.today",
-    })
+    summaries = {"wall-clock": "wall-clock read in simulation code"}
 
     def check(self, tree: ast.Module, path: Path) -> Iterator[Finding]:
         imports = _ImportMap(tree)
@@ -181,7 +179,7 @@ class WallClockRule(Rule):
             if not isinstance(node, ast.Call):
                 continue
             name = _call_name(imports, node)
-            if name in self._BANNED:
+            if name in WALL_CLOCK_CALLS:
                 yield self.finding(
                     path, node,
                     f"`{name}()` reads the wall clock; simulation code "
@@ -196,8 +194,7 @@ class MutableDefaultRule(Rule):
     silently bleeding between simulation runs.
     """
 
-    rule_id = "mutable-default"
-    summary = "mutable default argument"
+    summaries = {"mutable-default": "mutable default argument"}
 
     _MUTABLE_CALLS = frozenset({
         "list", "dict", "set", "bytearray",
@@ -242,8 +239,8 @@ class SetIterationRule(Rule):
     calendar makes the whole run irreproducible.  Iterate a sorted copy.
     """
 
-    rule_id = "set-iteration"
-    summary = "iteration over a set (order is not deterministic)"
+    summaries = {"set-iteration":
+                 "iteration over a set (order is not deterministic)"}
 
     _PASSTHROUGH = ("enumerate", "reversed")
 
@@ -285,8 +282,7 @@ class SaltedHashRule(Rule):
     (e.g. the FNV in des/random_streams.py).
     """
 
-    rule_id = "salted-hash"
-    summary = "builtin hash() is salted per interpreter run"
+    summaries = {"salted-hash": "builtin hash() is salted per interpreter run"}
 
     def check(self, tree: ast.Module, path: Path) -> Iterator[Finding]:
         for node in ast.walk(tree):
@@ -308,8 +304,8 @@ class ImplicitSeedRule(Rule):
     intervals meaningless.
     """
 
-    rule_id = "implicit-seed"
-    summary = "StreamFactory() constructed without an explicit master seed"
+    summaries = {"implicit-seed":
+                 "StreamFactory() constructed without an explicit master seed"}
 
     def check(self, tree: ast.Module, path: Path) -> Iterator[Finding]:
         imports = _ImportMap(tree)
@@ -355,8 +351,8 @@ class RecvUnguardedRule(Rule):
     files carry the exemption.
     """
 
-    rule_id = "recv-unguarded"
-    summary = "bare `yield sock.recv()` with no timeout guard"
+    summaries = {"recv-unguarded":
+                 "bare `yield sock.recv()` with no timeout guard"}
     exempt_suffixes = ("core/storage_agent.py", "baselines/nfs.py")
 
     def check(self, tree: ast.Module, path: Path) -> Iterator[Finding]:
@@ -381,8 +377,8 @@ class RetransmitUnboundedRule(Rule):
     Loop over ``range(max_retries)`` and surface the failure.
     """
 
-    rule_id = "retransmit-unbounded"
-    summary = "`while True` retransmit loop without an attempt bound"
+    summaries = {"retransmit-unbounded":
+                 "`while True` retransmit loop without an attempt bound"}
 
     def check(self, tree: ast.Module, path: Path) -> Iterator[Finding]:
         for node in ast.walk(tree):
@@ -411,8 +407,8 @@ class TimeoutUnitRule(Rule):
     backend cannot misread a DES constant.
     """
 
-    rule_id = "timeout-unit"
-    summary = "timeout constant without a unit suffix in its name"
+    summaries = {"timeout-unit":
+                 "timeout constant without a unit suffix in its name"}
 
     _UNIT_SUFFIXES = ("_s", "_ms", "_us", "_ns")
 
@@ -476,22 +472,3 @@ class TimeoutUnitRule(Rule):
                             f"keyword `{keyword.arg}` passed a bare "
                             "number: name the unit (e.g. `timeout_s`)")
 
-
-#: Rule classes in reporting order; instantiate to get a default rule set.
-DEFAULT_RULES = (
-    RawRandomRule,
-    UnseededRngRule,
-    WallClockRule,
-    MutableDefaultRule,
-    SetIterationRule,
-    SaltedHashRule,
-    ImplicitSeedRule,
-    RecvUnguardedRule,
-    RetransmitUnboundedRule,
-    TimeoutUnitRule,
-)
-
-
-def rule_registry() -> dict[str, type[Rule]]:
-    """Rule id -> rule class, for --rules selection and the docs."""
-    return {rule.rule_id: rule for rule in DEFAULT_RULES}

@@ -219,7 +219,7 @@ def sanitize(env: "Environment",
     monitor.finish()
 
 
-# -- aliasing sanitizer (the runtime half of `repro check --aliasing`) -----
+# -- aliasing sanitizer (the runtime half of the `aliasing` pass) ----------
 
 
 def _capture_frames(depth: int, skip: int) -> tuple:
@@ -599,7 +599,7 @@ def alias_sanitize(env: "Environment", stack_depth: int = 4):
         monitor.uninstall()
 
 
-# -- hermeticity sanitizer (the runtime half of `repro check --effects`) ----
+# -- hermeticity sanitizer (the runtime half of the `effects` pass) --------
 
 
 class AmbientReadError(SanitizerError):
@@ -694,8 +694,8 @@ class _TrappedEnviron:
 
 
 class HermeticitySanitizer:
-    """Runtime cache-soundness check: the dynamic half of
-    ``repro check --effects``.
+    """Runtime cache-soundness check: the dynamic half of the ``effects``
+    pass of ``repro check``.
 
     Wrap the block that computes a to-be-cached result.  Two mechanisms:
 

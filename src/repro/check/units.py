@@ -1,4 +1,4 @@
-"""Dimensional-analysis lint: ``repro check --units``.
+"""Dimensional-analysis lint: the ``units`` pass of ``repro check``.
 
 An abstract interpreter over each module's AST that assigns *dimensions*
 to expressions and propagates them through arithmetic.  A dimension is a
@@ -32,9 +32,10 @@ Three rules report over the inferred dimensions:
   constant or converter from ``repro.units``.
 
 ``# repro: allow[units]`` suppresses all three on a line (each specific
-id also works).  The interpreter is deliberately conservative: unknown
-operands poison results to unknown, and dimensionless constants are
-compatible with everything, so only high-confidence confusions fire.
+id also works), and ``repro check --rules units`` runs just this pass.
+The interpreter is deliberately conservative: unknown operands poison
+results to unknown, and dimensionless constants are compatible with
+everything, so only high-confidence confusions fire.
 """
 
 from __future__ import annotations
@@ -47,12 +48,7 @@ from .findings import Finding
 from .lint import Rule
 from .rules import _ImportMap
 
-__all__ = ["UNIT_RULES", "unit_rule_registry", "analyze_units", "Dim",
-           "name_dim", "UNIT_RULE_GROUP"]
-
-#: Allow-comment group id: ``# repro: allow[units]`` covers every
-#: ``unit-*`` rule (see LintEngine suppression handling).
-UNIT_RULE_GROUP = "units"
+__all__ = ["UnitRule", "analyze_units", "Dim", "name_dim"]
 
 #: The one module allowed to contain raw conversion factors.
 BLESSED_SUFFIXES = ("repro/units.py",)
@@ -126,6 +122,7 @@ MILLISECONDS = Dim({"ms": 1})
 MICROSECONDS = Dim({"us": 1})
 BYTES_PER_S = Dim({"byte": 1, "s": -1})
 BITS_PER_S = Dim({"bit": 1, "s": -1})
+KILOBYTES_PER_S = Dim({"kb": 1, "s": -1})
 MEGABYTES_PER_S = Dim({"mb": 1, "s": -1})
 PER_SECOND = Dim({"s": -1})
 S_PER_BYTE = Dim({"s": 1, "byte": -1})
@@ -176,6 +173,8 @@ SEED_SUFFIXES: list[tuple[str, Dim]] = sorted([
     ("bytes_per_second", BYTES_PER_S),
     ("_bits_per_s", BITS_PER_S),
     ("bits_per_second", BITS_PER_S),
+    ("_kb_per_s", KILOBYTES_PER_S),
+    ("_kb_s", KILOBYTES_PER_S),
     ("_mb_per_s", MEGABYTES_PER_S),
     ("_mb_s", MEGABYTES_PER_S),
     ("_bps", BITS_PER_S),
@@ -298,12 +297,8 @@ class _Scope:
 
 
 class _UnitInterpreter:
-    """Walks one module, inferring dimensions and collecting findings.
-
-    Findings are tagged with their specific rule id; the Rule facades
-    below filter by id so ``--rules`` selection and per-rule exemptions
-    keep working.
-    """
+    """Walks one module, inferring dimensions and collecting findings,
+    each tagged with its specific rule id."""
 
     def __init__(self, tree: ast.Module, path: Path):
         self.tree = tree
@@ -552,7 +547,7 @@ class _UnitInterpreter:
                 continue
             magnitude = abs(literal)
             if magnitude in BITBYTE_FACTORS \
-                    and other_dim.involves("bit", "byte", "mb"):
+                    and other_dim.involves("bit", "byte", "kb", "mb"):
                 self.findings.append((
                     "unit-bitbyte", node,
                     f"raw *8//8 bit-byte conversion on a {other_dim} "
@@ -572,45 +567,18 @@ def analyze_units(tree: ast.Module, path: Path) -> list[tuple[str, ast.AST,
     return _UnitInterpreter(tree, path).run()
 
 
-# -- Rule facades (one per id, for --rules selection and exemptions) ----------
+class UnitRule(Rule):
+    """The three unit rules, from one interpreter run per module."""
 
-
-class _UnitRuleBase(Rule):
-    """Shared driver: run the interpreter, keep this rule's findings."""
-
+    summaries = {
+        "unit-mismatch":
+            "arithmetic mixes incompatible dimensions (s+bytes, Mb/MB)",
+        "unit-bitbyte": "raw *8 or /8 bit-byte conversion outside repro.units",
+        "unit-magic":
+            "magic scale constant (1000, 1e6, 1024) on a dimensioned value",
+    }
     exempt_suffixes = BLESSED_SUFFIXES
 
     def check(self, tree: ast.Module, path: Path) -> Iterator[Finding]:
         for rule_id, node, message in analyze_units(tree, path):
-            if rule_id == self.rule_id:
-                yield self.finding(path, node, message)
-
-
-class UnitMismatchRule(_UnitRuleBase):
-    """Additive/comparison/assignment dimension confusion."""
-
-    rule_id = "unit-mismatch"
-    summary = "arithmetic mixes incompatible dimensions (s+bytes, Mb/MB)"
-
-
-class BitByteRule(_UnitRuleBase):
-    """Inline *8 and /8 conversions outside repro/units.py."""
-
-    rule_id = "unit-bitbyte"
-    summary = "raw *8 or /8 bit-byte conversion outside repro.units"
-
-
-class MagicFactorRule(_UnitRuleBase):
-    """Inline 1000/1e6/1024 scale factors on dimensioned quantities."""
-
-    rule_id = "unit-magic"
-    summary = "magic scale constant (1000, 1e6, 1024) on a dimensioned value"
-
-
-#: Rule classes of the ``--units`` pass, in reporting order.
-UNIT_RULES = (UnitMismatchRule, BitByteRule, MagicFactorRule)
-
-
-def unit_rule_registry() -> dict[str, type[Rule]]:
-    """Rule id -> rule class, for --rules selection and the docs."""
-    return {rule.rule_id: rule for rule in UNIT_RULES}
+            yield self.finding(path, node, message, rule_id)

@@ -8,7 +8,8 @@ Usage::
     python -m repro fig5 | fig6 [--requests 250] [--csv out.csv]
     python -m repro fig3 | fig4 | fig5 | fig6 [--workers 2] [--cache DIR]
     python -m repro demo            # the quickstart, end to end
-    python -m repro check [--json]  # determinism & protocol invariants
+    python -m repro check [paths] [--rules ids] [--json]  # static checks
+    python -m repro check --model   # protocol model checker
 """
 
 from __future__ import annotations

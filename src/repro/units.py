@@ -6,9 +6,9 @@ seek and rotation with seconds of simulated time, and the striping layer
 must conserve every byte it scatters.  Every inline ``* 8``, ``/ 1000``
 or ``* 1e6`` is an opportunity to corrupt a reported rate by a factor
 the reader cannot see — so this module is the single place such factors
-are allowed to live.  ``repro check --units`` enforces that: raw
-bit/byte factors and magic scale constants anywhere else in ``src/``
-are findings (see docs/CHECKING.md).
+are allowed to live.  The ``units`` pass of ``repro check`` enforces
+that: raw bit/byte factors and magic scale constants anywhere else in
+``src/`` are findings (see docs/CHECKING.md).
 
 Conventions, repo-wide:
 

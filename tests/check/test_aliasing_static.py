@@ -5,9 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.check import ALIAS_RULES, alias_rule_registry
-from repro.check.aliasing import analyze_aliasing
-from repro.check.lint import LintEngine
+from repro.check import RULES, LintEngine, run_check
+from repro.check.aliasing import AliasRule, analyze_aliasing
 from repro.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures" / "aliasing"
@@ -30,7 +29,7 @@ ALIAS_FIXTURES = {
 
 
 def _alias_engine():
-    return LintEngine(rules=[rule() for rule in ALIAS_RULES])
+    return LintEngine([AliasRule()])
 
 
 def _findings(source: str, name: str = "core/distribution.py"):
@@ -185,11 +184,11 @@ def test_allow_aliasing_group_suppresses_all_alias_rules():
 
 def test_every_alias_rule_has_a_fixture():
     expected = {rule for rule, _ in ALIAS_FIXTURES.values()}
-    assert expected == set(alias_rule_registry())
+    assert expected == set(RULES["aliasing"])
 
 
 def test_package_is_alias_clean():
-    findings = _alias_engine().check_tree(PACKAGE)
+    findings = run_check(rules=["aliasing"]).findings
     assert findings == [], [str(f) for f in findings]
 
 
@@ -206,7 +205,7 @@ def test_package_has_zero_alias_suppressions():
 
 
 def test_cli_aliasing_flags_fixture_dir(capsys):
-    assert main(["check", "--aliasing", str(FIXTURES)]) == 1
+    assert main(["check", "--rules", "aliasing", str(FIXTURES)]) == 1
     out = capsys.readouterr().out
     assert "view-escape" in out
     assert "hidden-copy" in out
@@ -214,13 +213,14 @@ def test_cli_aliasing_flags_fixture_dir(capsys):
 
 
 def test_cli_aliasing_clean_on_package(capsys):
-    assert main(["check", "--aliasing", str(PACKAGE)]) == 0
+    assert main(["check", "--rules", "aliasing", str(PACKAGE)]) == 0
     assert "0 error(s)" in capsys.readouterr().out
 
 
 def test_cli_aliasing_json(capsys):
     import json
-    assert main(["check", "--aliasing", str(FIXTURES), "--json"]) == 1
+    assert main(["check", "--rules", "aliasing", str(FIXTURES),
+                 "--json"]) == 1
     report = json.loads(capsys.readouterr().out)
     by_rule = report["summary"]["by_rule"]
     assert by_rule["view-escape"] == 4
@@ -229,8 +229,7 @@ def test_cli_aliasing_json(capsys):
 
 
 def test_cli_aliasing_rule_selection(capsys):
-    assert main(["check", "--aliasing", "--rules", "pool-leak",
-                 str(FIXTURES)]) == 1
+    assert main(["check", "--rules", "pool-leak", str(FIXTURES)]) == 1
     out = capsys.readouterr().out
     assert "pool-leak" in out
     assert "view-escape" not in out

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.check import EFFECT_RULES, effect_rule_registry
+from repro.check import RULES
 from repro.check.effects import (
     ALLOWED_GLOBAL_WRITES,
     analyze_effects,
@@ -67,8 +67,7 @@ def test_allow_effects_group_suppresses_the_pass():
 
 def test_every_effect_rule_has_a_fixture():
     expected = {rule for rule, _ in EFFECT_FIXTURES.values()}
-    assert expected == set(effect_rule_registry())
-    assert expected == {rule.rule_id for rule in EFFECT_RULES}
+    assert expected == set(RULES["effects"])
 
 
 def test_finding_is_anchored_at_the_violation_not_the_entry():
@@ -166,7 +165,7 @@ def test_package_has_zero_effect_suppressions():
 
 
 def test_cli_effects_flags_fixture_dir(capsys):
-    assert main(["check", "--effects", str(FIXTURES)]) == 1
+    assert main(["check", "--rules", "effects", str(FIXTURES)]) == 1
     out = capsys.readouterr().out
     assert "effect-ambient-read" in out
     assert "effect-global-write" in out
@@ -175,12 +174,13 @@ def test_cli_effects_flags_fixture_dir(capsys):
 
 
 def test_cli_effects_clean_on_package(capsys):
-    assert main(["check", "--effects", str(PACKAGE)]) == 0
+    assert main(["check", "--rules", "effects", str(PACKAGE)]) == 0
     assert "0 error(s)" in capsys.readouterr().out
 
 
 def test_cli_effects_json_carries_stats(capsys):
-    assert main(["check", "--effects", str(FIXTURES), "--json"]) == 1
+    assert main(["check", "--rules", "effects", str(FIXTURES),
+                 "--json"]) == 1
     report = json.loads(capsys.readouterr().out)
     by_rule = report["summary"]["by_rule"]
     assert by_rule["effect-ambient-read"] == 3
@@ -192,7 +192,7 @@ def test_cli_effects_json_carries_stats(capsys):
 
 
 def test_cli_effects_rule_selection(capsys):
-    assert main(["check", "--effects", "--rules", "effect-global-write",
+    assert main(["check", "--rules", "effect-global-write",
                  str(FIXTURES)]) == 1
     out = capsys.readouterr().out
     assert "effect-global-write" in out
@@ -201,40 +201,41 @@ def test_cli_effects_rule_selection(capsys):
 
 def test_cli_effects_rejects_unknown_rule():
     with pytest.raises(SystemExit):
-        main(["check", "--effects", "--rules", "no-such-rule",
-              str(FIXTURES)])
+        main(["check", "--rules", "no-such-rule", str(FIXTURES)])
 
 
 def test_cli_list_rules_mentions_effect_rules(capsys):
     assert main(["check", "--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in effect_rule_registry():
+    for rule_id in RULES["effects"]:
         assert rule_id in out
 
 
-# -- --all --------------------------------------------------------------------
+# -- one run of every pass ----------------------------------------------------
 
 
 def test_cli_all_merges_passes_and_reports_timing(capsys):
-    assert main(["check", "--all", "--retransmits", "1", "--json",
-                 str(PACKAGE)]) == 0
+    # `make lint`: one run of every static pass, then the model checker
+    # at the CI bounds.
+    assert main(["check", "--json", str(PACKAGE)]) == 0
     report = json.loads(capsys.readouterr().out)
     names = [entry["name"] for entry in report["passes"]]
     assert names == ["determinism", "races", "units", "aliasing",
-                     "model", "effects"]
+                     "protocol", "effects"]
     for entry in report["passes"]:
         assert entry["seconds"] >= 0.0
         assert entry["findings"] == 0
-    assert report["model"]["scenarios"] if "model" in report else True
     assert report["effects"]["functions"] > 0
+    assert main(["check", "--model", "--retransmits", "1", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["model"]["exhausted"] is True
+    assert report["findings"] == []
 
 
 def test_cli_all_fails_on_any_pass(capsys):
-    # Pointed at the effects fixtures, the merged run must fail and the
-    # effects pass must be the one reporting.  The model pass ignores the
-    # root and is checked in full above, so a depth of 1 keeps it cheap.
-    assert main(["check", "--all", "--retransmits", "1", "--depth", "1",
-                 "--json", str(FIXTURES)]) == 1
+    # Pointed at the effects fixtures, the one run must fail and the
+    # effects pass must be the one reporting.
+    assert main(["check", "--json", str(FIXTURES)]) == 1
     report = json.loads(capsys.readouterr().out)
     by_pass = {entry["name"]: entry["findings"]
                for entry in report["passes"]}

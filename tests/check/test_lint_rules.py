@@ -4,8 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.check import LintEngine, run_check
-from repro.check.rules import DEFAULT_RULES, rule_registry
+from repro.check import LINT_PASSES, RULES, LintEngine, run_check
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -24,9 +23,13 @@ RULE_FIXTURES = {
 }
 
 
+def _engine():
+    return LintEngine([rule() for rule in LINT_PASSES["determinism"]])
+
+
 @pytest.mark.parametrize("fixture,rule_id", sorted(RULE_FIXTURES.items()))
 def test_rule_fires_exactly_once(fixture, rule_id):
-    findings = LintEngine().check_file(FIXTURES / fixture)
+    findings = _engine().check_file(FIXTURES / fixture)
     hits = [f for f in findings if f.rule_id == rule_id]
     assert len(hits) == 1, (fixture, findings)
     assert hits[0].line > 1  # anchored at the violation, not the module
@@ -35,12 +38,12 @@ def test_rule_fires_exactly_once(fixture, rule_id):
 
 def test_every_rule_has_a_fixture():
     covered = set(RULE_FIXTURES.values())
-    assert covered == set(rule_registry()), "add a fixture for new rules"
-    assert len(DEFAULT_RULES) == len(rule_registry())
+    assert covered == set(RULES["determinism"]), "add a fixture for new rules"
+    assert len(LINT_PASSES["determinism"]) == len(RULES["determinism"])
 
 
 def test_suppression_comment_silences_findings():
-    findings = LintEngine().check_file(FIXTURES / "fixture_suppressed.py")
+    findings = _engine().check_file(FIXTURES / "fixture_suppressed.py")
     assert findings == []
 
 
@@ -54,30 +57,30 @@ def test_trailing_suppression_does_not_leak_to_next_line(tmp_path):
         "b = time.time()\n"
         "# repro: allow[wall-clock]\n"
         "c = time.time()\n")
-    findings = LintEngine().check_file(module)
+    findings = _engine().check_file(module)
     assert [f.line for f in findings if f.rule_id == "wall-clock"] == [3]
 
 
 def test_unsuppressed_twin_still_fires():
     # The suppressed fixture's twin (wall_clock) proves the allow comment,
     # not the rule, is what differs.
-    findings = LintEngine().check_file(FIXTURES / "fixture_wall_clock.py")
+    findings = _engine().check_file(FIXTURES / "fixture_wall_clock.py")
     assert any(f.rule_id == "wall-clock" for f in findings)
 
 
 def test_fixture_tree_fails_as_a_whole():
-    findings = LintEngine().check_tree(FIXTURES)
-    assert {f.rule_id for f in findings} == set(rule_registry())
+    findings = run_check([FIXTURES], list(RULES["determinism"])).findings
+    assert {f.rule_id for f in findings} == set(RULES["determinism"])
 
 
 def test_exemption_for_random_streams():
     # The one legitimate home of `import random` is never flagged.
     import repro.des.random_streams as module
-    findings = LintEngine().check_file(Path(module.__file__))
+    findings = _engine().check_file(Path(module.__file__))
     assert [f for f in findings if f.rule_id == "raw-random"] == []
 
 
 def test_repository_lints_clean():
     # The acceptance bar: the shipped code base has zero violations.
-    findings = run_check()
+    findings = run_check().findings
     assert findings == [], [f.format() for f in findings]

@@ -122,7 +122,7 @@ def test_every_pair_scenario_exhausts_with_zero_violations():
 
 def test_semantic_models_exhaust_with_zero_violations():
     # A slightly leaner adversary than the CLI default keeps this fast;
-    # the full-budget run is `make check-model` / `repro check --model`.
+    # the full-budget run is `make check-model-full` / `repro check --model`.
     config = ModelConfig(
         retransmit_bound=1,
         budget=AdversaryBudget(max_drops=1, max_duplicates=1,

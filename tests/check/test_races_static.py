@@ -1,17 +1,17 @@
-"""Static interleaving lints (yield-rmw, lock-order) and the --races CLI."""
+"""Static interleaving lints (yield-rmw, lock-order) and their CLI runs."""
 
 from pathlib import Path
 
-from repro.check import RACE_RULES, race_rule_registry
-from repro.check.cli import RACE_SCAN_SUBDIRS, main
-from repro.check.lint import LintEngine
+from repro.check import LINT_PASSES, RULES, LintEngine, run_check
+from repro.check.cli import main
+from repro.check.races import LockOrderRule, YieldRmwRule
 
 FIXTURES = Path(__file__).parent / "fixtures"
-PACKAGE = Path(__file__).parents[2] / "src" / "repro"
+RACES = ",".join(RULES["races"])
 
 
 def _race_engine():
-    return LintEngine(rules=[rule() for rule in RACE_RULES])
+    return LintEngine([YieldRmwRule(), LockOrderRule()])
 
 
 def test_yield_rmw_fires_exactly_once_on_its_fixture():
@@ -53,7 +53,7 @@ def test_consistent_nesting_order_is_clean():
         "            yield gb\n"
     )
     import ast
-    findings = list(RACE_RULES[1]().check(ast.parse(source), Path("x.py")))
+    findings = list(LockOrderRule().check(ast.parse(source), Path("x.py")))
     assert findings == []
 
 
@@ -70,34 +70,31 @@ def test_allow_comment_suppresses_race_findings(tmp_path):
 
 
 def test_race_fixtures_do_not_trip_the_determinism_rules():
-    # The default pass must stay blind to the race fixtures, so the
+    # The determinism rules must stay blind to the race fixtures, so the
     # existing fixture-tree invariants keep holding.
+    engine = LintEngine([rule() for rule in LINT_PASSES["determinism"]])
     for name in ("fixture_yield_rmw.py", "fixture_lock_order.py"):
-        assert LintEngine().check_file(FIXTURES / name) == []
+        assert engine.check_file(FIXTURES / name) == []
 
 
 def test_shipped_des_facing_code_is_race_clean():
-    engine = _race_engine()
-    findings = []
-    for sub in RACE_SCAN_SUBDIRS:
-        root = PACKAGE / sub
-        assert root.is_dir(), root
-        findings.extend(engine.check_tree(root))
+    # The race lints audit the whole package, DES-facing code included.
+    findings = run_check(rules=list(RULES["races"])).findings
     assert findings == [], [f.format() for f in findings]
 
 
 def test_registry_exposes_both_rules():
-    assert set(race_rule_registry()) == {"yield-rmw", "lock-order"}
+    assert set(RULES["races"]) == {"yield-rmw", "lock-order"}
 
 
 def test_cli_races_pass_is_clean_on_the_repository(capsys):
-    assert main(["--races"]) == 0
+    assert main(["--rules", RACES]) == 0
     out = capsys.readouterr().out
     assert "0 error(s)" in out
 
 
 def test_cli_races_pass_fails_on_the_fixtures(capsys):
-    assert main(["--races", "--root", str(FIXTURES)]) == 1
+    assert main(["--rules", RACES, str(FIXTURES)]) == 1
     out = capsys.readouterr().out
     assert "yield-rmw" in out
     assert "lock-order" in out
@@ -105,8 +102,7 @@ def test_cli_races_pass_fails_on_the_fixtures(capsys):
 
 def test_cli_races_rule_selection(capsys):
     # Selecting just lock-order must not report the RMW fixture.
-    assert main(["--races", "--root", str(FIXTURES),
-                 "--rules", "lock-order"]) == 1
+    assert main(["--rules", "lock-order", str(FIXTURES)]) == 1
     out = capsys.readouterr().out
     assert "lock-order" in out
     assert "yield-rmw" not in out

@@ -5,15 +5,17 @@ from pathlib import Path
 
 import pytest
 
-from repro.check import UNIT_RULES, unit_rule_registry
-from repro.check.lint import LintEngine
+from repro.check import RULES, LintEngine, run_check
 from repro.check.units import (
     BITS_PER_S,
     BYTES,
     BYTES_PER_S,
     DIMENSIONLESS,
+    KILOBYTES_PER_S,
+    MEGABYTES_PER_S,
     SECONDS,
     Dim,
+    UnitRule,
     analyze_units,
     name_dim,
 )
@@ -27,13 +29,14 @@ UNIT_FIXTURES = {
     "fixture_unit_mismatch.py": "unit-mismatch",
     "fixture_unit_assign.py": "unit-mismatch",
     "fixture_unit_timeout.py": "unit-mismatch",
+    "fixture_unit_kbps.py": "unit-mismatch",
     "fixture_unit_bitbyte.py": "unit-bitbyte",
     "fixture_unit_magic.py": "unit-magic",
 }
 
 
 def _unit_engine():
-    return LintEngine(rules=[rule() for rule in UNIT_RULES])
+    return LintEngine([UnitRule()])
 
 
 def _findings(source: str):
@@ -70,6 +73,15 @@ def test_name_dim_priorities():
     assert name_dim("_Payload_Bytes") == BYTES
     # generic names stay unknown
     assert name_dim("value") is None
+
+
+def test_name_dim_reads_kb_per_s_names_as_a_rate():
+    # Tables 1-4 report KB/s (repro.units.kb_per_s(rate_kb_s)): the
+    # suffix is a rate, not the `_s` of seconds.
+    assert name_dim("rate_kb_s") == KILOBYTES_PER_S
+    assert name_dim("rate_kb_per_s") == KILOBYTES_PER_S
+    assert name_dim("rate_mb_s") == MEGABYTES_PER_S
+    assert KILOBYTES_PER_S != MEGABYTES_PER_S
 
 
 # -- the interpreter ----------------------------------------------------------
@@ -157,6 +169,14 @@ def test_bitbyte_factor_found_and_magic_not_doubled():
     assert [rule for rule, _, _ in findings] == ["unit-bitbyte"]
 
 
+def test_bitbyte_factor_on_a_kb_per_s_rate_is_found():
+    # As for MB/s: a raw *8 on a KB/s rate is a bit-byte conversion.
+    findings = _findings(
+        "def f(rate_kb_s):\n"
+        "    return rate_kb_s * 8\n")
+    assert [rule for rule, _, _ in findings] == ["unit-bitbyte"]
+
+
 def test_bitbyte_on_dimensionless_is_clean():
     assert _findings(
         "def f(num_packets):\n"
@@ -219,11 +239,11 @@ def test_units_module_itself_is_exempt():
 
 
 def test_every_unit_rule_has_a_fixture():
-    assert set(UNIT_FIXTURES.values()) == set(unit_rule_registry())
+    assert set(UNIT_FIXTURES.values()) == set(RULES["units"])
 
 
 def test_package_is_unit_clean():
-    findings = _unit_engine().check_tree(PACKAGE)
+    findings = run_check(rules=["units"]).findings
     assert findings == [], [str(f) for f in findings]
 
 
@@ -231,7 +251,7 @@ def test_package_is_unit_clean():
 
 
 def test_cli_units_flags_fixture_dir(capsys):
-    assert main(["check", "--units", str(FIXTURES)]) == 1
+    assert main(["check", "--rules", "units", str(FIXTURES)]) == 1
     out = capsys.readouterr().out
     assert "unit-mismatch" in out
     assert "unit-bitbyte" in out
@@ -239,16 +259,16 @@ def test_cli_units_flags_fixture_dir(capsys):
 
 
 def test_cli_units_clean_on_package(capsys):
-    assert main(["check", "--units", str(PACKAGE)]) == 0
+    assert main(["check", "--rules", "units", str(PACKAGE)]) == 0
     assert "0 error(s)" in capsys.readouterr().out
 
 
 def test_cli_units_json(capsys):
     import json
-    assert main(["check", "--units", str(FIXTURES), "--json"]) == 1
+    assert main(["check", "--rules", "units", str(FIXTURES), "--json"]) == 1
     report = json.loads(capsys.readouterr().out)
     by_rule = report["summary"]["by_rule"]
-    assert by_rule["unit-mismatch"] == 3
+    assert by_rule["unit-mismatch"] == 4
     assert by_rule["unit-bitbyte"] == 1
     assert by_rule["unit-magic"] == 1
 

@@ -1,5 +1,7 @@
 """Sweeps and figure series (reduced sizes for test speed)."""
 
+import dataclasses
+
 import pytest
 
 from repro.sim import (
@@ -7,6 +9,7 @@ from repro.sim import (
     figure3_series,
     figure4_series,
     figure5_series,
+    figure6_series,
     find_max_sustainable,
     load_sweep,
 )
@@ -77,6 +80,25 @@ def test_figure3_sustainability_flips_below_the_papers_22_req_s():
         [25, 25, 25]
     verdicts = {point.x: point.result.sustainable for point in points}
     assert verdicts == {10.0: True, 15.0: False, 22.0: False}
+
+
+def test_figure6_m2372k_point_sits_inside_figure3s_flip():
+    """Figure 6 at 32 disks and Figure 3's 32 KB x 32-disk curve agree.
+
+    Both run 1 MB requests in 32 KB units over 32 M2372K disks, so
+    Figure 6's max sustainable rate (11.85 req/s, 12.37 MB/s at seed 0)
+    must land where Figure 3's criterion flips: it holds at 10 req/s and
+    fails at 15 (pinned above).
+    """
+    (point,) = figure6_series(disk_counts=(32,),
+                              disk_names=("Fujitsu M2372K",))
+    (curve,) = figure3_series(rates=(10.0,), disk_counts=(32,),
+                              block_sizes=(32 * KB,), num_requests=250,
+                              seed=0)
+    found = point.result.config
+    assert dataclasses.replace(found, arrival_rate=10.0) == \
+        curve.result.config
+    assert 10.0 < found.arrival_rate < 15.0
 
 
 def test_figure3_series_structure():
