@@ -15,6 +15,7 @@ block plus its metadata synchronously to the IPI disk before the reply.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 
 from ..des import Environment, StreamFactory
@@ -140,6 +141,8 @@ class NfsBaseline:
     def __init__(self, seed: int = 0,
                  background_load: float = DEPARTMENTAL_BACKGROUND_LOAD):
         self.env = Environment()
+        # Dropping the baseline ends the never-ending server loop.
+        weakref.finalize(self, self.env.close)
         self.streams = StreamFactory(seed)
         self.network = Network(self.env, self.streams)
         self.network.add_ethernet("departmental",

@@ -15,7 +15,7 @@ callback processes are reserved for measured hot loops (the §5 model's
 request path in ``sim/model.py``, the disk service loop, socket sends,
 the Swift packet pumps).  Where every stage is a FIFO server with a
 known hold time (host CPUs, cables) the loops go further: a stage is
-one :class:`~repro.des.resources.FifoServer` serve and one timeout, and
+one :class:`~repro.des.resources.FifoServer` serve and one timer, and
 the prototype network's NIC and receive path need no process at all.
 ``tests/sim/reference_model.py`` keeps a generator twin of the §5
 request path, and ``tests/sim/test_process_modes.py`` pins the two
@@ -28,6 +28,11 @@ may ``yield`` it from generator processes or ``wait`` on it from other
 callback processes.  A failed wait target raises its exception inside
 the waiting process, which fails it — the callback analogue of a
 generator that does not catch a ``throw()``.
+
+A timer edge (:meth:`wait_at`, :meth:`wait_timeout`) puts the process's
+own ``_step`` on the calendar (:meth:`~repro.des.engine.Environment.call_at`):
+unmonitored, no Timeout is built, and ``_step(None)`` still sets
+``active_process`` and turns a raising state into the process's failure.
 
 Two deliberate event-count reductions versus the generator path (both
 result-neutral — same timestamps, same draws, same resource queueing —
@@ -47,10 +52,9 @@ as nothing else holds it, instead of waiting for the cyclic collector.
 
 from __future__ import annotations
 
-from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from .events import _NORMAL_KEY_BASE, Event, PENDING
+from .events import Event, PENDING
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Environment
@@ -66,11 +70,11 @@ class CallbackProcess(Event):
 
     Subclasses implement ``_start(value)`` and further state methods; each
     state runs to completion and either arranges the next wakeup
-    (:meth:`wait`, :meth:`wait_timeout`) or ends the process
-    (:meth:`_finish`).  The constructor runs ``_start(None)`` inside the
-    caller's current dispatch, mirroring a ``yield from`` into the body
-    rather than a spawned child, so a subclass sets its fields before it
-    calls ``super().__init__``.
+    (:meth:`wait`, :meth:`wait_at`, :meth:`wait_timeout`) or ends the
+    process (:meth:`_finish`).  The constructor runs ``_start(None)``
+    inside the caller's current dispatch, mirroring a ``yield from`` into
+    the body rather than a spawned child, so a subclass sets its fields
+    before it calls ``super().__init__``.
     """
 
     __slots__ = ("_state", "_bound_step")
@@ -133,36 +137,16 @@ class CallbackProcess(Event):
             raise event._value
         callbacks.append(self._bound_step)
 
-    def wait_timeout(self, duration: float, state: State) -> None:
-        """Suspend ``duration`` seconds, then dispatch ``state(None)``.
-
-        Exactly ``wait(env.timeout(duration), state)``, with the pooled
-        timeout fast path of :meth:`~repro.des.engine.Environment.timeout`
-        inlined (one pool pop, one calendar entry, no intermediate
-        calls) — this is the single hottest edge in a callback run.  Any
-        monitored or unpooled case defers to ``env.timeout`` so the
-        notification logic stays in one place.
-        """
-        env = self.env
-        pool = env._timeout_pool
-        if pool and env._unmonitored and env._schedule_fast:
-            if duration < 0:
-                raise ValueError(f"negative delay {duration}")
-            timeout = pool.pop()
-            timeout.delay = duration
-            timeout._value = None
-            now = env._now
-            when = now + duration
-            env._eid = eid = env._eid + 1
-            if when == now:
-                env._ready.append(timeout)
-            else:
-                heappush(env._queue,
-                         (when, _NORMAL_KEY_BASE + eid, timeout))
-        else:
-            timeout = env.timeout(duration)
+    def wait_at(self, when: float, state: State) -> None:
+        """Suspend until the absolute time ``when``, then ``state(None)``."""
         self._state = state
-        timeout.callbacks.append(self._bound_step)
+        self.env.call_at(when, self._bound_step)
+
+    def wait_timeout(self, duration: float, state: State) -> None:
+        """Suspend ``duration`` seconds, then dispatch ``state(None)``."""
+        if duration < 0:
+            raise ValueError(f"negative delay {duration}")
+        self.wait_at(self.env._now + duration, state)
 
     # -- finishing ------------------------------------------------------------
 
@@ -195,13 +179,15 @@ class CallbackProcess(Event):
 
     # -- engine plumbing ------------------------------------------------------
 
-    def _step(self, trigger: Event) -> None:
-        """Advance the state machine with the outcome of ``trigger``."""
+    def _step(self, trigger: Optional[Event]) -> None:
+        """Advance the state machine on ``trigger`` (None: a timer fired)."""
         env = self.env
         prev = env._active_process
         env._active_process = self
         try:
-            if trigger._ok:
+            if trigger is None:
+                self._state(None)
+            elif trigger._ok:
                 self._state(trigger._value)
             else:
                 trigger._defused = True

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
+from types import MethodType
 from typing import Any, Optional
 
 from .events import (
@@ -119,6 +120,11 @@ class Environment:
     the one-heap path instead, exactly as pooling is disabled,
     so detectors always observe the fully ordered, individually
     dispatched engine.
+
+    **Timer callbacks.**  A calendar entry may carry a bound method from
+    :meth:`call_at` instead of an Event; the loop calls it as ``fn(None)``.
+    Under a monitor or a tie-break seed the entry is a Timeout carrying
+    ``fn``, so observers only ever see Events.
     """
 
     #: Events scheduled with urgent priority run before normal events that
@@ -138,6 +144,8 @@ class Environment:
         self._ready: deque = deque()
         self._eid = 0
         self._active_process: Optional[Process] = None
+        # Generator processes that have not finished, in start order.
+        self._processes: dict = {}
         # Free lists of processed Timeout / Release / Request objects
         # (see timeout(), Resource.release() and Resource.request()).
         self._timeout_pool: list = []
@@ -189,6 +197,17 @@ class Environment:
                                  or self._schedule_monitors
                                  or self._resource_monitors
                                  or self._access_monitors)
+        if not self._unmonitored:
+            # Box pending call_at entries into Timeouts under their own
+            # keys: monitors see only Events, in unchanged order.
+            queue = self._queue
+            for index, (when, key, fn) in enumerate(queue):
+                if type(fn) is MethodType:
+                    queue[index] = (when, key, self._boxed(when, fn))
+            ready = self._ready
+            for index, fn in enumerate(ready):
+                if type(fn) is MethodType:
+                    ready[index] = self._boxed(self._now, fn)
         if not self._schedule_fast and self._ready:
             # A schedule monitor arrived while a cohort was pending:
             # spill it into the heap so the one-queue reference path
@@ -226,7 +245,8 @@ class Environment:
 
         *step* runs as each event is popped, before the clock advances
         and the event's callbacks run, so it may veto a non-monotonic
-        timestamp by raising.  *schedule* runs as an event is placed on
+        timestamp by raising; it always receives an Event, never a
+        :meth:`call_at` callback.  *schedule* runs as an event is placed on
         the calendar; ``active_process`` is the process whose segment
         scheduled it (None in the callback phase or at setup).
         *resource* runs on every ``Resource`` grant or release
@@ -235,9 +255,10 @@ class Environment:
         accounting event (the conservation ledger) and *alias* on every
         shared buffer mutate or retire (the aliasing sanitizer).
 
-        Clearing ``_unmonitored`` turns off event pooling, token grants
-        and inline finishes, because detectors key state by event
-        identity and need every completion event.  Clearing
+        Clearing ``_unmonitored`` turns off event pooling, token grants,
+        inline finishes and raw :meth:`call_at` entries (pending ones
+        become Timeouts at attach time), because detectors key state by
+        event identity and need every completion event.  Clearing
         ``_schedule_fast`` also routes every event through the heap, so
         schedule callbacks see each one.  Transfer and alias callbacks
         leave both gates alone: their emitters guard on the list, so the
@@ -352,15 +373,41 @@ class Environment:
             else:
                 self._schedule_at(timeout, when)
             return timeout
+        timeout = self._boxed(when, value=value)
+        self._schedule_at(timeout, when)
+        return timeout
+
+    def call_at(self, when: float, fn) -> None:
+        """Call the bound method ``fn`` at the absolute time ``when``.
+
+        Unmonitored and without a tie-break seed, ``fn`` itself is the
+        calendar entry, under the key and eid :meth:`timeout_at` would
+        use, and the run loop calls ``fn(None)``; it must be a bound
+        method, the type the loop tells raw entries by.  Otherwise ``fn``
+        is the one callback of ``timeout_at(when)``.
+        """
+        now = self._now
+        if when < now:
+            raise ValueError(f"call_at({when}) is in the past (now={now})")
+        if self._unmonitored and self._schedule_fast:
+            eid = self._eid = self._eid + 1
+            if when == now:
+                self._ready.append(fn)
+            else:
+                heappush(self._queue, (when, _NORMAL_KEY_BASE + eid, fn))
+        else:
+            self.timeout_at(when).callbacks.append(fn)
+
+    def _boxed(self, when: float, fn=None, value: Any = None) -> Timeout:
+        """An unscheduled Timeout for ``when``, calling ``fn`` if given."""
         timeout = Timeout.__new__(Timeout)
         timeout.env = self
-        timeout.callbacks = []
+        timeout.callbacks = [] if fn is None else [fn]
         timeout._defused = False
         timeout._stale = None
-        timeout.delay = when - now
+        timeout.delay = when - self._now
         timeout._ok = True
         timeout._value = value
-        self._schedule_at(timeout, when)
         return timeout
 
     def process(self, generator: ProcessGenerator) -> Process:
@@ -450,6 +497,10 @@ class Environment:
                 when, _, event = heappop(queue)
             except IndexError:
                 raise EmptySchedule() from None
+        if type(event) is MethodType:
+            self._now = when
+            event(None)
+            return
         if self._step_monitors:
             for monitor in self._step_monitors:
                 monitor(when, event)
@@ -525,7 +576,8 @@ class Environment:
         # the current time — and the heap-top guard before each cohort
         # pop keeps urgent arrivals (smaller key, scheduled mid-cohort)
         # ahead of the rest of the cohort, preserving exact (time,
-        # priority, eid) order.
+        # priority, eid) order.  A call_at entry is called and done.
+        method = MethodType
         queue = self._queue
         ready = self._ready
         ready_pop = ready.popleft
@@ -556,6 +608,10 @@ class Environment:
                         self._now = stop_time
                         return None
                     raise EmptySchedule()
+                cls = type(event)
+                if cls is method:
+                    event(None)
+                    continue
                 if step_monitors:
                     for monitor in step_monitors:
                         monitor(when, event)
@@ -565,7 +621,6 @@ class Environment:
                     for callback in callbacks:
                         callback(event)
                 if event._ok:
-                    cls = type(event)
                     if (cls is Timeout
                             and len(timeout_pool) < _POOL_LIMIT
                             and not step_monitors
@@ -598,6 +653,16 @@ class Environment:
                     "the schedule is empty"
                 ) from None
             return None
+
+    def close(self) -> None:
+        """End the simulation: close every unfinished process's generator
+        and empty the calendar, so what a parked process holds (a server
+        loop's file system, say) is freed now, not at a full collection."""
+        processes, self._processes = self._processes, {}
+        for process in processes:
+            process._generator.close()
+        self._queue.clear()
+        self._ready.clear()
 
     @staticmethod
     def _stop_callback(event: Event) -> None:

@@ -38,6 +38,7 @@ class Process(Event):
         super().__init__(env)
         self._generator = generator
         self._target: Event | None = None
+        env._processes[self] = None
         # self._resume is looked up once: every attribute access on a
         # method otherwise allocates a fresh bound-method object, and the
         # resume callback is registered once per yield.
@@ -131,10 +132,12 @@ class Process(Event):
             # that a finished process is freed by reference counting
             # instead of waiting for the cyclic collector.
             self._bound_resume = None
+            env._processes.pop(self, None)
             self._ok = True
             self._value = exc.value
             env.schedule(self)
         except BaseException as exc:
+            env._processes.pop(self, None)
             self._ok = False
             self._value = exc
             env.schedule(self)

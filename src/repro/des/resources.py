@@ -438,7 +438,8 @@ class FifoServer:
     grants a queued hold when the previous one's timeout fires at that
     previous end and schedules ``end_prev + duration``: the very same
     float.  So a hold costs the caller one calendar entry, its
-    completion (``env.timeout_at(end)``), and no queue bookkeeping.
+    completion (a timer at ``end``: ``wait_at``, ``call_at`` or
+    ``timeout_at``), and no queue bookkeeping.
 
     ``monitor`` (a medium's) goes busy when a hold finds the server
     idle, and idle in :meth:`done` when the ending hold left nothing

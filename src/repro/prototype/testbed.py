@@ -8,6 +8,8 @@ behind it.
 
 from __future__ import annotations
 
+import weakref
+
 from ..des import Environment, StreamFactory
 from ..simdisk import ScsiMode, make_scsi_filesystem
 from ..simnet import CostModel, Network
@@ -33,6 +35,8 @@ class PrototypeTestbed:
         if agents_per_segment < 1:
             raise ValueError("need at least one agent per segment")
         self.env = Environment()
+        # Dropping the testbed ends the agents' never-ending loops.
+        weakref.finalize(self, self.env.close)
         self.streams = StreamFactory(seed)
         self.network = Network(self.env, self.streams)
         self.second_ethernet = second_ethernet

@@ -259,9 +259,9 @@ class SwiftSimModel:
 #
 # A client's read or write and each agent's share of it run as
 # CallbackProcess state machines; every CPU and ring stage is one
-# FifoServer.serve and one absolute timeout at its end.  A read block's
-# trip back (agent CPU, ring, client CPU) rides on its agent's share as
-# two timeouts with plain callbacks.  The client-CPU receive that ends a
+# FifoServer.serve and one absolute timer (wait_at) at its end.  A read
+# block's trip back (agent CPU, ring, client CPU) rides on its agent's
+# share as two call_at timers.  The client-CPU receive that ends a
 # block or an acknowledgement has no next stage, so it gets no event:
 # the client CPU is FIFO, so the op's last such receive ends last, and
 # the op completes at that end.  Disk holds stay Resource holds (EDF
@@ -286,15 +286,13 @@ class _ReadOp(CallbackProcess):
         super().__init__(env)
 
     def _start(self, value):
-        env = self.env
-        end = self.cpu.serve(env._now, self.model._cpu_control_s)
-        self.wait(env.timeout_at(end), self._multicast)
+        end = self.cpu.serve(self.env._now, self.model._cpu_control_s)
+        self.wait_at(end, self._multicast)
 
     def _multicast(self, value):
-        env = self.env
         model = self.model
-        end = model._cable.serve(env._now, model._ring_control_s)
-        self.wait(env.timeout_at(end), self._fan_out)
+        end = model._cable.serve(self.env._now, model._ring_control_s)
+        self.wait_at(end, self._fan_out)
 
     def _fan_out(self, value):
         env = self.env
@@ -309,7 +307,7 @@ class _ReadOp(CallbackProcess):
         end = self.cpu.serve(now, self.model._cpu_unit_s)
         self._blocks -= 1
         if not self._blocks:
-            self.wait(self.env.timeout_at(end), self._served)
+            self.wait_at(end, self._served)
 
     def _served(self, value):
         self._finish()
@@ -331,9 +329,8 @@ class _AgentRead(CallbackProcess):
         super().__init__(env)
 
     def _start(self, value):
-        env = self.env
-        end = self.cpu.serve(env._now, self.model._cpu_control_s)
-        self.wait(env.timeout_at(end), self._request_disk)
+        end = self.cpu.serve(self.env._now, self.model._cpu_control_s)
+        self.wait_at(end, self._request_disk)
 
     def _request_disk(self, value):
         resource = self._disk.resource
@@ -363,7 +360,7 @@ class _AgentRead(CallbackProcess):
         # "Once a block has been read from disk it is scheduled for
         # transmission over the network."
         end = self.cpu.serve(env._now, self.model._cpu_unit_s)
-        env.timeout_at(end).callbacks.append(self._on_ring)
+        env.call_at(end, self._on_ring)
         self._left -= 1
         if self._left:
             self.wait_timeout(disk.block_service_time(unit),
@@ -382,7 +379,7 @@ class _AgentRead(CallbackProcess):
         env = self.env
         model = self.model
         end = model._cable.serve(env._now, model._ring_unit_s)
-        env.timeout_at(end).callbacks.append(self._delivered)
+        env.call_at(end, self._delivered)
 
     def _delivered(self, _timeout):
         now = self.env._now
@@ -420,15 +417,13 @@ class _WriteOp(CallbackProcess):
             self._send_block(None)
 
     def _send_block(self, value):
-        env = self.env
-        end = self.cpu.serve(env._now, self.model._cpu_unit_s)
-        self.wait(env.timeout_at(end), self._block_on_ring)
+        end = self.cpu.serve(self.env._now, self.model._cpu_unit_s)
+        self.wait_at(end, self._block_on_ring)
 
     def _block_on_ring(self, value):
-        env = self.env
         model = self.model
-        end = model._cable.serve(env._now, model._ring_unit_s)
-        self.wait(env.timeout_at(end), self._block_sent)
+        end = model._cable.serve(self.env._now, model._ring_unit_s)
+        self.wait_at(end, self._block_sent)
 
     def _block_sent(self, value):
         env = self.env
@@ -447,7 +442,7 @@ class _WriteOp(CallbackProcess):
         end = self.cpu.serve(now, self.model._cpu_control_s)
         self._acks -= 1
         if not self._acks:
-            self.wait(self.env.timeout_at(end), self._acknowledged)
+            self.wait_at(end, self._acknowledged)
 
     def _acknowledged(self, value):
         self._finish()
@@ -463,8 +458,8 @@ class _AgentWrite(CallbackProcess):
     spindle, and per-disk streams are drawn only by the spindle holder
     — accumulated with the exact float additions the expanded chain
     would perform, and landed as one
-    :meth:`~repro.des.engine.Environment.timeout_at` completion instead
-    of B calendar entries, monitored or not.
+    :meth:`~repro.des.callback.CallbackProcess.wait_at` completion
+    instead of B calendar entries, monitored or not.
     """
 
     __slots__ = ("model", "op", "cpu", "blocks", "_disk", "_grant", "_left",
@@ -484,9 +479,8 @@ class _AgentWrite(CallbackProcess):
         self._recv_block(None)
 
     def _recv_block(self, value):
-        env = self.env
-        end = self.cpu.serve(env._now, self.model._cpu_unit_s)
-        self.wait(env.timeout_at(end), self._block_received)
+        end = self.cpu.serve(self.env._now, self.model._cpu_unit_s)
+        self.wait_at(end, self._block_received)
 
     def _block_received(self, value):
         self._left -= 1
@@ -509,7 +503,7 @@ class _AgentWrite(CallbackProcess):
         when = env.now
         for _ in range(self.blocks):
             when += disk.block_service_time(unit)
-        self.wait(env.timeout_at(when), self._span_done)
+        self.wait_at(when, self._span_done)
 
     def _span_done(self, value):
         disk = self._disk
@@ -523,15 +517,13 @@ class _AgentWrite(CallbackProcess):
             disk.resource.release_quiet(self._grant)
             self._grant = None
         # The acknowledgement.
-        env = self.env
-        end = self.cpu.serve(env._now, self.model._cpu_control_s)
-        self.wait(env.timeout_at(end), self._ack_on_ring)
+        end = self.cpu.serve(self.env._now, self.model._cpu_control_s)
+        self.wait_at(end, self._ack_on_ring)
 
     def _ack_on_ring(self, value):
-        env = self.env
         model = self.model
-        end = model._cable.serve(env._now, model._ring_control_s)
-        self.wait(env.timeout_at(end), self._ack_sent)
+        end = model._cable.serve(self.env._now, model._ring_control_s)
+        self.wait_at(end, self._ack_sent)
 
     def _ack_sent(self, value):
         now = self.env._now

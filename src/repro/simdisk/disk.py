@@ -129,7 +129,7 @@ class DiskAccess(CallbackProcess):
     pre-drawn in block order — legal because this process holds the
     spindle and per-disk streams are drawn only by the spindle holder —
     and land as a single computed completion
-    (:meth:`~repro.des.engine.Environment.timeout_at`) at the instant
+    (:meth:`~repro.des.callback.CallbackProcess.wait_at`) at the instant
     the expanded chain would end, monitored or not.
     """
 
@@ -174,13 +174,12 @@ class DiskAccess(CallbackProcess):
         head_continues = (self.at_block is not None
                           and self.at_block == disk._head)
         disk.monitor.busy()
-        env = self.env
         if self.on_block is None:
             spec = disk.spec
             nbytes = self.nbytes
             extra = self.per_block_extra_s
             sequential = self.sequential
-            when = env.now
+            when = self.env.now
             for index in range(self.blocks):
                 service = spec.transfer_time(nbytes) + extra
                 if index == 0:
@@ -189,7 +188,7 @@ class DiskAccess(CallbackProcess):
                 elif not sequential:
                     service += disk.draw_positioning_time()
                 when += service
-            self.wait(env.timeout_at(when), self._span_done)
+            self.wait_at(when, self._span_done)
             return
         self._head_continues = head_continues
         self._index = 0

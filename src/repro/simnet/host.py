@@ -6,7 +6,7 @@ received charges it according to a :class:`CostModel` (a fixed per-packet
 cost plus a per-byte cost — §5.1 charges "1,500 instructions plus one
 instruction per byte in the packet", and the prototype hosts use costs
 calibrated to the measured SunOS data path).  Each charge is known when
-it is made, so it costs one timeout at its computed end.
+it is made, so it costs one timer at its computed end.
 
 The send path mirrors SunOS behaviour the paper fought with:
 
@@ -325,7 +325,7 @@ class SocketSend(CallbackProcess):
 
     Validation, routing and datagram construction happen at the call
     site, then the jittered CPU charge is served on the host CPU, one
-    timeout at its end, and the datagram joins the interface queue.
+    timer at its end, and the datagram joins the interface queue.
     """
 
     __slots__ = ("socket", "interface", "datagram")
@@ -349,9 +349,7 @@ class SocketSend(CallbackProcess):
         cost = host.jittered(
             host.send_cost.time(self.datagram.size)
             * self.interface.cpu_cost_scale)
-        env = self.env
-        self.wait(env.timeout_at(host.cpu.serve(env._now, cost)),
-                  self._charged)
+        self.wait_at(host.cpu.serve(self.env._now, cost), self._charged)
 
     def _charged(self, value):
         self.interface.enqueue(self.datagram)

@@ -9,14 +9,21 @@ in isolation.
 
 import gc
 import weakref
+from types import MethodType
 
 import pytest
 
+from repro.check import assert_schedule_invariant
 from repro.des import (
     CallbackProcess,
     Environment,
+    Event,
     Resource,
+    Timeout,
 )
+
+MONITOR_KINDS = ("step", "schedule", "resource", "access", "transfer",
+                 "alias")
 
 
 class Stepper(CallbackProcess):
@@ -467,3 +474,165 @@ def test_finished_process_is_freed_without_the_cycle_collector():
         if enabled:
             gc.enable()
     assert env.now == 2.0
+
+
+# -- wait_at / call_at: the timer edge ---------------------------------------
+
+
+class Timed(CallbackProcess):
+    """Wakes through ``wait_at`` at 1.0, then ``wait_timeout`` to 1.5.
+
+    Records ``env.active_process is self`` in each timer state;
+    ``explode`` makes the first timer state raise instead.
+    """
+
+    __slots__ = ("seen", "explode")
+
+    def __init__(self, env, explode=False):
+        self.seen = []
+        self.explode = explode
+        super().__init__(env)
+
+    def _start(self, value):
+        self.wait_at(1.0, self._first)
+
+    def _first(self, value):
+        self.seen.append(self.env.active_process is self)
+        if self.explode:
+            raise ValueError("timer state failed")
+        self.wait_timeout(0.5, self._second)
+
+    def _second(self, value):
+        self.seen.append(self.env.active_process is self)
+        self._finish(self.env.now)
+
+
+class Note:
+    """Collects what a ``call_at`` callback is called with."""
+
+    def __init__(self):
+        self.calls = []
+
+    def fire(self, trigger):
+        self.calls.append(trigger)
+
+
+def test_wait_at_and_call_at_reject_the_past():
+    env = Environment()
+    process = Timed(env)
+    env.run(until=1.2)
+    with pytest.raises(ValueError, match="in the past"):
+        env.call_at(1.0, Note().fire)
+    with pytest.raises(ValueError, match="in the past"):
+        process.wait_at(1.0, process._second)
+    with pytest.raises(ValueError, match="negative delay"):
+        process.wait_timeout(-0.5, process._second)
+    env.run()
+    assert process.value == 1.5
+    # Inside a state the error fails the process like any other raise.
+    late = Timed(Environment(initial_time=2.0))
+    with pytest.raises(ValueError, match="in the past"):
+        late.env.run()
+    assert not late.is_alive
+
+
+@pytest.mark.parametrize("kind", (None,) + MONITOR_KINDS)
+def test_active_process_is_set_in_wait_at_states(kind):
+    env = Environment()
+    received = []
+    if kind is not None:
+        env.observe(kind, lambda *args, **info: received.append(args))
+    process = Timed(env)
+    env.run()
+    assert process.seen == [True, True]
+    assert process.value == 1.5
+    assert env.active_process is None
+    if kind == "step":
+        assert received and all(isinstance(event, Event)
+                                for _, event in received)
+    elif kind == "schedule":
+        assert received and all(isinstance(event, Event)
+                                for event, _ in received)
+
+
+@pytest.mark.parametrize("monitored", [False, True])
+def test_wait_at_state_failure_fails_process_and_reaches_waiter(monitored):
+    env = Environment()
+    if monitored:
+        env.observe("step", lambda when, event: None)
+    caught = []
+
+    def waiter(env, target):
+        try:
+            yield target
+        except ValueError as exc:
+            caught.append((str(exc), env.now))
+
+    process = Timed(env, explode=True)
+    env.process(waiter(env, process))
+    env.run()
+    assert caught == [("timer state failed", 1.0)]
+    assert not process.is_alive
+    assert process.seen == [True]
+
+
+def test_step_dispatches_a_raw_timer_entry():
+    env = Environment()
+    note = Note()
+    env.call_at(1.0, note.fire)
+    assert type(env._queue[0][2]) is MethodType
+    env.step()
+    assert env.now == 1.0
+    assert note.calls == [None]
+
+
+def _same_time_order(monitored):
+    env = Environment()
+    if monitored:
+        env.observe("schedule", lambda event, process: None)
+    order = []
+
+    class Recorder:
+        def fire(self, trigger):
+            order.append("timer")
+
+    def proc(env):
+        yield env.timeout(1.0)
+        for index in range(3):
+            event = env.event()
+            event.callbacks.append(lambda event, index=index:
+                                   order.append(index))
+            event.succeed()
+        env.call_at(env.now, Recorder().fire)
+        late = env.event()
+        late.callbacks.append(lambda event: order.append("late"))
+        late.succeed()
+
+    env.process(proc(env))
+    env.run()
+    return order
+
+
+def test_same_time_call_at_runs_in_eid_order():
+    assert _same_time_order(False) == [0, 1, 2, "timer", "late"]
+    assert _same_time_order(True) == _same_time_order(False)
+
+
+def test_tie_break_seed_boxes_timers_and_stays_schedule_invariant():
+    env = Environment(tie_break_seed=3)
+    Timed(env)
+    env.call_at(0.5, Note().fire)
+    assert [type(entry[2]) for entry in env._queue] == [Timeout, Timeout]
+
+    def scenario(tie_break_seed, trace):
+        env = Environment(tie_break_seed=tie_break_seed)
+        resource = Resource(env, capacity=1)
+        holders = [Holder(env, resource) for _ in range(4)]
+        timers = [Timed(env) for _ in range(3)]
+        env.run()
+        return {"released": sorted(holder.value for holder in holders),
+                "timers": [timer.value for timer in timers],
+                "now": env.now}
+
+    report = assert_schedule_invariant(scenario, permutations=4)
+    assert report.baseline_metrics["released"] == [1.0, 2.0, 3.0, 4.0]

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.des import Environment, EmptySchedule, Event, Timeout
+from repro.des import (CallbackProcess, Environment, EmptySchedule, Event,
+                        Timeout)
 
 
 def test_environment_starts_at_zero():
@@ -332,3 +333,68 @@ def test_schedule_monitor_spills_pending_cohort():
     env.process(fanout(env))
     env.run()
     assert order == [[0, 1, 2, 3]]
+
+
+class Ticker(CallbackProcess):
+    """Ticks through ``wait_at`` at t = 1, 2 and 3, then finishes."""
+
+    __slots__ = ("ticks",)
+
+    def __init__(self, env):
+        self.ticks = []
+        super().__init__(env)
+
+    def _start(self, value):
+        self.wait_at(1.0, self._tick)
+
+    def _tick(self, value):
+        self.ticks.append(self.env.now)
+        if len(self.ticks) < 3:
+            self.wait_at(self.env.now + 1.0, self._tick)
+        else:
+            self._finish()
+
+
+def test_step_monitor_attached_mid_run_sees_every_later_dispatch():
+    # Unmonitored, the t = 2.0 tick is a raw call_at entry.  Attaching a
+    # step monitor boxes it into a Timeout under its own key, so the
+    # monitor sees that dispatch too, and sees it as an Event.
+    env = Environment()
+    ticker = Ticker(env)
+    env.run(until=1.5)
+    seen = []
+    env.observe("step", lambda when, event: seen.append((when, event)))
+    env.run()
+    assert [(when, type(event)) for when, event in seen] == [
+        (2.0, Timeout), (3.0, Timeout), (3.0, Ticker)]
+    assert all(isinstance(event, Event) for _, event in seen)
+    assert ticker.ticks == [1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("kind", ["step", "schedule"])
+def test_monitor_attached_mid_dispatch_boxes_a_same_time_timer(kind):
+    # A call_at at the current time waits in the ready deque; a monitor
+    # attached before it runs must see it as a Timeout, in eid order.
+    env = Environment()
+    order = []
+    seen = []
+
+    class Note:
+        def fire(self, trigger):
+            order.append(("timer", type(trigger)))
+
+    def proc(env):
+        yield env.timeout(1.0)
+        env.call_at(env.now, Note().fire)
+        late = env.event()
+        late.callbacks.append(lambda event: order.append(("late", None)))
+        late.succeed()
+        env.observe(kind, lambda *args: seen.append(args))
+
+    env.process(proc(env))
+    env.run()
+    assert order == [("timer", Timeout), ("late", None)]
+    if kind == "step":
+        assert [type(event) for _, event in seen[:2]] == [Timeout, Event]
+    assert all(isinstance(args[0 if kind == "schedule" else 1], Event)
+               for args in seen)

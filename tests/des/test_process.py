@@ -45,6 +45,45 @@ def test_finished_process_is_freed_without_the_cycle_collector():
     assert env.now == 1.0
 
 
+def test_close_ends_parked_processes_and_empties_the_calendar():
+    # A server loop parked on an event nobody triggers never finishes;
+    # close() ends it, so what its frame holds is freed at once, even
+    # while the event it waits on is still referenced.
+    class Payload:
+        pass
+
+    env = Environment()
+    request = env.event()
+    payload = Payload()
+    ref = weakref.ref(payload)
+    closed = []
+
+    def server(env, held):
+        try:
+            yield request
+        finally:
+            closed.append(env.now)
+
+    def client(env):
+        yield env.timeout(1.0)
+
+    env.process(server(env, payload))
+    env.process(client(env))
+    del payload
+    env.run(until=0.5)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        env.close()
+        assert closed == [0.5]
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+    assert env.peek() == float("inf")
+    assert env.run() is None
+
+
 def test_process_requires_generator():
     env = Environment()
     with pytest.raises(TypeError):

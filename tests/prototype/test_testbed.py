@@ -1,5 +1,8 @@
 """Prototype testbed: Table 1/4 bands, scaling, utilization claims."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.prototype import PrototypeTestbed
@@ -117,3 +120,21 @@ def test_agent_count_scaling_until_saturation():
 def test_validation():
     with pytest.raises(ValueError):
         PrototypeTestbed(agents_per_segment=0)
+
+
+def test_dropping_the_testbed_frees_the_stored_object_without_the_collector():
+    # The agents' server loops never finish, a reference cycle through
+    # each agent and its file system; dropping the testbed ends them, so
+    # the stored stripes go at once instead of at a full collection.
+    testbed = PrototypeTestbed(seed=11)
+    testbed.prepare_object("obj", MB)
+    testbed.measure_read("obj", MB)
+    filesystem = weakref.ref(testbed.agents["slc0"].filesystem)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del testbed
+        assert filesystem() is None
+    finally:
+        if enabled:
+            gc.enable()
