@@ -2,8 +2,8 @@
 
 ::
 
-    python benchmarks/ab_cells.py PARENT_SRC CHANGE_SRC fig3|fig5 [--rounds N]
-        [--seed S]
+    python benchmarks/ab_cells.py PARENT_SRC CHANGE_SRC fig3|fig5|kernel
+        [--rounds N] [--seed S]
 
 ``PARENT_SRC`` and ``CHANGE_SRC`` are checkouts (or their ``src``
 directories) of the two versions to compare.  One long-lived worker
@@ -15,6 +15,11 @@ cell run in the same spell of host throughput.  On a shared 2-vCPU host
 whole-grid fresh-interpreter pairs swing by about +-20 %, because
 throughput alternates between fast and slow spells lasting seconds;
 interleaving by cell cancels most of that.
+
+The ``kernel`` workload has no e2ebench grid: each of its 20 cells is one
+run of the ``bench_kernel_events`` ping-pong (8 processes x 500 holds of
+a capacity-2 resource), and its digest is the run's event count (12,016),
+so ``--rounds 10`` gives 200 alternating paired runs of the kernel alone.
 
 Per round it prints the change/parent ratio of the summed cell seconds
 and how many cells' result digests (the e2ebench cell hash) differ
@@ -40,7 +45,10 @@ from _common import archive_json
 
 HERE = Path(__file__).resolve().parent
 E2EBENCH = HERE.parent / "e2ebench"
-WORKLOADS = {"fig3": "fig3_curve", "fig5": "fig5_search"}
+WORKLOADS = {"fig3": "fig3_curve", "fig5": "fig5_search",
+             "kernel": "kernel"}
+#: Ping-pong runs per round of the ``kernel`` workload.
+KERNEL_CELLS = 20
 KB = 1 << 10
 #: How long a worker may take to exit once its stdin closes.
 CLOSE_TIMEOUT_S = 60.0
@@ -57,6 +65,8 @@ def _src_dir(path: str) -> Path:
 
 def grid_cells(workload: str, seed: int) -> list:
     """The e2ebench grid of ``workload`` split into one-call cells."""
+    if workload == "kernel":
+        return [{"run": index} for index in range(KERNEL_CELLS)]
     sys.path.insert(0, str(E2EBENCH))
     import workloads
 
@@ -77,8 +87,8 @@ def grid_cells(workload: str, seed: int) -> list:
 
 # -- the worker: one interpreter per source tree ------------------------------
 
-def _pingpong_events_per_s(repeats: int = 3) -> float:
-    """Kernel throughput of this tree: bench_kernel_events' ping-pong."""
+def _pingpong_run() -> tuple[float, int]:
+    """One timed run of bench_kernel_events' ping-pong: (seconds, events)."""
     from repro.des import Environment, Resource
 
     def worker(env, resource):
@@ -87,21 +97,27 @@ def _pingpong_events_per_s(repeats: int = 3) -> float:
                 yield request
                 yield env.timeout(0.001)
 
-    best = float("inf")
-    events = 0
-    for _ in range(repeats):
-        env = Environment()
-        resource = Resource(env, capacity=2)
-        for _ in range(8):
-            env.process(worker(env, resource))
-        start = time.perf_counter()
-        env.run()
-        best = min(best, time.perf_counter() - start)
-        events = env._eid
-    return events / best
+    env = Environment()
+    resource = Resource(env, capacity=2)
+    for _ in range(8):
+        env.process(worker(env, resource))
+    start = time.perf_counter()
+    env.run()
+    return time.perf_counter() - start, env._eid
+
+
+def _pingpong_events_per_s(repeats: int = 3) -> float:
+    """Kernel throughput of this tree: the best of ``repeats`` runs."""
+    runs = [_pingpong_run() for _ in range(repeats)]
+    return runs[0][1] / min(seconds for seconds, _ in runs)
 
 
 def _run_cell(workload: str, cell: dict) -> dict:
+    gc.collect()
+    if workload == "kernel":
+        seconds, events = _pingpong_run()
+        return {"seconds": seconds, "digest": events}
+
     import workloads
 
     from repro.sim import figure3_series, figure5_series
@@ -110,7 +126,6 @@ def _run_cell(workload: str, cell: dict) -> dict:
               for key, value in cell.items()}
     artifact = (figure5_series if workload == "fig5_search"
                 else figure3_series)
-    gc.collect()
     start = time.perf_counter()
     (point,) = artifact(**kwargs)
     seconds = time.perf_counter() - start

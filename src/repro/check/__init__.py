@@ -57,7 +57,7 @@ The runtime half, checking live runs:
 * :mod:`repro.check.hb` — dynamic happens-before race detection over a
   live DES run.
 * :mod:`repro.check.perturb` — the schedule-perturbation harness: rerun
-  a scenario under K seeded same-(time, priority) shuffles and assert
+  a scenario under K seeded same-time tie shuffles and assert
   the metrics are bit-identical.
 * :mod:`repro.check.conserve` — a byte-conservation ledger over the
   striped data path.

@@ -233,12 +233,11 @@ class RaceDetector:
 
     def watch(self, obj, label: Optional[str] = None) -> None:
         """Track accesses to a stats accumulator (anything exposing the
-        ``observer`` hook of :class:`~repro.des.stats.OnlineStats` /
-        :class:`~repro.des.stats.Histogram`)."""
+        ``observer`` hook of :class:`~repro.des.stats.OnlineStats`)."""
         if not hasattr(obj, "observer"):
             raise TypeError(
                 f"{obj!r} has no observer hook; watch() takes stats "
-                "accumulators (OnlineStats, Histogram)")
+                "accumulators (OnlineStats)")
         name = label or type(obj).__name__
         previous = obj.observer
 

@@ -1,10 +1,10 @@
 """Schedule-perturbation harness: prove results don't lean on tie-breaks.
 
-The calendar orders events by ``(time, priority, eid)``; the ``eid``
-component is an implementation detail, not part of any model's contract.
-This harness runs one scenario several times with
+The calendar orders events by ``(time, eid)``; the ``eid`` component is
+an implementation detail, not part of any model's contract.  This
+harness runs one scenario several times with
 ``Environment(tie_break_seed=...)`` — which deterministically shuffles
-every same-``(time, priority)`` tie — and asserts the end-of-run metrics
+every same-time tie — and asserts the end-of-run metrics
 are **bit-identical** across all permutations.  Any divergence is a
 confirmed tie-break race: some result flowed through the order of two
 same-timestamp events.
@@ -45,7 +45,7 @@ Scenario = Callable[[Optional[int], "ScheduleTrace"], Mapping]
 
 
 class ScheduleRaceError(AssertionError):
-    """Metrics moved under a same-(time, priority) shuffle."""
+    """Metrics moved under a same-time tie shuffle."""
 
 
 class ScheduleTrace:

@@ -8,13 +8,12 @@ events), which matches the simulator described in §5 of the paper.
 
 from .callback import CallbackProcess
 from .engine import EmptySchedule, Environment, StopSimulation
-from .events import AllOf, AnyOf, Event, Interrupt, Timeout
+from .events import AllOf, AnyOf, Event, Timeout
 from .process import Process
 from .random_streams import RandomStream, StreamFactory
 from .resources import FifoServer, Resource, Store
 from .stats import (
     ConfidenceInterval,
-    Histogram,
     OnlineStats,
     SampleSet,
     UtilizationMonitor,
@@ -29,7 +28,6 @@ __all__ = [
     "Timeout",
     "AllOf",
     "AnyOf",
-    "Interrupt",
     "Process",
     "CallbackProcess",
     "Resource",
@@ -38,7 +36,6 @@ __all__ = [
     "RandomStream",
     "StreamFactory",
     "OnlineStats",
-    "Histogram",
     "SampleSet",
     "ConfidenceInterval",
     "UtilizationMonitor",

@@ -20,15 +20,7 @@ from heapq import heappop, heappush
 from types import MethodType
 from typing import Any, Optional
 
-from .events import (
-    _NORMAL_KEY_BASE,
-    _POOL_LIMIT,
-    _PRIORITY_SHIFT,
-    AllOf,
-    AnyOf,
-    Event,
-    Timeout,
-)
+from .events import _POOL_LIMIT, AllOf, AnyOf, Event, Timeout
 from .process import Process, ProcessGenerator
 from .resources import Release
 
@@ -75,10 +67,11 @@ _PREFIX_CACHE: dict[int, int] = {}
 def tie_break_key(seed: int, eid: int) -> tuple[int, int]:
     """Deterministic shuffle key for one calendar entry.
 
-    An FNV-1a mix of ``(seed, eid)``: same-``(time, priority)`` entries
-    sort by the hash instead of by insertion order, so each seed yields
-    one fixed permutation of every tie.  The trailing ``eid`` keeps the
-    key total even on hash collisions.
+    An FNV-1a mix of ``(seed, eid)``: same-time entries sort by the hash
+    instead of by insertion order, so each seed yields one fixed
+    permutation of every tie.  The trailing ``eid`` keeps the key total
+    even on hash collisions.  Under a tie-break seed this *is* the
+    calendar key.
 
     The digest is bit-identical to hashing ``f"{seed}:{eid}"`` from
     scratch (the pre-optimization implementation): FNV-1a folds left to
@@ -97,25 +90,26 @@ class Environment:
     Time is a float in *seconds* throughout this project (disk and network
     models convert from ms/µs at their boundaries).
 
-    Calendar entries sort by ``(time, priority, eid)`` — equal-time,
-    equal-priority events run in the order they were scheduled.  Passing
-    ``tie_break_seed`` replaces the ``eid`` component with a seeded hash
-    of it, deterministically shuffling every same-``(time, priority)``
-    tie: the schedule-perturbation harness (:mod:`repro.check.perturb`)
-    runs the same scenario under several seeds and asserts the metrics do
-    not move, which proves no result leans on tie-break order.
+    The clock starts at 0.0.  Calendar entries are ``(time, key,
+    event)`` and sort by time, then key.  The key is the event id, so
+    equal-time events run in the order they were scheduled.  Passing
+    ``tie_break_seed`` makes the key :func:`tie_break_key` of the id, a
+    seeded hash that deterministically shuffles every same-time tie:
+    the schedule-perturbation harness (:mod:`repro.check.perturb`) runs
+    the same scenario under several seeds and asserts the metrics do not
+    move, which proves no result leans on tie-break order.
 
     **Cohort dispatch.**  Most events in a hot run are scheduled *at the
     current timestamp* (resource grants, releases, ``succeed()`` fan-out):
     they join the same-time cohort the engine is already draining.  With
     no tie shuffle or schedule monitors, those events skip the heap
-    entirely — no key packing, no entry tuple, no sift — and land on an
-    append-ordered ready deque.  The drain order is provably the heap
-    order: every ready entry carries a larger event id than every
-    same-time heap entry (heap entries at the current time were
-    necessarily scheduled earlier, or are urgent and outrank normal
-    events anyway), so "heap first while its top is at ``now``, then the
-    deque in append order" reproduces ``(time, priority, eid)`` exactly.
+    entirely — no entry tuple, no sift — and land on an append-ordered
+    ready deque.  The drain order is provably the heap order: every
+    ready entry carries a larger event id than every same-time heap
+    entry (heap entries at the current time were necessarily scheduled
+    earlier, for a then-future time), so "heap first while its top is at
+    ``now``, then the deque in append order" reproduces ``(time, eid)``
+    exactly.
     A schedule monitor or a tie-break seed sends every event through
     the one-heap path instead, exactly as pooling is disabled,
     so detectors always observe the fully ordered, individually
@@ -127,14 +121,8 @@ class Environment:
     ``fn``, so observers only ever see Events.
     """
 
-    #: Events scheduled with urgent priority run before normal events that
-    #: share the same timestamp (used for interrupts).
-    PRIORITY_URGENT = 0
-    PRIORITY_NORMAL = 1
-
-    def __init__(self, initial_time: float = 0.0,
-                 tie_break_seed: Optional[int] = None):
-        self._now = float(initial_time)
+    def __init__(self, tie_break_seed: Optional[int] = None):
+        self._now = 0.0
         self._queue: list = []
         # Same-timestamp cohort: events scheduled at the current time by
         # a fast path wait here in append (= eid) order instead of in the
@@ -147,7 +135,7 @@ class Environment:
         # Generator processes that have not finished, in start order.
         self._processes: dict = {}
         # Free lists of processed Timeout / Release / Request objects
-        # (see timeout(), Resource.release() and Resource.request()).
+        # (see timeout_at(), Resource.release() and Resource.request()).
         self._timeout_pool: list = []
         self._release_pool: list = []
         self._request_pool: list = []
@@ -163,8 +151,8 @@ class Environment:
         # The seed-dependent half of tie_break_key, cached so schedule()
         # folds only the eid digits per event (None = ties sort by raw
         # eid, the default contract).  Fixed at construction: heap keys
-        # are ints without a seed and tuples with one, and the two never
-        # meet in one calendar.
+        # are eids without a seed and tie_break_key tuples with one, and
+        # the two never meet in one calendar.
         self._tie_break_seed = tie_break_seed
         self._tie_seed_prefix = (None if tie_break_seed is None
                                  else _tie_prefix(tie_break_seed))
@@ -186,10 +174,11 @@ class Environment:
         """Recompute the two cached hot-path gates.
 
         ``_schedule_fast``: no tie shuffle and no schedule monitors, so
-        triggering code may push ``(now+delay, _NORMAL_KEY_BASE+eid,
-        event)`` directly, bypassing :meth:`schedule`.  ``_unmonitored``:
-        no step, schedule, resource or access monitors, so event pooling
-        and the inlined monitor-free resource paths are allowed.
+        triggering code may push ``(when, eid, event)`` (or append a
+        same-time event to the ready cohort) directly, bypassing
+        :meth:`schedule`.  ``_unmonitored``: no step, schedule, resource
+        or access monitors, so event pooling and the inlined
+        monitor-free resource paths are allowed.
         """
         self._schedule_fast = (self._tie_seed_prefix is None
                                and not self._schedule_monitors)
@@ -203,11 +192,11 @@ class Environment:
             queue = self._queue
             for index, (when, key, fn) in enumerate(queue):
                 if type(fn) is MethodType:
-                    queue[index] = (when, key, self._boxed(when, fn))
+                    queue[index] = (when, key, self._boxed(fn))
             ready = self._ready
             for index, fn in enumerate(ready):
                 if type(fn) is MethodType:
-                    ready[index] = self._boxed(self._now, fn)
+                    ready[index] = self._boxed(fn)
         if not self._schedule_fast and self._ready:
             # A schedule monitor arrived while a cohort was pending:
             # spill it into the heap so the one-queue reference path
@@ -218,8 +207,7 @@ class Environment:
             now = self._now
             while ready:
                 eid = self._eid = self._eid + 1
-                heappush(queue, (now, _NORMAL_KEY_BASE + eid,
-                                 ready.popleft()))
+                heappush(queue, (now, eid, ready.popleft()))
 
     @property
     def active_process(self) -> Optional[Process]:
@@ -315,33 +303,9 @@ class Environment:
         is suspended while step or schedule monitors are attached, since
         detectors key state by event identity.
         """
-        pool = self._timeout_pool
-        if pool and self._unmonitored:
-            if delay < 0:
-                raise ValueError(f"negative delay {delay}")
-            # Pooled instances arrive with an empty callbacks list (see
-            # the run-loop recycler), so re-arming writes four slots and
-            # allocates nothing.
-            # A processed successful Timeout already has _ok True and
-            # _defused False; only delay and value change between lives.
-            timeout = pool.pop()
-            timeout.delay = delay
-            timeout._value = value
-            # No monitors to notify (checked above); push directly.
-            if self._schedule_fast:
-                now = self._now
-                when = now + delay
-                eid = self._eid = self._eid + 1
-                if when == now:
-                    # Same-timestamp cohort: join the ready deque.
-                    self._ready.append(timeout)
-                else:
-                    heappush(self._queue,
-                             (when, _NORMAL_KEY_BASE + eid, timeout))
-            else:
-                self.schedule(timeout, delay=delay)
-            return timeout
-        return Timeout(self, delay, value)
+        if delay < 0:
+            raise ValueError(f"negative delay {delay}")
+        return self.timeout_at(self._now + delay, value)
 
     def timeout_at(self, when: float, value: Any = None) -> Timeout:
         """A Timeout at the *absolute* calendar time ``when``.
@@ -353,28 +317,31 @@ class Environment:
         general).  Callers accumulate ``when`` with the exact reference
         additions and this places the event at that exact float, keeping
         the coalesced completion bit-identical to the expanded chain's
-        last event.  Pooling and recycling follow :meth:`timeout`.
+        last event.  Recycling follows :meth:`timeout`, which routes
+        here: this is the one place a pooled Timeout is re-armed.
         """
         now = self._now
         if when < now:
             raise ValueError(f"timeout_at({when}) is in the past (now={now})")
         pool = self._timeout_pool
         if pool and self._unmonitored:
+            # Pooled instances arrive with an empty callbacks list (see
+            # the run-loop recycler) and, as processed successful
+            # Timeouts, with _ok True and _defused False: only the value
+            # changes between lives, so re-arming allocates nothing.
             timeout = pool.pop()
-            timeout.delay = when - now
             timeout._value = value
             if self._schedule_fast:
                 eid = self._eid = self._eid + 1
                 if when == now:
+                    # Same-timestamp cohort: join the ready deque.
                     self._ready.append(timeout)
                 else:
-                    heappush(self._queue,
-                             (when, _NORMAL_KEY_BASE + eid, timeout))
-            else:
-                self._schedule_at(timeout, when)
-            return timeout
-        timeout = self._boxed(when, value=value)
-        self._schedule_at(timeout, when)
+                    heappush(self._queue, (when, eid, timeout))
+                return timeout
+        else:
+            timeout = self._boxed(value=value)
+        self.schedule(timeout, when)
         return timeout
 
     def call_at(self, when: float, fn) -> None:
@@ -394,18 +361,17 @@ class Environment:
             if when == now:
                 self._ready.append(fn)
             else:
-                heappush(self._queue, (when, _NORMAL_KEY_BASE + eid, fn))
+                heappush(self._queue, (when, eid, fn))
         else:
             self.timeout_at(when).callbacks.append(fn)
 
-    def _boxed(self, when: float, fn=None, value: Any = None) -> Timeout:
-        """An unscheduled Timeout for ``when``, calling ``fn`` if given."""
+    def _boxed(self, fn=None, value: Any = None) -> Timeout:
+        """A new, unscheduled Timeout calling ``fn`` if given."""
         timeout = Timeout.__new__(Timeout)
         timeout.env = self
         timeout.callbacks = [] if fn is None else [fn]
         timeout._defused = False
         timeout._stale = None
-        timeout.delay = when - self._now
         timeout._ok = True
         timeout._value = value
         return timeout
@@ -424,44 +390,20 @@ class Environment:
 
     # -- scheduling ---------------------------------------------------------
 
-    def schedule(
-        self,
-        event: Event,
-        delay: float = 0.0,
-        priority: int = PRIORITY_NORMAL,
-    ) -> None:
-        """Place a triggered event on the calendar ``delay`` seconds ahead.
+    def schedule(self, event: Event, when: Optional[float] = None) -> None:
+        """Place a triggered event on the calendar at ``when`` (default now).
 
-        Calendar entries are ``(time, key, event)``: ``key`` packs the
-        priority above the event id (or above the seeded FNV digest and
-        id when tie-break shuffling is on), so entries sort by
-        ``(time, priority, tie)`` with a single integer comparison.
+        The entry is ``(when, key, event)``: ``key`` is the event id, or
+        ``tie_break_key(seed, eid)`` under a tie-break seed.  A same-time
+        event with no seed or schedule monitor joins the ready cohort
+        instead of the heap.  A ``when`` before now is an error, as for
+        :meth:`timeout_at`: the run loop would move the clock back.
         """
-        eid = self._eid = self._eid + 1
-        if self._schedule_monitors:
-            for monitor in self._schedule_monitors:
-                monitor(event, self._active_process)
-        prefix = self._tie_seed_prefix
-        if prefix is None:
-            when = self._now + delay
-            if (when == self._now and priority == 1
-                    and self._schedule_fast):
-                # Same-timestamp, normal-priority, no monitors: the event
-                # joins the cohort currently being drained.
-                self._ready.append(event)
-                return
-            key = (priority << _PRIORITY_SHIFT) + eid
-        else:
-            when = self._now + delay
-            key = (priority, _fnv_fold(prefix, str(eid)), eid)
-        heappush(self._queue, (when, key, event))
-
-    def _schedule_at(self, event: Event, when: float) -> None:
-        """:meth:`schedule` at an absolute time (no ``now + delay`` round).
-
-        Only :meth:`timeout_at` routes here; the relative-delay
-        :meth:`schedule` stays the single hot entry point.
-        """
+        if when is None:
+            when = self._now
+        elif when < self._now:
+            raise ValueError(f"schedule({when}) is in the past "
+                             f"(now={self._now})")
         eid = self._eid = self._eid + 1
         if self._schedule_monitors:
             for monitor in self._schedule_monitors:
@@ -471,9 +413,9 @@ class Environment:
             if when == self._now and self._schedule_fast:
                 self._ready.append(event)
                 return
-            key = _NORMAL_KEY_BASE + eid
+            key = eid
         else:
-            key = (self.PRIORITY_NORMAL, _fnv_fold(prefix, str(eid)), eid)
+            key = (_fnv_fold(prefix, str(eid)), eid)
         heappush(self._queue, (when, key, event))
 
     def peek(self) -> float:
@@ -574,9 +516,9 @@ class Environment:
         # mutate those lists in place, so the aliases stay live.  Ready
         # entries skip the per-event clock write — their timestamp *is*
         # the current time — and the heap-top guard before each cohort
-        # pop keeps urgent arrivals (smaller key, scheduled mid-cohort)
-        # ahead of the rest of the cohort, preserving exact (time,
-        # priority, eid) order.  A call_at entry is called and done.
+        # pop runs the heap's entries due now (scheduled earlier, so
+        # smaller eids) ahead of the cohort, preserving exact (time, eid)
+        # order.  A call_at entry is called and done.
         method = MethodType
         queue = self._queue
         ready = self._ready

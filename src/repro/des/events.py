@@ -16,7 +16,6 @@ and the :class:`Timeout` event used to model the passage of time.
 
 from __future__ import annotations
 
-from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -30,7 +29,6 @@ __all__ = [
     "ConditionEvent",
     "AllOf",
     "AnyOf",
-    "Interrupt",
 ]
 
 
@@ -57,36 +55,9 @@ class _PendingType:
 #: Sentinel stored in :attr:`Event._value` until the event is triggered.
 PENDING = _PendingType()
 
-#: Calendar entries are ``(time, key, event)`` where ``key`` folds the
-#: scheduling priority and the monotonically increasing event id into a
-#: single integer: ``(priority << _PRIORITY_SHIFT) | eid``.  Urgent
-#: events (priority 0) therefore sort before normal ones (priority 1) at
-#: equal time, and insertion order breaks the remaining ties — one
-#: integer comparison instead of two tuple elements.
-_PRIORITY_SHIFT = 62
-
-#: Key base for PRIORITY_NORMAL (1): ``1 << _PRIORITY_SHIFT``.
-_NORMAL_KEY_BASE = 1 << _PRIORITY_SHIFT
-
 #: How many processed events each per-environment free list may hold
 #: (Timeout, Release and Request pools all share this bound).
 _POOL_LIMIT = 128
-
-
-class Interrupt(Exception):
-    """Raised inside a process when another process interrupts it.
-
-    The interrupt ``cause`` is available both as ``exc.cause`` and as
-    ``exc.args[0]``.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-
-    @property
-    def cause(self) -> Any:
-        """Whatever the interrupting process passed as the cause."""
-        return self.args[0]
 
 
 class Event:
@@ -193,16 +164,6 @@ class Event:
         self.env.schedule(self)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state of another event.
-
-        Useful as a callback: ``other.callbacks.append(this.trigger)``.
-        """
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            self.fail(event._value)
-
     # -- representation -----------------------------------------------------
 
     def __repr__(self) -> str:
@@ -215,41 +176,17 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires after a fixed simulated delay.
+    """An event that fires at a fixed simulated time.
 
-    Timeouts dominate event traffic, so construction is flattened (no
-    ``super().__init__`` hop) and processed instances are recycled by
-    :meth:`Environment.timeout` through a free list — see
-    docs/PERFORMANCE.md for the pooling contract (do not hold on to a
-    Timeout after it has fired).
+    Built only by the engine (:meth:`Environment.timeout`,
+    :meth:`Environment.timeout_at` and the boxing of ``call_at``
+    entries), already triggered and with no ``__init__`` hop; processed
+    instances are recycled through a free list — see docs/PERFORMANCE.md
+    for the pooling contract (do not hold on to a Timeout after it has
+    fired).
     """
 
-    __slots__ = ("delay",)
-
-    def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        self.env = env
-        self.callbacks = []
-        self._defused = False
-        self._stale = None
-        self.delay = delay
-        self._ok = True
-        self._value = value
-        if env._schedule_fast:
-            now = env._now
-            when = now + delay
-            eid = env._eid = env._eid + 1
-            if when == now:
-                # Zero-delay (or sub-ulp) timeout: same-timestamp cohort.
-                env._ready.append(self)
-            else:
-                heappush(env._queue, (when, _NORMAL_KEY_BASE + eid, self))
-        else:
-            env.schedule(self, delay=delay)
-
-    def __repr__(self) -> str:
-        return f"<Timeout delay={self.delay}>"
+    __slots__ = ()
 
 
 class ConditionEvent(Event):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator
 
-from .events import Event, Interrupt, PENDING
+from .events import Event, PENDING
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Environment
@@ -27,7 +27,7 @@ ProcessGenerator = Generator[Event, Any, Any]
 class Process(Event):
     """Wraps a generator and steps it through the event calendar."""
 
-    __slots__ = ("_generator", "_target", "_bound_resume")
+    __slots__ = ("_generator", "_bound_resume")
 
     def __init__(self, env: "Environment", generator: ProcessGenerator):
         if not hasattr(generator, "throw"):
@@ -37,7 +37,6 @@ class Process(Event):
             )
         super().__init__(env)
         self._generator = generator
-        self._target: Event | None = None
         env._processes[self] = None
         # self._resume is looked up once: every attribute access on a
         # method otherwise allocates a fresh bound-method object, and the
@@ -59,43 +58,11 @@ class Process(Event):
         """True while the underlying generator has not finished."""
         return self._value is PENDING
 
-    @property
-    def target(self) -> Event | None:
-        """The event this process is currently waiting on (None if running)."""
-        return self._target
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process.
-
-        The process stops waiting on its current target and instead receives
-        the interrupt at the current simulation time.  Interrupting a dead
-        process is an error; interrupting yourself is too.
-        """
-        if not self.is_alive:
-            raise RuntimeError(f"{self!r} has already terminated")
-        if self is self.env.active_process:
-            raise RuntimeError("a process is not allowed to interrupt itself")
-        interrupt_event = Event(self.env)
-        interrupt_event._ok = False
-        interrupt_event._value = Interrupt(cause)
-        interrupt_event._defused = True
-        interrupt_event.callbacks.append(self._bound_resume)
-        self.env.schedule(interrupt_event, priority=self.env.PRIORITY_URGENT)
-
     # -- engine plumbing ------------------------------------------------------
 
     def _resume(self, trigger: Event) -> None:
         """Advance the generator with the outcome of ``trigger``."""
         env = self.env
-        # If we were interrupted, detach from the event we were waiting on
-        # (ordered so the common trigger-is-target resume does one test).
-        if trigger is not self._target and self._target is not None:
-            if self._target.callbacks is not None:
-                try:
-                    self._target.callbacks.remove(self._bound_resume)
-                except ValueError:  # pragma: no cover - defensive
-                    pass
-        self._target = None
         env._active_process = self
         generator = self._generator
         try:
@@ -124,7 +91,6 @@ class Process(Event):
                     # Already processed: loop around with its outcome.
                     trigger = next_event
                     continue
-                self._target = next_event
                 callbacks.append(self._bound_resume)
                 return
         except StopIteration as exc:

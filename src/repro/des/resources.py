@@ -466,14 +466,14 @@ class FifoServer:
         if start <= now:
             start = now
             if self.monitor is not None:
-                self.monitor.busy()
+                self.monitor.busy(now)
         self.free_at = end = start + duration
         return end
 
     def done(self, now: float) -> None:
         """A hold ended at ``now`` (monitored servers only)."""
         if self.free_at == now:
-            self.monitor.idle()
+            self.monitor.idle(now)
 
 
 class StorePut(Event):

@@ -19,7 +19,6 @@ __all__ = [
     "SampleSet",
     "ConfidenceInterval",
     "UtilizationMonitor",
-    "Histogram",
     "student_t_critical",
 ]
 
@@ -229,85 +228,6 @@ class SampleSet:
         }
 
 
-class Histogram:
-    """Sample container with exact quantiles (for latency tails).
-
-    Stores the raw samples (fine at simulation scales) and computes
-    quantiles by sorting on demand with caching.
-    """
-
-    def __init__(self):
-        self._samples: list[float] = []
-        self._sorted: list[float] | None = None
-        #: Race-detector hook, as on :class:`OnlineStats`.
-        self.observer = None
-
-    def add(self, value: float) -> None:
-        """Record one observation."""
-        if self.observer is not None:
-            self.observer(self)
-        self._samples.append(value)
-        self._sorted = None
-
-    def reset(self) -> None:
-        """Drop every observation."""
-        self._samples.clear()
-        self._sorted = None
-
-    def extend(self, values: Iterable[float]) -> None:
-        """Record many observations."""
-        self._samples.extend(values)
-        self._sorted = None
-
-    def __len__(self) -> int:
-        return len(self._samples)
-
-    @property
-    def mean(self) -> float:
-        """Sample mean (0.0 when empty)."""
-        if not self._samples:
-            return 0.0
-        return math.fsum(self._samples) / len(self._samples)
-
-    def quantile(self, fraction: float) -> float:
-        """The ``fraction`` quantile (nearest-rank, inclusive)."""
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError(f"fraction out of range: {fraction}")
-        if not self._samples:
-            raise ValueError("no observations")
-        if self._sorted is None:
-            self._sorted = sorted(self._samples)
-        rank = max(0, min(len(self._sorted) - 1,
-                          math.ceil(fraction * len(self._sorted)) - 1))
-        return self._sorted[rank]
-
-    def p50(self) -> float:
-        """Median."""
-        return self.quantile(0.50)
-
-    def p99(self) -> float:
-        """99th percentile."""
-        return self.quantile(0.99)
-
-    def buckets(self, count: int = 10) -> list[tuple[float, float, int]]:
-        """Equal-width (low, high, n) buckets spanning the sample range."""
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        if not self._samples:
-            return []
-        low = min(self._samples)
-        high = max(self._samples)
-        if high == low:
-            return [(low, high, len(self._samples))]
-        width = (high - low) / count
-        tallies = [0] * count
-        for value in self._samples:
-            index = min(count - 1, int((value - low) / width))
-            tallies[index] += 1
-        return [(low + i * width, low + (i + 1) * width, tallies[i])
-                for i in range(count)]
-
-
 class UtilizationMonitor:
     """Tracks the busy fraction of a device over simulated time."""
 
@@ -328,21 +248,21 @@ class UtilizationMonitor:
         if self._busy_since is not None:
             self._busy_since = self.env.now
 
-    def busy(self, at: float | None = None) -> None:
-        """Mark the device busy from ``at`` (default now; idempotent).
+    def busy(self, at: float) -> None:
+        """Mark the device busy from ``at`` (idempotent).
 
-        An explicit ``at`` no later than now records a mark that was
-        computed rather than simulated (the folded background bursts of
+        Callers pass the current time they already hold; a time earlier
+        than now records a mark that was computed rather than simulated
+        (the folded background bursts of
         :class:`~repro.simnet.ethernet.BackgroundLoad`).
         """
         if self._busy_since is None:
-            self._busy_since = self.env.now if at is None else at
+            self._busy_since = at
 
-    def idle(self, at: float | None = None) -> None:
-        """Mark the device idle from ``at`` (default now; idempotent)."""
+    def idle(self, at: float) -> None:
+        """Mark the device idle from ``at`` (idempotent)."""
         if self._busy_since is not None:
-            self._busy_total += (self.env.now if at is None else at) \
-                - self._busy_since
+            self._busy_total += at - self._busy_since
             self._busy_since = None
 
     @property

@@ -343,7 +343,7 @@ class _AgentRead(CallbackProcess):
 
     def _granted(self, value):
         disk = self._disk
-        disk.monitor.busy()
+        disk.monitor.busy(self.env._now)
         self._left = self.blocks
         # Reads never coalesce: each block completion spawns a network
         # transmission at its own intermediate timestamp.
@@ -367,7 +367,7 @@ class _AgentRead(CallbackProcess):
                               self._block_done)
             return
         if disk.resource.queue_length == 0:
-            disk.monitor.idle()
+            disk.monitor.idle(env._now)
         if self._grant is None:
             disk.resource.release_slot()
         else:
@@ -499,8 +499,8 @@ class _AgentWrite(CallbackProcess):
         env = self.env
         disk = self._disk
         unit = self._unit
-        disk.monitor.busy()
-        when = env.now
+        when = env._now
+        disk.monitor.busy(when)
         for _ in range(self.blocks):
             when += disk.block_service_time(unit)
         self.wait_at(when, self._span_done)
@@ -510,7 +510,7 @@ class _AgentWrite(CallbackProcess):
         disk.blocks_served += self.blocks
         disk.bytes_served += self.blocks * self._unit
         if disk.resource.queue_length == 0:
-            disk.monitor.idle()
+            disk.monitor.idle(self.env._now)
         if self._grant is None:
             disk.resource.release_slot()
         else:

@@ -38,7 +38,7 @@ class SimConfig:
     warmup_requests: int = 40
     seed: int = 0
     # Schedule-perturbation mode (repro.check.perturb): a non-None seed
-    # deterministically shuffles same-(time, priority) calendar ties so
+    # deterministically shuffles same-time calendar ties so
     # the harness can prove the metrics don't lean on the tie-break.
     tie_break_seed: int | None = None
     # §6.1.2 extension: real-time disk scheduling for data-rate guarantees.

@@ -173,13 +173,14 @@ class DiskAccess(CallbackProcess):
         # that queued ahead of us may have moved it.
         head_continues = (self.at_block is not None
                           and self.at_block == disk._head)
-        disk.monitor.busy()
+        now = self.env.now
+        disk.monitor.busy(now)
         if self.on_block is None:
             spec = disk.spec
             nbytes = self.nbytes
             extra = self.per_block_extra_s
             sequential = self.sequential
-            when = self.env.now
+            when = now
             for index in range(self.blocks):
                 service = spec.transfer_time(nbytes) + extra
                 if index == 0:
@@ -228,13 +229,14 @@ class DiskAccess(CallbackProcess):
         # In order: head update, idle check while still holding, the
         # release, then the finish.
         disk = self.disk
+        now = self.env.now
         disk._head = (self.at_block + self.blocks
                       if self.at_block is not None else None)
         if disk.resource.count <= 1:
-            disk.monitor.idle()
+            disk.monitor.idle(now)
         if self._grant is None:
             disk.resource.release_slot()
         else:
             disk.resource.release_quiet(self._grant)
             self._grant = None
-        self._finish(self.env.now - self._started)
+        self._finish(now - self._started)

@@ -93,7 +93,7 @@ class RaidArray:
         started = self.env.now
         with self.resource.request() as grant:
             yield grant
-            self.monitor.busy()
+            self.monitor.busy(self.env.now)
             try:
                 for index in range(blocks):
                     if index == 0 or not sequential:
@@ -109,7 +109,7 @@ class RaidArray:
                     self.bytes_served += nbytes
             finally:
                 if self.resource.queue_length == 0:
-                    self.monitor.idle()
+                    self.monitor.idle(self.env.now)
         return self.env.now - started
 
     def utilization(self) -> float:

@@ -83,7 +83,7 @@ class TapeDrive:
         started = self.env.now
         with self.resource.request() as grant:
             yield grant
-            self.monitor.busy()
+            self.monitor.busy(self.env.now)
             try:
                 if self._position != offset:
                     yield self.env.timeout(self.draw_position_time())
@@ -93,7 +93,7 @@ class TapeDrive:
                 self.bytes_served += nbytes
             finally:
                 if self.resource.queue_length == 0:
-                    self.monitor.idle()
+                    self.monitor.idle(self.env.now)
         return self.env.now - started
 
     def utilization(self) -> float:

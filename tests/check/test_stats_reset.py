@@ -8,7 +8,6 @@ import pytest
 from repro.core.storage_agent import AgentStats
 from repro.des import (
     Environment,
-    Histogram,
     OnlineStats,
     SampleSet,
     UtilizationMonitor,
@@ -39,31 +38,18 @@ def test_sample_set_reset():
     assert samples.samples == [1.5]
 
 
-def test_histogram_reset():
-    hist = Histogram()
-    hist.extend([1.0, 9.0, 5.0])
-    assert hist.p50() == 5.0
-    hist.reset()
-    assert len(hist) == 0
-    assert hist.mean == 0.0
-    with pytest.raises(ValueError):
-        hist.quantile(0.5)
-    hist.add(2.0)
-    assert hist.p50() == 2.0
-
-
 def test_utilization_monitor_reset_discards_history():
     env = Environment()
 
     def workload(env, monitor):
-        monitor.busy()
+        monitor.busy(env.now)
         yield env.timeout(4.0)
-        monitor.idle()
+        monitor.idle(env.now)
         monitor.reset()          # new window starts at t=4
         yield env.timeout(1.0)   # idle second
-        monitor.busy()
+        monitor.busy(env.now)
         yield env.timeout(1.0)
-        monitor.idle()
+        monitor.idle(env.now)
 
     monitor = UtilizationMonitor(env)
     env.process(workload(env, monitor))
@@ -77,11 +63,11 @@ def test_utilization_monitor_reset_keeps_open_busy_interval():
     env = Environment()
 
     def workload(env, monitor):
-        monitor.busy()
+        monitor.busy(env.now)
         yield env.timeout(3.0)
         monitor.reset()          # still busy across the reset
         yield env.timeout(2.0)
-        monitor.idle()
+        monitor.idle(env.now)
 
     monitor = UtilizationMonitor(env)
     env.process(workload(env, monitor))

@@ -530,9 +530,11 @@ def test_wait_at_and_call_at_reject_the_past():
     env.run()
     assert process.value == 1.5
     # Inside a state the error fails the process like any other raise.
-    late = Timed(Environment(initial_time=2.0))
+    env = Environment()
+    env.run(until=2.0)
+    late = Timed(env)
     with pytest.raises(ValueError, match="in the past"):
-        late.env.run()
+        env.run()
     assert not late.is_alive
 
 

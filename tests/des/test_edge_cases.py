@@ -6,7 +6,6 @@ from repro.des import (
     Environment,
     EmptySchedule,
     Event,
-    Interrupt,
     Resource,
     Store,
 )
@@ -60,37 +59,6 @@ def test_all_of_value_preserves_completion_order():
     env.process(waiter(env))
     env.run()
     assert order == ["fast", "slow"]
-
-
-def test_interrupt_while_waiting_on_resource():
-    env = Environment()
-    resource = Resource(env, capacity=1)
-    outcomes = []
-
-    def holder(env):
-        with resource.request() as req:
-            yield req
-            yield env.timeout(10.0)
-
-    def victim(env):
-        request = resource.request()
-        try:
-            yield request
-        except Interrupt:
-            request.cancel()
-            outcomes.append("interrupted")
-
-    def attacker(env, process):
-        yield env.timeout(1.0)
-        process.interrupt()
-
-    env.process(holder(env))
-    victim_process = env.process(victim(env))
-    env.process(attacker(env, victim_process))
-    env.run()
-    assert outcomes == ["interrupted"]
-    # The cancelled request must not still occupy the queue.
-    assert resource.queue_length == 0
 
 
 def test_store_purge_removes_matching():

@@ -1,9 +1,11 @@
 """Engine and event-lifecycle tests for the DES kernel."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.des import (CallbackProcess, Environment, EmptySchedule, Event,
-                        Timeout)
+                        Resource, Timeout)
+from repro.des.engine import tie_break_key
 
 
 def test_environment_starts_at_zero():
@@ -12,7 +14,10 @@ def test_environment_starts_at_zero():
 
 
 def test_environment_custom_start_time():
-    env = Environment(initial_time=5.0)
+    # The clock starts at 0.0; an empty calendar run to a time moves it
+    # there.
+    env = Environment()
+    env.run(until=5.0)
     assert env.now == 5.0
 
 
@@ -31,6 +36,18 @@ def test_negative_timeout_rejected():
     env = Environment()
     with pytest.raises(ValueError):
         env.timeout(-1.0)
+
+
+def test_schedule_rejects_a_past_time():
+    env = Environment()
+    env.run(until=5.0)
+    event = env.event()
+    event._ok = True
+    with pytest.raises(ValueError, match="in the past"):
+        env.schedule(event, 1.0)
+    env.schedule(event, 5.0)
+    env.run()
+    assert event.processed
 
 
 def test_timeout_value_delivered():
@@ -71,7 +88,8 @@ def test_run_until_event_returns_value():
 
 
 def test_run_until_past_time_rejected():
-    env = Environment(initial_time=10.0)
+    env = Environment()
+    env.run(until=10.0)
     with pytest.raises(ValueError):
         env.run(until=5.0)
 
@@ -219,16 +237,6 @@ def test_condition_propagates_failure():
     assert caught == ["inner"]
 
 
-def test_trigger_copies_another_events_outcome():
-    env = Environment()
-    source = env.event()
-    mirror = env.event()
-    source.callbacks.append(mirror.trigger)
-    source.succeed("mirrored")
-    env.run()
-    assert mirror.value == "mirrored"
-
-
 # -- cohort dispatch ----------------------------------------------------------
 #
 # Same-timestamp events normally skip the heap and drain from an
@@ -240,10 +248,9 @@ def test_trigger_copies_another_events_outcome():
 
 
 def _mixed_workload(env, order):
-    """Processes that exercise same-time fan-out, urgent events,
-    resource hand-offs and future timeouts, recording dispatch order."""
-    from repro.des import Resource
-
+    """Processes that exercise same-time fan-out, directly scheduled
+    events, resource hand-offs and future timeouts, recording dispatch
+    order."""
     resource = Resource(env, capacity=2)
 
     def holder(env, tag):
@@ -263,35 +270,135 @@ def _mixed_workload(env, order):
             order.append((env.now, "fanout", cycle))
             yield env.timeout(0.0005)
 
-    def urgent_mixer(env):
+    def schedule_mixer(env):
         for cycle in range(4):
-            normal = env.timeout(0.002)
-            urgent = env.event()
-            urgent._ok = True
-            env.schedule(urgent, delay=0.002,
-                         priority=env.PRIORITY_URGENT)
-            yield env.all_of([normal, urgent])
-            order.append((env.now, "urgent", cycle))
+            timeout = env.timeout(0.002)
+            scheduled = env.event()
+            scheduled._ok = True
+            env.schedule(scheduled, when=env.now + 0.002)
+            yield env.all_of([timeout, scheduled])
+            order.append((env.now, "scheduled", cycle))
 
     for tag in range(5):
         env.process(holder(env, tag))
     env.process(fanout(env))
-    env.process(urgent_mixer(env))
+    env.process(schedule_mixer(env))
 
 
-def _run_mixed(cohort):
+def _run_mixed(cohort, workload=_mixed_workload):
     env = Environment()
     if not cohort:
         # A no-op schedule monitor forces the one-heap reference path.
         env.observe("schedule", lambda event, process: None)
     order = []
-    _mixed_workload(env, order)
+    workload(env, order)
     env.run()
-    return order, env.now
+    return order, env.now, env._eid
 
 
 def test_cohort_dispatch_matches_reference_order():
     assert _run_mixed(True) == _run_mixed(False)
+
+
+# A drawn script step: (operation, argument).  Timeouts include 0, a
+# fan-out succeeds n events at once, a scheduled event lands at now or
+# later, and a hold keeps a capacity-1 resource for a while.
+_SCRIPT_STEP = st.one_of(
+    st.tuples(st.just("timeout"), st.sampled_from([0.0, 0.001, 0.002])),
+    st.tuples(st.just("fanout"), st.integers(min_value=1, max_value=3)),
+    st.tuples(st.just("schedule"), st.sampled_from([0.0, 0.001, 0.002])),
+    st.tuples(st.just("hold"), st.sampled_from([0.0, 0.001])),
+)
+_SCRIPTS = st.lists(st.lists(_SCRIPT_STEP, min_size=1, max_size=6),
+                    min_size=1, max_size=5)
+_TICKER_GAPS = st.lists(
+    st.lists(st.sampled_from([0.0, 0.001, 0.002]), min_size=1, max_size=4),
+    max_size=3)
+
+
+def _scripted(env, resource, log, tag, script):
+    for index, (op, arg) in enumerate(script):
+        if op == "timeout":
+            yield env.timeout(arg)
+        elif op == "fanout":
+            events = [env.event() for _ in range(arg)]
+            for event in events:
+                event.succeed()
+            yield env.all_of(events)
+        elif op == "schedule":
+            event = env.event()
+            event._ok = True
+            event._value = None
+            env.schedule(event, env.now + arg)
+            yield event
+        else:
+            with resource.request() as grant:
+                yield grant
+                log.append((env.now, tag, index, "granted"))
+                yield env.timeout(arg)
+        log.append((env.now, tag, index, op))
+
+
+class _ScriptTicker(CallbackProcess):
+    """Ticks through ``wait_at`` after each drawn gap, then finishes."""
+
+    __slots__ = ("log", "tag", "gaps")
+
+    def __init__(self, env, log, tag, gaps):
+        self.log = log
+        self.tag = tag
+        self.gaps = list(gaps)
+        super().__init__(env)
+
+    def _start(self, value):
+        self.wait_at(self.gaps.pop(), self._tick)
+
+    def _tick(self, value):
+        self.log.append((self.env.now, self.tag, len(self.gaps), "tick"))
+        if self.gaps:
+            self.wait_at(self.env.now + self.gaps.pop(), self._tick)
+        else:
+            self._finish()
+
+
+@settings(max_examples=300, deadline=None)
+@given(scripts=_SCRIPTS, tickers=_TICKER_GAPS)
+def test_cohort_and_one_heap_dispatch_agree_on_any_event_mix(scripts,
+                                                             tickers):
+    def workload(env, log):
+        resource = Resource(env, capacity=1)
+        for tag, script in enumerate(scripts):
+            env.process(_scripted(env, resource, log, tag, script))
+        for tag, gaps in enumerate(tickers):
+            _ScriptTicker(env, log, f"ticker{tag}", gaps)
+
+    log, now, eid = _run_mixed(True, workload)
+    ref_log, ref_now, ref_eid = _run_mixed(False, workload)
+    assert log == ref_log
+    assert now == ref_now
+    if not tickers:
+        # A monitored CallbackProcess._finish fires one completion
+        # event the unmonitored one skips, so ids match only without
+        # tickers.
+        assert eid == ref_eid
+
+
+def test_seeded_calendar_key_is_tie_break_key():
+    # Every way onto the calendar (succeed, timeout, timeout_at, a
+    # CallbackProcess timer through call_at, schedule) keys its entry by
+    # tie_break_key of its event id under a seed.
+    seed = 11
+    env = Environment(tie_break_seed=seed)
+    env.event().succeed()
+    env.timeout(1.0)
+    env.timeout_at(2.0)
+    Ticker(env)
+    later = env.event()
+    later._ok = True
+    env.schedule(later, 4.0)
+    keys = [key for _, key, _ in env._queue]
+    assert sorted(eid for _, eid in keys) == list(range(1, env._eid + 1))
+    assert all(key == tie_break_key(seed, key[1]) for key in keys)
 
 
 def test_tie_break_seed_disables_cohort_fast_path():

@@ -1,11 +1,11 @@
-"""Process semantics: returns, exceptions, interrupts, waiting on processes."""
+"""Process semantics: returns, exceptions, waiting on processes."""
 
 import gc
 import weakref
 
 import pytest
 
-from repro.des import Environment, Interrupt, Process
+from repro.des import Environment, Process
 
 
 def test_process_return_value_is_event_value():
@@ -137,77 +137,6 @@ def test_unwaited_process_exception_surfaces_in_run():
     env.process(proc(env))
     with pytest.raises(KeyError):
         env.run()
-
-
-def test_interrupt_delivers_cause():
-    env = Environment()
-    causes = []
-
-    def victim(env):
-        try:
-            yield env.timeout(100.0)
-        except Interrupt as interrupt:
-            causes.append(interrupt.cause)
-
-    def attacker(env, victim_process):
-        yield env.timeout(1.0)
-        victim_process.interrupt("stop now")
-
-    victim_process = env.process(victim(env))
-    env.process(attacker(env, victim_process))
-    env.run(until=victim_process)
-    assert causes == ["stop now"]
-    assert env.now == 1.0
-
-
-def test_interrupt_dead_process_is_error():
-    env = Environment()
-
-    def quick(env):
-        yield env.timeout(0.1)
-
-    process = env.process(quick(env))
-    env.run()
-    with pytest.raises(RuntimeError):
-        process.interrupt()
-
-
-def test_process_cannot_interrupt_itself():
-    env = Environment()
-    errors = []
-
-    def selfish(env):
-        try:
-            env.active_process.interrupt()
-        except RuntimeError as exc:
-            errors.append(str(exc))
-        yield env.timeout(0)
-
-    env.process(selfish(env))
-    env.run()
-    assert len(errors) == 1
-
-
-def test_interrupted_process_can_continue():
-    env = Environment()
-    log = []
-
-    def victim(env):
-        try:
-            yield env.timeout(10.0)
-        except Interrupt:
-            log.append(("interrupted", env.now))
-        yield env.timeout(5.0)
-        log.append(("finished", env.now))
-
-    def attacker(env, victim_process):
-        yield env.timeout(2.0)
-        victim_process.interrupt()
-
-    victim_process = env.process(victim(env))
-    env.process(attacker(env, victim_process))
-    env.run()
-    assert log == [("interrupted", 2.0), ("finished", 7.0)]
 
 
 def test_yield_non_event_is_error():

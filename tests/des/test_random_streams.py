@@ -90,30 +90,19 @@ def test_factory_master_seed_changes_streams():
            [b.uniform(0, 1) for _ in range(5)]
 
 
-def test_shuffled_preserves_multiset():
-    stream = RandomStream(11)
-    items = list(range(20))
-    shuffled = stream.shuffled(items)
-    assert sorted(shuffled) == items
-    assert items == list(range(20))  # original untouched
-
-
 # -- block sampling -----------------------------------------------------------
 #
-# The float distributions serve from a buffered block of raw uniforms
-# (see the module docstring of repro.des.random_streams).  The contract:
-# the draw sequence is bit-identical to the per-sample random.Random
-# reference, for every distribution, at every block size — including the
-# refill-boundary sizes 1, block-1, block and block+1 — and mixing in a
-# getrandbits-based method degrades the stream to exactly the state a
-# per-sample run would occupy.
+# The float distributions serve from a buffered block of BLOCK_SIZE raw
+# uniforms (see the module docstring of repro.des.random_streams).  The
+# contract: the draw sequence is bit-identical to the per-sample
+# random.Random reference, for every distribution, over draw counts that
+# end just inside, on and just past a refill boundary.
 
 import random
 
-from repro.des.random_streams import DEFAULT_BLOCK_SIZE
+from repro.des.random_streams import BLOCK_SIZE
 
-BOUNDARY_SIZES = [1, DEFAULT_BLOCK_SIZE - 1, DEFAULT_BLOCK_SIZE,
-                  DEFAULT_BLOCK_SIZE + 1]
+BOUNDARY_COUNTS = [1, BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1]
 
 REFERENCE_DRAWS = {
     "exponential": lambda rng: rng.expovariate(1.0 / 3.0),
@@ -131,72 +120,34 @@ STREAM_DRAWS = {
 
 
 @pytest.mark.parametrize("name", sorted(STREAM_DRAWS))
-@pytest.mark.parametrize("block_size", BOUNDARY_SIZES)
-def test_block_sampling_matches_per_sample_reference(name, block_size):
-    count = 2 * DEFAULT_BLOCK_SIZE + 3  # always crosses a refill boundary
-    stream = RandomStream(1234, block_size=block_size)
+@pytest.mark.parametrize("boundary", BOUNDARY_COUNTS)
+def test_block_sampling_matches_per_sample_reference(name, boundary):
+    # Two full blocks, then ``boundary`` more draws: the run ends one
+    # draw into a block, one short of its end, at its end or one past.
+    count = 2 * BLOCK_SIZE + boundary
+    stream = RandomStream(1234)
     reference = random.Random(1234)
     draw, ref = STREAM_DRAWS[name], REFERENCE_DRAWS[name]
     assert [draw(stream) for _ in range(count)] == \
            [ref(reference) for _ in range(count)]
 
 
-@pytest.mark.parametrize("block_size", BOUNDARY_SIZES)
-def test_mixed_float_sequence_matches_reference(block_size):
-    stream = RandomStream(77, block_size=block_size)
+@pytest.mark.parametrize("boundary", BOUNDARY_COUNTS)
+def test_mixed_float_sequence_matches_reference(boundary):
+    stream = RandomStream(77)
     reference = random.Random(77)
     names = sorted(STREAM_DRAWS)
-    count = 3 * DEFAULT_BLOCK_SIZE + 1
+    count = 2 * BLOCK_SIZE + boundary
     got = [STREAM_DRAWS[names[i % 4]](stream) for i in range(count)]
     want = [REFERENCE_DRAWS[names[i % 4]](reference) for i in range(count)]
     assert got == want
 
 
-@pytest.mark.parametrize("floats_before", [0, 1, 10, DEFAULT_BLOCK_SIZE,
-                                           DEFAULT_BLOCK_SIZE + 5])
-def test_degrade_replays_exactly_the_served_draws(floats_before):
-    # After any number of buffered float draws, a getrandbits-based call
-    # must see the core exactly where a per-sample run would have it —
-    # the unserved read-ahead is discarded, the served draws are replayed.
-    stream = RandomStream(9, block_size=DEFAULT_BLOCK_SIZE)
-    reference = random.Random(9)
-    for _ in range(floats_before):
-        assert stream.exponential(2.0) == reference.expovariate(0.5)
-    assert stream.randint(0, 10**9) == reference.randint(0, 10**9)
-    # Degraded mode keeps matching, floats included.
-    assert stream.choice(range(1000)) == reference.choice(range(1000))
-    assert [stream.uniform(0, 1) for _ in range(10)] == \
-           [reference.uniform(0, 1) for _ in range(10)]
-    assert stream.shuffled(range(30)) == \
-           (lambda items: (reference.shuffle(items), items)[1])(list(range(30)))
-
-
-def test_degraded_stream_stays_degraded():
-    stream = RandomStream(5)
-    stream.exponential(1.0)
-    stream.randint(0, 3)
-    reference = random.Random(5)
-    reference.expovariate(1.0)
-    reference.randint(0, 3)
-    # No buffering after degrade: long float runs still match per-sample.
-    assert [stream.exponential(1.0) for _ in range(600)] == \
-           [reference.expovariate(1.0) for _ in range(600)]
-
-
-def test_factory_propagates_block_size():
-    factory = StreamFactory(1, block_size=3)
-    assert factory.stream("x")._block_size == 3
-
-
-def test_block_size_must_be_positive():
-    with pytest.raises(ValueError):
-        RandomStream(0, block_size=0)
-
-
 def test_observer_fires_per_draw_not_per_refill():
-    stream = RandomStream(8, block_size=4)
+    stream = RandomStream(8)
     seen = []
     stream.observer = seen.append
-    for _ in range(10):
+    count = BLOCK_SIZE + 10  # crosses a refill
+    for _ in range(count):
         stream.uniform_mean(1.0)
-    assert seen == [stream] * 10
+    assert seen == [stream] * count

@@ -99,9 +99,9 @@ def test_utilization_monitor_half_busy():
     monitor = UtilizationMonitor(env)
 
     def device(env):
-        monitor.busy()
+        monitor.busy(env.now)
         yield env.timeout(5.0)
-        monitor.idle()
+        monitor.idle(env.now)
         yield env.timeout(5.0)
 
     env.process(device(env))
@@ -115,7 +115,7 @@ def test_utilization_monitor_open_interval_counts():
 
     def device(env):
         yield env.timeout(2.0)
-        monitor.busy()
+        monitor.busy(env.now)
         yield env.timeout(2.0)
         # never goes idle
 
@@ -127,10 +127,10 @@ def test_utilization_monitor_open_interval_counts():
 def test_utilization_monitor_idempotent_marks():
     env = Environment()
     monitor = UtilizationMonitor(env)
-    monitor.busy()
-    monitor.busy()
-    monitor.idle()
-    monitor.idle()
+    monitor.busy(env.now)
+    monitor.busy(env.now)
+    monitor.idle(env.now)
+    monitor.idle(env.now)
     assert monitor.busy_time == 0.0
     assert monitor.utilization() == 0.0
 
@@ -145,55 +145,3 @@ def test_utilization_monitor_marks_at_explicit_times():
     monitor.busy(at=8.0)
     assert monitor.busy_time == 6.0
     assert monitor.utilization() == pytest.approx(0.6)
-
-
-def test_histogram_quantiles_nearest_rank():
-    from repro.des import Histogram
-    histogram = Histogram()
-    histogram.extend(float(v) for v in range(1, 101))
-    assert histogram.p50() == 50.0
-    assert histogram.p99() == 99.0
-    assert histogram.quantile(0.0) == 1.0
-    assert histogram.quantile(1.0) == 100.0
-
-
-def test_histogram_validation():
-    from repro.des import Histogram
-    histogram = Histogram()
-    with pytest.raises(ValueError):
-        histogram.quantile(0.5)  # empty
-    histogram.add(1.0)
-    with pytest.raises(ValueError):
-        histogram.quantile(1.5)
-    with pytest.raises(ValueError):
-        histogram.buckets(0)
-
-
-def test_histogram_buckets_partition_samples():
-    from repro.des import Histogram
-    histogram = Histogram()
-    histogram.extend([0.0, 1.0, 2.0, 3.0, 9.9])
-    buckets = histogram.buckets(5)
-    assert sum(n for _, _, n in buckets) == 5
-    assert buckets[0][0] == 0.0
-    assert buckets[-1][1] == pytest.approx(9.9)
-
-
-def test_histogram_single_value_bucket():
-    from repro.des import Histogram
-    histogram = Histogram()
-    histogram.extend([7.0, 7.0, 7.0])
-    assert histogram.buckets(4) == [(7.0, 7.0, 3)]
-    assert histogram.mean == 7.0
-
-
-@given(st.lists(st.floats(min_value=-1e6, max_value=1e6,
-                          allow_nan=False, allow_infinity=False),
-                min_size=1, max_size=200))
-def test_histogram_quantile_bounds_property(values):
-    from repro.des import Histogram
-    histogram = Histogram()
-    histogram.extend(values)
-    assert histogram.quantile(0.0) == min(values)
-    assert histogram.quantile(1.0) == max(values)
-    assert min(values) <= histogram.p50() <= max(values)

@@ -1,23 +1,22 @@
-"""The calendar's (time, priority, eid) tie-break contract.
+"""The calendar's (time, eid) tie-break contract.
 
 The schedule-perturbation harness (repro.check.perturb) is only sound if
-the engine honours this contract exactly: earlier times first, then
-urgent before normal, then — and only then — the tie component, which is
-creation order (eid) by default and a seeded deterministic shuffle under
-``tie_break_seed``.
+the engine honours this contract exactly: earlier times first, then —
+and only then — the tie component, which is creation order (eid) by
+default and a seeded deterministic shuffle under ``tie_break_seed``.
 """
 
 from repro.des import Environment
 from repro.des.engine import tie_break_key
 
 
-def _at(env, log, tag, delay, priority=Environment.PRIORITY_NORMAL):
-    """Schedule an event at ``delay`` that records ``tag`` when processed."""
+def _at(env, log, tag, when):
+    """Schedule an event at ``when`` that records ``tag`` when processed."""
     event = env.event()
     event.callbacks.append(lambda _e: log.append(tag))
     event._ok = True
     event._value = None
-    env.schedule(event, delay=delay, priority=priority)
+    env.schedule(event, when)
 
 
 def test_same_time_same_priority_runs_in_creation_order():
@@ -29,19 +28,10 @@ def test_same_time_same_priority_runs_in_creation_order():
     assert log == list("abcde")
 
 
-def test_urgent_runs_before_normal_at_the_same_time():
-    env = Environment()
-    log = []
-    _at(env, log, "normal", 1.0, priority=Environment.PRIORITY_NORMAL)
-    _at(env, log, "urgent", 1.0, priority=Environment.PRIORITY_URGENT)
-    env.run()
-    assert log == ["urgent", "normal"]
-
-
 def test_time_order_dominates_even_under_a_seed():
     env = Environment(tie_break_seed=7)
     log = []
-    _at(env, log, "late", 2.0, priority=Environment.PRIORITY_URGENT)
+    _at(env, log, "late", 2.0)
     _at(env, log, "early", 1.0)
     env.run()
     assert log == ["early", "late"]
@@ -70,17 +60,6 @@ def test_tie_break_seed_shuffles_only_exact_ties():
 
 def test_tie_break_seed_is_deterministic():
     assert _tie_order(42) == _tie_order(42)
-
-
-def test_priority_still_dominates_the_seeded_tie():
-    env = Environment(tie_break_seed=3)
-    log = []
-    for tag in "abc":
-        _at(env, log, tag, 1.0, priority=Environment.PRIORITY_NORMAL)
-    _at(env, log, "U", 1.0, priority=Environment.PRIORITY_URGENT)
-    env.run()
-    assert log[0] == "U"
-    assert sorted(log[1:]) == list("abc")
 
 
 def test_tie_break_key_is_stable_and_distinct():

@@ -49,12 +49,12 @@ class GeneratorModel(SwiftSimModel):
         """Process method: hold the ring for ``duration``."""
         with self._ring_cable.request() as grant:
             yield grant
-            self.ring.monitor.busy()
+            self.ring.monitor.busy(self.env.now)
             try:
                 yield self.env.timeout(duration)
             finally:
                 if self._ring_cable.queue_length == 0:
-                    self.ring.monitor.idle()
+                    self.ring.monitor.idle(self.env.now)
 
     def _request(self, client: Host, is_read: bool, done):
         config = self.config
@@ -108,7 +108,7 @@ class GeneratorModel(SwiftSimModel):
         transmissions = []
         with disk.resource.request(priority=priority) as grant:
             yield grant
-            disk.monitor.busy()
+            disk.monitor.busy(self.env.now)
             try:
                 for _ in range(blocks):
                     yield self.env.timeout(disk.block_service_time(unit))
@@ -120,7 +120,7 @@ class GeneratorModel(SwiftSimModel):
                         self.env.process(self._send_block(host, client, unit)))
             finally:
                 if disk.resource.queue_length == 0:
-                    disk.monitor.idle()
+                    disk.monitor.idle(self.env.now)
         yield self.env.all_of(transmissions)
 
     def _send_block(self, host: Host, client: Host, size: int):
@@ -158,7 +158,7 @@ class GeneratorModel(SwiftSimModel):
             yield from self._consume_cpu(host, host.recv_cost.time(unit))
         with disk.resource.request(priority=priority) as grant:
             yield grant
-            disk.monitor.busy()
+            disk.monitor.busy(self.env.now)
             try:
                 for _ in range(blocks):
                     yield self.env.timeout(disk.block_service_time(unit))
@@ -166,7 +166,7 @@ class GeneratorModel(SwiftSimModel):
                     disk.bytes_served += unit
             finally:
                 if disk.resource.queue_length == 0:
-                    disk.monitor.idle()
+                    disk.monitor.idle(self.env.now)
         # The acknowledgement.
         yield from self._consume_cpu(
             host, host.send_cost.time(CONTROL_PACKET_SIZE_BYTES))
