@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: install test lint check-model-full bench bench-full bench-smoke e2e-check profile tables figures examples clean
+.PHONY: install test lint mutants bench bench-full bench-smoke e2e-check profile tables figures examples clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation
@@ -12,20 +12,20 @@ test:
 	$(PYTHON) -m pytest tests/
 
 # One run of every static pass (determinism, races, units, aliasing,
-# protocol, effects) with per-pass timing, then the bounded protocol model
-# check at the CI bounds (~7 s, ~240k states, retransmit budget 1).
+# protocol, effects) with per-pass timing.
 lint:
 	$(PYTHON) -m repro check --json
-	$(PYTHON) -m repro check --model --retransmits 1 --json
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check src tests benchmarks; \
 	else \
 		echo "ruff not installed; skipping style pass"; \
 	fi
 
-# Full default bounds (~25 s, ~750k states): the nightly/manual target.
-check-model-full:
-	$(PYTHON) -m repro check --model
+# The mutation corpus (tests/mutants/corpus.py): each seeded bug, applied
+# to a copy of the checkout, must be caught by a static pass or, failing
+# that, by tier-1.  Two at a time; results in benchmarks/results/MUTANTS.json.
+mutants:
+	$(PYTHON) tests/mutants/run.py
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

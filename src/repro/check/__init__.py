@@ -40,13 +40,6 @@ installed ``repro`` package.  The passes, and the rule ids each reports
   bottom-up through SCC summaries, then checked against the
   cache-soundness, worker-hermeticity and bench-determinism contracts.
 
-``python -m repro check --model`` is the separate explicit-state bounded
-model checker, :mod:`repro.check.model`: it composes each client machine
-of :mod:`repro.check.spec` with its agent-side peer and an adversarial
-network (:mod:`repro.check.adversary` — drop, duplicate, reorder, crash,
-stale replies) and exhaustively explores every interleaving up to the
-configured bounds.
-
 The runtime half, checking live runs:
 
 * :mod:`repro.check.sanitize` — opt-in sanitizers for the DES: event-time
@@ -62,10 +55,9 @@ The runtime half, checking live runs:
 * :mod:`repro.check.conserve` — a byte-conservation ledger over the
   striped data path.
 
-Run the static passes and the model checker from the command line::
+Run the static passes from the command line::
 
     python -m repro check [paths ...] [--rules ids-or-groups] [--json]
-    python -m repro check --model [--depth N] [--retransmits K]
 
 which exits non-zero when any violation is found.  Individual findings
 can be suppressed with a ``# repro: allow[rule-id]`` comment on the
@@ -77,7 +69,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .adversary import AdversaryBudget
 from .aliasing import AliasRule, analyze_aliasing
 from .effects import (
     ALLOWED_GLOBAL_WRITES,
@@ -87,17 +78,6 @@ from .effects import (
 )
 from .findings import Finding, Severity
 from .hb import RaceDetector, RaceError, RaceReport, detect_races
-from .model import (
-    MODEL_RULES,
-    ModelConfig,
-    ModelStats,
-    PairModel,
-    ReadModel,
-    SemanticFlags,
-    WriteModel,
-    check_model,
-    explore,
-)
 from .lint import RULE_GROUPS, LintEngine, Rule, iter_python_files
 from .perturb import (
     PerturbationReport,
@@ -148,7 +128,6 @@ __all__ = [
     "iter_python_files",
     "LINT_PASSES",
     "RULES",
-    "MODEL_RULES",
     "CheckRun",
     "run_check",
     "analyze_aliasing",
@@ -159,15 +138,6 @@ __all__ = [
     "ConservationLedger",
     "conserve",
     "check_protocol",
-    "AdversaryBudget",
-    "ModelConfig",
-    "ModelStats",
-    "PairModel",
-    "ReadModel",
-    "SemanticFlags",
-    "WriteModel",
-    "check_model",
-    "explore",
     "render_text",
     "render_json",
     "sanitize",
@@ -210,7 +180,7 @@ LINT_PASSES: dict[str, tuple[type[Rule], ...]] = {
 
 #: The rule catalogue: every static pass in report order -> each rule id
 #: it reports -> that rule's one-line summary.  ``repro check --rules``
-#: and ``--list-rules`` read it; ``--model`` reports :data:`MODEL_RULES`.
+#: and ``--list-rules`` read it.
 RULES: dict[str, dict[str, str]] = {
     name: {rule_id: summary for rule in rules
            for rule_id, summary in rule.summaries.items()}

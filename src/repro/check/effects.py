@@ -1220,19 +1220,14 @@ def _contract_findings(program: _Program,
 
 
 def analyze_effects(paths: Sequence[Path],
-                    allowed_globals: Optional[dict[str, str]] = None,
                     ) -> tuple[list[Finding], EffectStats]:
     """Run the effect analysis over ``paths`` (files or directories).
 
     Returns the suppression-filtered findings plus call-graph statistics.
-    ``allowed_globals`` overrides :data:`ALLOWED_GLOBAL_WRITES` (tests
-    probe the contract with an empty allowlist).
     """
-    if allowed_globals is None:
-        allowed_globals = ALLOWED_GLOBAL_WRITES
     program = build_program(paths)
     entries = _discover_entries(program)
-    findings = _contract_findings(program, entries, allowed_globals)
+    findings = _contract_findings(program, entries, ALLOWED_GLOBAL_WRITES)
     findings.sort(key=lambda f: (str(f.path), f.line, f.rule_id))
 
     graph_edges = sum(len(info.calls) for info in program.functions.values())

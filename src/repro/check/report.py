@@ -28,16 +28,13 @@ def exit_code(findings: Sequence[Finding],
 
 
 def render_text(findings: Sequence[Finding], checked_paths: int = 0,
-                model_stats=None, effects_stats=None,
-                passes: Sequence[dict] | None = None) -> str:
+                effects_stats=None, passes: Sequence[dict] | None = None) -> str:
     """Editor-clickable one-line-per-finding report with a summary."""
     lines = [finding.format() for finding in findings]
     errors = sum(1 for f in findings if f.severity is Severity.ERROR)
     warnings = len(findings) - errors
     if findings:
         lines.append("")
-    if model_stats is not None:
-        lines.append(model_stats.render_text())
     if effects_stats is not None:
         lines.append(effects_stats.render_text())
     if passes:
@@ -53,8 +50,7 @@ def render_text(findings: Sequence[Finding], checked_paths: int = 0,
 
 
 def render_json(findings: Sequence[Finding], checked_paths: int = 0,
-                model_stats=None, effects_stats=None,
-                passes: Sequence[dict] | None = None) -> str:
+                effects_stats=None, passes: Sequence[dict] | None = None) -> str:
     """The ``repro check --json`` report (one JSON object, stable keys)."""
     by_rule: dict[str, int] = {}
     for finding in findings:
@@ -72,8 +68,6 @@ def render_json(findings: Sequence[Finding], checked_paths: int = 0,
             "by_rule": dict(sorted(by_rule.items())),
         },
     }
-    if model_stats is not None:
-        payload["model"] = model_stats.to_dict()
     if effects_stats is not None:
         payload["effects"] = effects_stats.to_dict()
     if passes:

@@ -16,24 +16,20 @@ Three views of the same protocol:
   per-file session server that handles CLOSE.
 
 :data:`MACHINES` is the union.  Every machine declares which ``side`` of
-the wire it models, which states are ``transient`` (the side holds the
-floor and must act before consuming further input — e.g. an agent that
-has just received the final packet and owes an ACK), and which messages
-it may silently ``ignore`` in states without a matching edge (each one
-justified by a concrete filter in the implementation: request_id/op_id/
-seq predicates, the unknown-op guard, closed ports).
+the wire it models.
 
 :mod:`repro.check.protocol` verifies the implementation against the
 exchanges and the machines against themselves (reachability, no trap
 states, timeout edges wherever a *reply* is awaited — servers may wait
-for requests forever).  :mod:`repro.check.model` composes a client
-machine with its agent peer and model-checks the pair under an
-adversarial network.
+for requests forever).  The filters that let each side drop a message
+it has no edge for (request_id/op_id/seq predicates, the unknown-op
+guard) are exercised on the real stack by the injected-schedule tests
+of ``tests/core/test_protocol_edges.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["Exchange", "Transition", "StateMachine", "EXCHANGES",
            "CLIENT_MACHINES", "AGENT_MACHINES", "MACHINES", "MACHINE_PAIRS",
@@ -64,13 +60,7 @@ class Transition:
 class StateMachine:
     """A named machine with an initial state and terminal states.
 
-    ``side`` is ``"client"`` or ``"agent"``.  ``transient`` states are
-    reaction points: the machine entered them by consuming an input and
-    must take one of its own edges (typically a send) before any further
-    input is dispatched to it.  ``ignores`` lists messages the side may
-    silently drop in states without a matching ``recv`` edge — each name
-    here asserts the implementation filters that message (by request_id,
-    op_id, seq, the unknown-op guard, or a closed port).
+    ``side`` is ``"client"`` or ``"agent"``.
     """
 
     name: str
@@ -78,8 +68,6 @@ class StateMachine:
     terminals: frozenset[str]
     transitions: tuple[Transition, ...]
     side: str = "client"
-    transient: frozenset[str] = field(default_factory=frozenset)
-    ignores: frozenset[str] = field(default_factory=frozenset)
 
     @property
     def states(self) -> frozenset[str]:
@@ -101,17 +89,6 @@ class StateMachine:
     def edges_from(self, state: str) -> tuple[Transition, ...]:
         return tuple(t for t in self.transitions if t.source == state)
 
-    def without_edge(self, source: str, event: str) -> "StateMachine":
-        """A mutated copy missing one edge (for model-checker tests)."""
-        kept = tuple(t for t in self.transitions
-                     if not (t.source == source and t.event == event))
-        if len(kept) == len(self.transitions):
-            raise ValueError(f"{self.name} has no edge ({source}, {event})")
-        return StateMachine(
-            name=f"{self.name}-mutant", initial=self.initial,
-            terminals=self.terminals, transitions=kept, side=self.side,
-            transient=self.transient, ignores=self.ignores)
-
 
 #: The protocol vocabulary, straight from docs/PROTOCOL.md.
 EXCHANGES: tuple[Exchange, ...] = (
@@ -131,7 +108,7 @@ EXCHANGES: tuple[Exchange, ...] = (
 )
 
 #: §3.1 read path: single outstanding request, resubmit on loss.  Stale
-#: data packets (older seq) are purged/filtered, hence ignorable.
+#: data packets (older seq) are purged and filtered out.
 READ_MACHINE = StateMachine(
     name="read",
     initial="IDLE",
@@ -142,12 +119,11 @@ READ_MACHINE = StateMachine(
         Transition("WAIT_DATA", "timeout", "IDLE"),
     ),
     side="client",
-    ignores=frozenset({"DataPacket"}),
 )
 
 #: §3.1 write path: announce, stream, await ACK; NAK → retransmit; ACK
 #: timeout → status query (a re-sent WRITE-REQ).  Replies for other ops
-#: are filtered by op_id, hence ignorable.
+#: are filtered out by op_id.
 WRITE_MACHINE = StateMachine(
     name="write",
     initial="IDLE",
@@ -162,8 +138,6 @@ WRITE_MACHINE = StateMachine(
         Transition("QUERY", "send WriteRequest", "STREAMING"),
     ),
     side="client",
-    transient=frozenset({"ANNOUNCED", "QUERY"}),
-    ignores=frozenset({"WriteAck", "WriteNak"}),
 )
 
 
@@ -173,7 +147,7 @@ def _client_control_machine(name: str, request: str, reply: str,
 
     ``best_effort`` models CLOSE: one short wait, a timeout gives up
     (DONE) instead of retrying.  Duplicate replies are filtered by
-    request_id (handle for CLOSE), hence ignorable.
+    request_id (handle for CLOSE).
     """
     return StateMachine(
         name=name,
@@ -185,7 +159,6 @@ def _client_control_machine(name: str, request: str, reply: str,
             Transition("WAIT", "timeout", "DONE" if best_effort else "IDLE"),
         ),
         side="client",
-        ignores=frozenset({reply}),
     )
 
 
@@ -212,14 +185,13 @@ READ_SERVER_MACHINE = StateMachine(
         Transition("SERVING", "send DataPacket", "LISTEN"),
     ),
     side="agent",
-    transient=frozenset({"SERVING"}),
 )
 
 #: Agent write server: collect announced packets; the stall watchdog
 #: NAKs the missing indices; a duplicate WRITE-REQ is a status query
 #: (NAK while incomplete, re-ACK once applied); late/unknown-op data is
-#: dropped by the unknown-op and applied guards, hence WriteData is
-#: ignorable in states without an edge (IDLE after a restart).
+#: dropped by the unknown-op and applied guards, in states without an
+#: edge too (IDLE after a restart).
 WRITE_SERVER_MACHINE = StateMachine(
     name="write-server",
     initial="IDLE",
@@ -237,8 +209,6 @@ WRITE_SERVER_MACHINE = StateMachine(
         Transition("APPLIED", "recv WriteData", "APPLIED"),
     ),
     side="agent",
-    transient=frozenset({"DECIDE", "NAKKING", "REACK"}),
-    ignores=frozenset({"WriteData"}),
 )
 
 
@@ -253,7 +223,6 @@ def _agent_server_machine(name: str, request: str, reply: str) -> StateMachine:
             Transition("REPLYING", f"send {reply}", "LISTEN"),
         ),
         side="agent",
-        transient=frozenset({"REPLYING"}),
     )
 
 
@@ -268,7 +237,7 @@ LIST_SERVER_MACHINE = _agent_server_machine("list-server", "ListRequest",
 
 #: The per-file session server: CLOSE expires the handle and releases
 #: the private port; a duplicate CLOSE hits a closed port and is dropped
-#: by the host, hence ignorable.
+#: by the host.
 SESSION_SERVER_MACHINE = StateMachine(
     name="session-server",
     initial="OPEN",
@@ -278,8 +247,6 @@ SESSION_SERVER_MACHINE = StateMachine(
         Transition("CLOSING", "send CloseReply", "CLOSED"),
     ),
     side="agent",
-    transient=frozenset({"CLOSING"}),
-    ignores=frozenset({"CloseRequest"}),
 )
 
 AGENT_MACHINES: tuple[StateMachine, ...] = (
@@ -290,8 +257,8 @@ AGENT_MACHINES: tuple[StateMachine, ...] = (
 
 MACHINES: tuple[StateMachine, ...] = CLIENT_MACHINES + AGENT_MACHINES
 
-#: Which client machine talks to which agent machine (the model
-#: checker composes each pair under the adversarial network).
+#: Which client machine talks to which agent machine: every send of
+#: one side must have a matching receive on the other.
 MACHINE_PAIRS: tuple[tuple[str, str], ...] = (
     ("read", "read-server"),
     ("write", "write-server"),

@@ -457,7 +457,12 @@ class _UnitInterpreter:
     def _infer_call(self, node: ast.Call, scope: _Scope) -> Optional[Dim]:
         arg_dims = [self._infer(arg, scope) for arg in node.args]
         for keyword in node.keywords:
-            self._infer(keyword.value, scope)
+            # `f(avg_seek_s=seek_ms)` binds a named parameter: check it
+            # as an assignment to that name.
+            dim = self._infer(keyword.value, scope)
+            if keyword.arg is not None:
+                self._check_declared(keyword, name_dim(keyword.arg), dim,
+                                     keyword.value)
         target = None
         if isinstance(node.func, ast.Attribute):
             target = node.func.attr

@@ -9,7 +9,6 @@ Usage::
     python -m repro fig3 | fig4 | fig5 | fig6 [--workers 2] [--cache DIR]
     python -m repro demo            # the quickstart, end to end
     python -m repro check [paths] [--rules ids] [--json]  # static checks
-    python -m repro check --model   # protocol model checker
 """
 
 from __future__ import annotations

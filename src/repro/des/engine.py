@@ -300,8 +300,8 @@ class Environment:
         call may return the same object re-armed.  Holding a reference to
         a fired Timeout and inspecting it after the simulation has moved
         on is therefore unsupported (see docs/PERFORMANCE.md).  Recycling
-        is suspended while step or schedule monitors are attached, since
-        detectors key state by event identity.
+        is suspended while step, schedule, resource or access monitors
+        are attached, since detectors key state by event identity.
         """
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
@@ -464,7 +464,8 @@ class Environment:
 
         Only exact Timeout/Release instances are pooled (subclasses may
         carry extra state), the pools are bounded, and recycling is
-        disabled entirely while step or schedule monitors are attached —
+        disabled entirely while step, schedule, resource or access
+        monitors are attached —
         the happens-before detector and the sanitizer key per-event
         state by object identity, which reuse would alias.
         """
@@ -524,7 +525,6 @@ class Environment:
         ready = self._ready
         ready_pop = ready.popleft
         step_monitors = self._step_monitors
-        schedule_monitors = self._schedule_monitors
         timeout_pool = self._timeout_pool
         release_pool = self._release_pool
         now = self._now
@@ -565,8 +565,7 @@ class Environment:
                 if event._ok:
                     if (cls is Timeout
                             and len(timeout_pool) < _POOL_LIMIT
-                            and not step_monitors
-                            and not schedule_monitors):
+                            and self._unmonitored):
                         # Pool invariant: a pooled Timeout carries an
                         # *empty* callbacks list, recycled from the one
                         # just drained, so timeout() re-arms it without
@@ -576,8 +575,7 @@ class Environment:
                         timeout_pool.append(event)
                     elif (cls is Release
                             and len(release_pool) < _POOL_LIMIT
-                            and not step_monitors
-                            and not schedule_monitors):
+                            and self._unmonitored):
                         callbacks.clear()
                         event.callbacks = callbacks
                         release_pool.append(event)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.check import RULES, LintEngine, run_check
+from repro.check import RULES, LintEngine
 from repro.check.aliasing import AliasRule, analyze_aliasing
 from repro.cli import main
 
@@ -187,8 +187,9 @@ def test_every_alias_rule_has_a_fixture():
     assert expected == set(RULES["aliasing"])
 
 
-def test_package_is_alias_clean():
-    findings = run_check(rules=["aliasing"]).findings
+def test_package_is_alias_clean(package_run):
+    findings = [f for f in package_run.findings
+                if f.rule_id in RULES["aliasing"]]
     assert findings == [], [str(f) for f in findings]
 
 
@@ -212,7 +213,7 @@ def test_cli_aliasing_flags_fixture_dir(capsys):
     assert "pool-leak" in out
 
 
-def test_cli_aliasing_clean_on_package(capsys):
+def test_cli_aliasing_clean_on_package(package_check, capsys):
     assert main(["check", "--rules", "aliasing", str(PACKAGE)]) == 0
     assert "0 error(s)" in capsys.readouterr().out
 

@@ -15,7 +15,7 @@ FIXTURES = str(Path(__file__).parent / "fixtures")
 PINNED = json.loads((Path(FIXTURES) / "findings.json").read_text())
 
 
-def test_check_exits_zero_on_the_repository(capsys):
+def test_check_exits_zero_on_the_repository(package_check, capsys):
     assert main(["check"]) == 0
     out = capsys.readouterr().out
     assert "0 error(s), 0 warning(s)" in out
@@ -51,7 +51,7 @@ def test_one_run_reproduces_the_pinned_fixture_findings(capsys):
              for f in report["findings"]]
     assert sorted(found, key=lambda f: (f["file"], f["line"], f["rule"],
                                         f["message"])) == PINNED
-    assert report["files_checked"] == 41
+    assert report["files_checked"] == 42
 
 
 @pytest.mark.parametrize("rule_id", sorted(
@@ -85,7 +85,7 @@ def test_missing_path_is_an_error():
         main(["check", str(Path(FIXTURES) / "no_such_dir")])
 
 
-def test_json_report_on_clean_repo(capsys):
+def test_json_report_on_clean_repo(package_check, capsys):
     assert main(["check", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["findings"] == []
@@ -118,7 +118,6 @@ def test_module_entry_point(capsys):
     assert check_main(["--list-rules"]) == 0
     out = capsys.readouterr().out
     assert "mutable-default" in out
-    assert "model-deadlock" in out
     assert "protocol-conformance" in out
 
 
@@ -149,35 +148,9 @@ def test_fail_on_threshold_semantics():
     assert exit_code([], fail_on=Severity.WARNING) == 0
 
 
-def test_fail_on_flag_is_accepted(capsys):
+def test_fail_on_flag_is_accepted(package_check, capsys):
     assert main(["check", "--fail-on", "warning"]) == 0  # clean repo
     capsys.readouterr()
     assert main(["check", FIXTURES, "--fail-on", "warning"]) == 1
     capsys.readouterr()
 
-
-def test_model_smoke_run(capsys):
-    # One small scenario: exhausts in well under a second, exits clean.
-    assert main(["check", "--model", "--scenarios", "pair:close"]) == 0
-    out = capsys.readouterr().out
-    assert "exhausted" in out
-    assert "retransmits<=2" in out  # bounds are reported
-    assert "0 error(s)" in out
-
-
-def test_model_json_report(capsys):
-    code = main(["check", "--model", "--json",
-                 "--scenarios", "pair:close,pair:read",
-                 "--retransmits", "1", "--depth", "40"])
-    assert code == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["model"]["exhausted"] is True
-    assert "retransmits<=1" in report["model"]["bounds"]
-    names = {s["name"] for s in report["model"]["scenarios"]}
-    assert names == {"pair:close", "pair:read"}
-    assert report["findings"] == []
-
-
-def test_model_unknown_scenario_is_an_error():
-    with pytest.raises(SystemExit, match="unknown model scenario"):
-        main(["check", "--model", "--scenarios", "pair:bogus"])

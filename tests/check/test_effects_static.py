@@ -11,6 +11,7 @@ from repro.check.effects import (
     analyze_effects,
     build_program,
     compute_summaries,
+    _contract_findings,
     _discover_entries,
     _reachable,
 )
@@ -91,9 +92,9 @@ def test_call_chain_crosses_two_hops():
     assert "service_time" in chain
 
 
-def test_package_entry_discovery_finds_declared_and_syntactic_entries():
-    program = build_program([PACKAGE])
-    entries = _discover_entries(program)
+def test_package_entry_discovery_finds_declared_and_syntactic_entries(
+        package_program):
+    entries = _discover_entries(package_program)
     assert "repro.sim.parallel._run_config" in entries["cached"]
     assert "repro.sim.model.SwiftSimModel.run" in entries["cached"]
     # Workers discovered syntactically from the pool.map dispatch sites.
@@ -102,21 +103,20 @@ def test_package_entry_discovery_finds_declared_and_syntactic_entries():
     assert "repro.sim.figures.figure3_series" in entries["bench"]
 
 
-def test_cached_reachability_covers_the_model_internals():
-    program = build_program([PACKAGE])
-    entries = _discover_entries(program)
-    reachable = _reachable(program, entries["cached"])
+def test_cached_reachability_covers_the_model_internals(package_program):
+    entries = _discover_entries(package_program)
+    reachable = _reachable(package_program, entries["cached"])
     for expected in ("repro.sim.model.SwiftSimModel._generator",
                      "repro.sim.model.SwiftSimModel._request",
                      "repro.simdisk.disk.Disk.__init__"):
         assert expected in reachable, expected
 
 
-def test_function_level_import_resolves_the_lazy_cycle_break():
+def test_function_level_import_resolves_the_lazy_cycle_break(
+        package_program):
     # `_run_max_sustainable` imports find_max_sustainable inside the
     # function body (the lazy-import idiom); the edge must still exist.
-    program = build_program([PACKAGE])
-    info = program.functions["repro.sim.parallel._run_max_sustainable"]
+    info = package_program.functions["repro.sim.parallel._run_max_sustainable"]
     assert "repro.sim.sweep.find_max_sustainable" in info.calls
 
 
@@ -127,12 +127,13 @@ def test_summaries_propagate_effects_bottom_up():
     assert "time" in summaries[entry]
 
 
-def test_blessed_memo_is_the_only_package_global_write():
+def test_blessed_memo_is_the_only_package_global_write(package_program):
     # With an *empty* allowlist the pass must surface exactly the
     # `_code_version_cache` memo — proof the analysis walks the real
     # worker -> sweep -> cache chain, and that the tree has no other
     # reachable global mutation.
-    findings, _ = analyze_effects([PACKAGE], allowed_globals={})
+    findings = _contract_findings(
+        package_program, _discover_entries(package_program), {})
     assert [f.rule_id for f in findings] == ["effect-global-write"]
     assert "_code_version_cache" in findings[0].message
     assert "config_key" in findings[0].message  # the chain is reported
@@ -147,8 +148,9 @@ def test_allowed_global_writes_is_declared_with_a_reason():
 # -- the shipped tree ---------------------------------------------------------
 
 
-def test_package_is_effect_clean():
-    findings, _ = analyze_effects([PACKAGE])
+def test_package_is_effect_clean(package_run):
+    findings = [f for f in package_run.findings
+                if f.rule_id in RULES["effects"]]
     assert findings == [], [str(f) for f in findings]
 
 
@@ -173,7 +175,7 @@ def test_cli_effects_flags_fixture_dir(capsys):
     assert "effect-unkeyed-input" in out
 
 
-def test_cli_effects_clean_on_package(capsys):
+def test_cli_effects_clean_on_package(package_check, capsys):
     assert main(["check", "--rules", "effects", str(PACKAGE)]) == 0
     assert "0 error(s)" in capsys.readouterr().out
 
@@ -214,9 +216,8 @@ def test_cli_list_rules_mentions_effect_rules(capsys):
 # -- one run of every pass ----------------------------------------------------
 
 
-def test_cli_all_merges_passes_and_reports_timing(capsys):
-    # `make lint`: one run of every static pass, then the model checker
-    # at the CI bounds.
+def test_cli_all_merges_passes_and_reports_timing(package_check, capsys):
+    # `make lint`: one run of every static pass.
     assert main(["check", "--json", str(PACKAGE)]) == 0
     report = json.loads(capsys.readouterr().out)
     names = [entry["name"] for entry in report["passes"]]
@@ -226,10 +227,6 @@ def test_cli_all_merges_passes_and_reports_timing(capsys):
         assert entry["seconds"] >= 0.0
         assert entry["findings"] == 0
     assert report["effects"]["functions"] > 0
-    assert main(["check", "--model", "--retransmits", "1", "--json"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["model"]["exhausted"] is True
-    assert report["findings"] == []
 
 
 def test_cli_all_fails_on_any_pass(capsys):

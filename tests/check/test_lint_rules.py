@@ -80,7 +80,7 @@ def test_exemption_for_random_streams():
     assert [f for f in findings if f.rule_id == "raw-random"] == []
 
 
-def test_repository_lints_clean():
+def test_repository_lints_clean(package_run):
     # The acceptance bar: the shipped code base has zero violations.
-    findings = run_check().findings
+    findings = package_run.findings
     assert findings == [], [f.format() for f in findings]

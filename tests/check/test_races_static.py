@@ -2,7 +2,7 @@
 
 from pathlib import Path
 
-from repro.check import LINT_PASSES, RULES, LintEngine, run_check
+from repro.check import LINT_PASSES, RULES, LintEngine
 from repro.check.cli import main
 from repro.check.races import LockOrderRule, YieldRmwRule
 
@@ -77,9 +77,9 @@ def test_race_fixtures_do_not_trip_the_determinism_rules():
         assert engine.check_file(FIXTURES / name) == []
 
 
-def test_shipped_des_facing_code_is_race_clean():
+def test_shipped_des_facing_code_is_race_clean(package_run):
     # The race lints audit the whole package, DES-facing code included.
-    findings = run_check(rules=list(RULES["races"])).findings
+    findings = [f for f in package_run.findings if f.rule_id in RULES["races"]]
     assert findings == [], [f.format() for f in findings]
 
 
@@ -87,7 +87,7 @@ def test_registry_exposes_both_rules():
     assert set(RULES["races"]) == {"yield-rmw", "lock-order"}
 
 
-def test_cli_races_pass_is_clean_on_the_repository(capsys):
+def test_cli_races_pass_is_clean_on_the_repository(package_check, capsys):
     assert main(["--rules", RACES]) == 0
     out = capsys.readouterr().out
     assert "0 error(s)" in out

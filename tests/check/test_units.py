@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.check import RULES, LintEngine, run_check
+from repro.check import RULES, LintEngine
 from repro.check.units import (
     BITS_PER_S,
     BYTES,
@@ -30,6 +30,7 @@ UNIT_FIXTURES = {
     "fixture_unit_assign.py": "unit-mismatch",
     "fixture_unit_timeout.py": "unit-mismatch",
     "fixture_unit_kbps.py": "unit-mismatch",
+    "fixture_unit_keyword.py": "unit-mismatch",
     "fixture_unit_bitbyte.py": "unit-bitbyte",
     "fixture_unit_magic.py": "unit-magic",
 }
@@ -242,8 +243,8 @@ def test_every_unit_rule_has_a_fixture():
     assert set(UNIT_FIXTURES.values()) == set(RULES["units"])
 
 
-def test_package_is_unit_clean():
-    findings = run_check(rules=["units"]).findings
+def test_package_is_unit_clean(package_run):
+    findings = [f for f in package_run.findings if f.rule_id in RULES["units"]]
     assert findings == [], [str(f) for f in findings]
 
 
@@ -258,7 +259,7 @@ def test_cli_units_flags_fixture_dir(capsys):
     assert "unit-magic" in out
 
 
-def test_cli_units_clean_on_package(capsys):
+def test_cli_units_clean_on_package(package_check, capsys):
     assert main(["check", "--rules", "units", str(PACKAGE)]) == 0
     assert "0 error(s)" in capsys.readouterr().out
 
@@ -268,7 +269,7 @@ def test_cli_units_json(capsys):
     assert main(["check", "--rules", "units", str(FIXTURES), "--json"]) == 1
     report = json.loads(capsys.readouterr().out)
     by_rule = report["summary"]["by_rule"]
-    assert by_rule["unit-mismatch"] == 4
+    assert by_rule["unit-mismatch"] == 5
     assert by_rule["unit-bitbyte"] == 1
     assert by_rule["unit-magic"] == 1
 

@@ -42,18 +42,25 @@ def test_pool_is_bounded():
 
 
 def test_monitors_disable_recycling():
-    env = Environment()
-    env.observe("step", lambda when, event: None)
+    # Every monitor kind that clears `_unmonitored` keeps processed
+    # Timeouts and Releases out of the pools, run loop included.
+    for kind in ("step", "schedule", "resource", "access"):
+        env = Environment()
+        env.observe(kind, lambda *args: None)
+        resource = Resource(env, capacity=1)
 
-    def proc(env):
-        for _ in range(5):
-            yield env.timeout(1.0)
+        def proc(env):
+            with resource.request() as request:
+                yield request
+                yield env.timeout(1.0)
+            for _ in range(5):
+                yield env.timeout(1.0)
 
-    env.process(proc(env))
-    env.run()
-    assert env._timeout_pool == []
-    assert env._release_pool == []
-    assert env._request_pool == []
+        env.process(proc(env))
+        env.run()
+        assert env._timeout_pool == [], kind
+        assert env._release_pool == [], kind
+        assert env._request_pool == [], kind
 
 
 def test_pooled_events_arrive_with_empty_callbacks():
