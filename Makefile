@@ -37,7 +37,7 @@ bench-full:
 # benchmark that no longer runs fails here instead of at the next
 # `make bench`; then the kernel events/sec benchmark and a 2-worker
 # mini-sweep, failing on a >20% throughput regression vs
-# benchmarks/baselines/ or a detector or sanitizer overhead ceiling
+# benchmarks/baselines/ or a sanitizer overhead ceiling
 # (thresholds in benchmarks/baselines/thresholds.json).
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks --benchmark-disable

@@ -6,12 +6,12 @@ workload is cheap and deterministic.
 
 Beyond the pytest-benchmark numbers, this archives a machine-readable
 ``BENCH_kernel_events.json`` with events/second, p50/p95 per-step
-latency, and the throughput cost of installing the happens-before race
-detector — so CI (and the next optimization PR) can diff kernel
-performance without parsing console output.  The monitor hooks
-themselves are lists tested for truthiness in the hot loop, so the
-uninstalled cost is a single branch per event; the JSON records the
-measured detector-on/off ratio.
+latency, and the throughput cost of installing the aliasing sanitizer
+and the conservation ledger — so CI (and the next optimization PR) can
+diff kernel performance without parsing console output.  The monitor
+hooks themselves are lists tested for truthiness in the hot loop, so
+the uninstalled cost is a single branch per event; the JSON records
+the measured sanitizer-on/off ratios.
 
 Overhead ratios are computed per interleaved round (plain and
 instrumented runs back to back, ratio within the round) and reported as
@@ -23,7 +23,7 @@ import time
 
 from _common import archive_json, scaled
 
-from repro.check import AliasSanitizer, ConservationLedger, RaceDetector
+from repro.check import AliasSanitizer, ConservationLedger
 from repro.core import build_local_swift
 from repro.des import Environment, Resource
 
@@ -49,14 +49,11 @@ def _pingpong_workload():
     return env.now
 
 
-def _timed_run(detector: bool = False, aliasing: bool = False):
+def _timed_run(aliasing: bool = False):
     """One full run; returns (events processed, elapsed seconds)."""
     env = _build()
     installed = None
-    if detector:
-        installed = RaceDetector(env, include_stacks=False)
-        installed.install()
-    elif aliasing:
+    if aliasing:
         installed = AliasSanitizer(env)
         installed.install()
     start = time.perf_counter()
@@ -134,17 +131,13 @@ def bench_kernel_events(benchmark):
     # baseline once recorded the conservation ledger *speeding a run up*
     # (ratio 0.86).  Throughput figures still use the best round: the
     # minimum is the least-noise estimate of the kernel itself.
-    plain_times, aliased_ratios, detector_ratios = [], [], []
-    detector_times = []
+    plain_times, aliased_ratios = [], []
     events = None
     for _ in range(rounds):
         events, base = _timed_run()
         aliased = _timed_run(aliasing=True)[1]
-        detected = _timed_run(detector=True)[1]
         plain_times.append(base)
         aliased_ratios.append(aliased / base)
-        detector_ratios.append(detected / base)
-        detector_times.append(detected)
     best_plain = min(plain_times)
     latencies = _step_latencies()
 
@@ -173,8 +166,6 @@ def bench_kernel_events(benchmark):
         "events_per_sec": events / best_plain,
         "p50_step_latency_us": _quantile(latencies, 0.50) * 1e6,
         "p95_step_latency_us": _quantile(latencies, 0.95) * 1e6,
-        "race_detector_events_per_sec": events / min(detector_times),
-        "race_detector_overhead_ratio": _median(detector_ratios),
         "aliasing_sanitizer_events_per_sec":
             events / (_median(aliased_ratios) * best_plain),
         "aliasing_sanitizer_overhead_ratio": _median(aliased_ratios),
@@ -189,7 +180,6 @@ def bench_kernel_events(benchmark):
     print(f"\nkernel: {payload['events_per_sec']:,.0f} events/s "
           f"(p50 {payload['p50_step_latency_us']:.2f} us, "
           f"p95 {payload['p95_step_latency_us']:.2f} us); "
-          f"race detector x{payload['race_detector_overhead_ratio']:.2f}; "
           f"aliasing sanitizer "
           f"x{payload['aliasing_sanitizer_overhead_ratio']:.2f}; "
           f"conservation ledger "

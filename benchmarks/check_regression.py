@@ -24,12 +24,6 @@ plain warm-cache sweep), and it must stay under
 ``--hermeticity-threshold`` (default 1.5x).  Runs that never archived
 the sweep benchmark skip this gate.
 
-The happens-before race detector gets an absolute ceiling too: the
-fresh run's ``race_detector_overhead_ratio`` must stay under
-``--hb-threshold`` (default 6.0x of the uninstrumented kernel — the
-vector-clock stamps are copy-on-write, so the per-event cost is a
-tuple build, not a dict copy).
-
 Thresholds live in ``benchmarks/baselines/thresholds.json`` — committed
 next to the baselines they guard, so tolerance changes are reviewed
 like re-baselines.  Command-line flags override individual values.
@@ -38,7 +32,6 @@ Usage::
 
     python benchmarks/check_regression.py [--threshold 0.20]
         [--sanitizer-threshold 1.5] [--hermeticity-threshold 1.5]
-        [--hb-threshold 6.0]
 """
 
 from __future__ import annotations
@@ -59,7 +52,6 @@ DEFAULT_THRESHOLDS = {
     "threshold": 0.20,
     "sanitizer_threshold": 1.5,
     "hermeticity_threshold": 1.5,
-    "hb_threshold": 6.0,
 }
 
 #: Metrics gated, with direction: events/sec must not drop.
@@ -71,9 +63,6 @@ SANITIZER_METRIC = "aliasing_sanitizer_overhead_ratio"
 #: Fresh-run-only gate on the sweep benchmark: hermetic/plain warm-cache
 #: wall-clock ratio must stay low.
 HERMETICITY_METRIC = "hermeticity_sanitizer_overhead_ratio"
-
-#: Fresh-run-only gate: race-detector/plain throughput ratio ceiling.
-HB_METRIC = "race_detector_overhead_ratio"
 
 
 def load_thresholds(path: Path) -> dict:
@@ -103,10 +92,6 @@ def main(argv=None) -> int:
                         help="maximum tolerated hermeticity-sanitizer "
                              "overhead ratio in the fresh sweep "
                              "benchmark (default from thresholds.json: 1.5x)")
-    parser.add_argument("--hb-threshold", type=float, default=None,
-                        help="maximum tolerated race-detector overhead "
-                             "ratio in the fresh run "
-                             "(default from thresholds.json: 6.0x)")
     parser.add_argument("--thresholds", type=Path, default=THRESHOLDS,
                         help="committed threshold defaults "
                              "(benchmarks/baselines/thresholds.json)")
@@ -122,8 +107,6 @@ def main(argv=None) -> int:
         options.sanitizer_threshold = committed["sanitizer_threshold"]
     if options.hermeticity_threshold is None:
         options.hermeticity_threshold = committed["hermeticity_threshold"]
-    if options.hb_threshold is None:
-        options.hb_threshold = committed["hb_threshold"]
 
     if not options.baseline.exists():
         print(f"regression gate: no baseline at {options.baseline}; "
@@ -164,18 +147,6 @@ def main(argv=None) -> int:
                   f"(> {options.sanitizer_threshold:.2f}x allowed).  Keep "
                   "the instrumented-pool hot path branch-cheap; see "
                   "docs/CHECKING.md.", file=sys.stderr)
-            return 1
-
-    hb_overhead = fresh.get(HB_METRIC)
-    if hb_overhead is not None:
-        print(f"regression gate: {HB_METRIC} measured {hb_overhead:.2f}x "
-              f"(ceiling {options.hb_threshold:.2f}x)")
-        if hb_overhead > options.hb_threshold:
-            print(f"regression gate: FAIL — the race detector costs "
-                  f"{hb_overhead:.2f}x the bare kernel "
-                  f"(> {options.hb_threshold:.2f}x allowed).  Keep the "
-                  "vector-clock stamps copy-on-write (no per-event dict "
-                  "copies); see docs/CHECKING.md.", file=sys.stderr)
             return 1
 
     if options.sweep_fresh.exists():

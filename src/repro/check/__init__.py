@@ -43,15 +43,14 @@ installed ``repro`` package.  The passes, and the rule ids each reports
 The runtime half, checking live runs:
 
 * :mod:`repro.check.sanitize` — opt-in sanitizers for the DES: event-time
-  monotonicity, resource leaks, cross-stream RNG sharing; poisoned free
-  lists and generation-stamped buffers (:func:`alias_sanitize`); ambient-
-  read traps and module-global snapshot/diff around cached runs
+  monotonicity and resource leaks; poisoned free lists and
+  generation-stamped buffers (:func:`alias_sanitize`); ambient-read
+  traps and module-global snapshot/diff around cached runs
   (:func:`hermetic_sanitize`).
-* :mod:`repro.check.hb` — dynamic happens-before race detection over a
-  live DES run.
-* :mod:`repro.check.perturb` — the schedule-perturbation harness: rerun
-  a scenario under K seeded same-time tie shuffles and assert
-  the metrics are bit-identical.
+* :mod:`repro.check.perturb` — the schedule-perturbation harness, the
+  one runtime check for tie-order dependence: rerun a scenario under K
+  seeded same-time tie shuffles and assert the metrics are
+  bit-identical.
 * :mod:`repro.check.conserve` — a byte-conservation ledger over the
   striped data path.
 
@@ -77,7 +76,6 @@ from .effects import (
     analyze_effects,
 )
 from .findings import Finding, Severity
-from .hb import RaceDetector, RaceError, RaceReport, detect_races
 from .lint import RULE_GROUPS, LintEngine, Rule, iter_python_files
 from .perturb import (
     PerturbationReport,
@@ -112,7 +110,6 @@ from .sanitize import (
     MonotonicityError,
     ResourceLeakError,
     SanitizerError,
-    SharedStreamError,
     StaleViewError,
     UseAfterRecycleError,
     alias_sanitize,
@@ -151,13 +148,8 @@ __all__ = [
     "SanitizerError",
     "MonotonicityError",
     "ResourceLeakError",
-    "SharedStreamError",
     "StaleViewError",
     "UseAfterRecycleError",
-    "RaceDetector",
-    "RaceReport",
-    "RaceError",
-    "detect_races",
     "ScheduleTrace",
     "PerturbationReport",
     "ScheduleRaceError",

@@ -482,6 +482,7 @@ class _FunctionAnalyzer:
                 annotated = self._resolve_annotation(arg.annotation)
                 if annotated is not None:
                     self.var_types[arg.arg] = annotated
+        declared_global: set[str] = set()
         for stmt in ast.walk(node):
             if isinstance(stmt, ast.Assign):
                 for target in stmt.targets:
@@ -503,9 +504,7 @@ class _FunctionAnalyzer:
             elif isinstance(stmt, ast.ExceptHandler) and stmt.name:
                 self.locals.add(stmt.name)
             elif isinstance(stmt, ast.Global):
-                # `global x` makes x *not* local: writes hit the module.
-                for name in stmt.names:
-                    self.locals.discard(name)
+                declared_global.update(stmt.names)
             elif isinstance(stmt, ast.Import):
                 for alias in stmt.names:
                     local = alias.asname or alias.name.split(".")[0]
@@ -523,6 +522,10 @@ class _FunctionAnalyzer:
                     local = alias.asname or alias.name
                     self.func_symbols[local] = (
                         f"{origin}.{alias.name}" if origin else alias.name)
+        # `global x` makes x *not* local: writes hit the module.  The
+        # walk reaches the declaration before the rebinding it governs,
+        # so the names come off only once every binding has been seen.
+        self.locals -= declared_global
 
     def _bind_target(self, target: ast.expr) -> None:
         if isinstance(target, ast.Name):

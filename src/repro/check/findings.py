@@ -12,8 +12,8 @@ class Severity(enum.Enum):
     """How bad a finding is.
 
     ``ERROR`` findings fail the build; ``WARNING`` findings are reported
-    but do not affect the exit code (used for heuristics that can
-    legitimately fire on correct code, like shared-stream detection).
+    but do not affect the exit code (for heuristics that can
+    legitimately fire on correct code; no shipped rule reports one).
     """
 
     ERROR = "error"

@@ -7,12 +7,14 @@ harness runs one scenario several times with
 every same-time tie — and asserts the end-of-run metrics
 are **bit-identical** across all permutations.  Any divergence is a
 confirmed tie-break race: some result flowed through the order of two
-same-timestamp events.
+same-timestamp events.  It is the one runtime check for tie-order
+dependence: it looks at what a reordered tie does to the results, not
+at which accesses might conflict.
 
 To localize a divergence, a scenario attaches the provided
 :class:`ScheduleTrace` to its environment; the harness then reports the
-index and fingerprint of the first event where the perturbed run's
-schedule departed from the baseline's.
+index and fingerprint (time and event type) of the first event where
+the perturbed run's schedule departed from the baseline's.
 
 Usage::
 
@@ -49,19 +51,22 @@ class ScheduleRaceError(AssertionError):
 
 
 class ScheduleTrace:
-    """Step-monitor recorder fingerprinting every processed event."""
+    """Step-monitor recorder fingerprinting every processed event.
+
+    A fingerprint is ``(when, event type name)``: nothing in it depends
+    on object addresses or process-global counters, so two runs of one
+    scenario in one process record the same list.
+    """
 
     def __init__(self):
         self.fingerprints: list[tuple[float, str]] = []
 
     def attach(self, env) -> None:
-        """Start recording ``env``'s schedule (idempotent per env)."""
+        """Start recording ``env``'s schedule (attach once per env)."""
         env.observe("step", self._on_step)
 
     def _on_step(self, when: float, event) -> None:
-        value = getattr(event, "_value", None)
-        self.fingerprints.append(
-            (when, f"{type(event).__name__}:{value!r}"[:80]))
+        self.fingerprints.append((when, type(event).__name__))
 
 
 @dataclass(frozen=True)

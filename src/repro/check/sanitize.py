@@ -1,6 +1,6 @@
 """Runtime sanitizer for DES runs: ``with sanitize(env): ...``.
 
-Three dynamic checks the static rules cannot make:
+Two dynamic checks the static rules cannot make:
 
 * **event-time monotonicity** — every event popped from the calendar must
   carry a timestamp no earlier than the clock or any previously popped
@@ -10,25 +10,18 @@ Three dynamic checks the static rules cannot make:
   request must be released by the time the sanitized block ends.  A
   handle held at exit is a leak: in a longer run that server slot is gone
   forever and throughput quietly degrades.
-* **cross-stream RNG sharing** — one :class:`~repro.des.random_streams.
-  RandomStream` drawn by more than one process entangles the two
-  components' variate sequences: reordering unrelated events changes
-  both.  Reported as warnings by default (``on_shared_stream="error"``
-  upgrades), since serialized sharing can be deliberate.
 
-Overhead is zero when not sanitizing: the hooks in the engine and the
-streams are no-ops until installed.
+Overhead is zero when not sanitizing: the engine's monitor lists are
+empty until installed.
 
 Usage::
 
     from repro.check import sanitize
 
     env = Environment()
-    streams = StreamFactory(seed)
     ... build the model ...
-    with sanitize(env, streams) as monitor:
+    with sanitize(env) as monitor:
         env.run()
-    assert not monitor.warnings
 """
 
 from __future__ import annotations
@@ -41,10 +34,9 @@ from ..des.events import StaleEventError
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..des.engine import Environment
-    from ..des.random_streams import RandomStream, StreamFactory
 
 __all__ = ["sanitize", "Sanitizer", "SanitizerError", "MonotonicityError",
-           "ResourceLeakError", "SharedStreamError",
+           "ResourceLeakError",
            "alias_sanitize", "AliasSanitizer", "GuardedView",
            "StaleViewError", "UseAfterRecycleError",
            "hermetic_sanitize", "HermeticitySanitizer",
@@ -67,10 +59,6 @@ class ResourceLeakError(SanitizerError):
     """Resource requests were still held when the sanitized block ended."""
 
 
-class SharedStreamError(SanitizerError):
-    """One random stream was drawn by more than one process."""
-
-
 class StaleViewError(SanitizerError):
     """A guarded view was read after its backing buffer moved on."""
 
@@ -78,46 +66,29 @@ class StaleViewError(SanitizerError):
 class Sanitizer:
     """The installed monitor set; created by :func:`sanitize`."""
 
-    def __init__(self, env: "Environment",
-                 streams: "Optional[StreamFactory]" = None,
-                 check_monotonicity: bool = True,
-                 check_leaks: bool = True,
-                 on_shared_stream: str = "warn"):
-        if on_shared_stream not in ("warn", "error", "ignore"):
-            raise ValueError(
-                f"on_shared_stream must be warn/error/ignore, "
-                f"got {on_shared_stream!r}")
+    def __init__(self, env: "Environment", check_monotonicity: bool = True,
+                 check_leaks: bool = True):
         self.env = env
-        self.streams = streams
         self.check_monotonicity = check_monotonicity
         self.check_leaks = check_leaks
-        self.on_shared_stream = on_shared_stream
-        #: Human-readable warnings collected during the run.
-        self.warnings: list[str] = []
         self._last_when = env.now
         self._events_seen = 0
         #: request id -> (resource, request) for grants not yet released.
         self._held: dict[int, tuple] = {}
         self._acquires = 0
         self._releases = 0
-        #: stream name -> processes that drew from it (strong refs: ids
-        #: must stay unique for the lifetime of the sanitizer).
-        self._drawers: dict[str, list] = {}
-        self._shared_reported: set[str] = set()
         self._installed = False
 
     # -- lifecycle ----------------------------------------------------------
 
     def install(self) -> None:
-        """Attach to the environment (and streams, if given)."""
+        """Attach to the environment."""
         if self._installed:  # pragma: no cover - defensive
             return
         if self.check_monotonicity:
             self.env.observe("step", self._on_step)
         if self.check_leaks:
             self.env.observe("resource", self._on_resource)
-        if self.streams is not None and self.on_shared_stream != "ignore":
-            self.streams.attach_observer(self._on_draw)
         self._installed = True
 
     def uninstall(self) -> None:
@@ -126,8 +97,6 @@ class Sanitizer:
             return
         self.env.unobserve("step", self._on_step)
         self.env.unobserve("resource", self._on_resource)
-        if self.streams is not None:
-            self.streams.detach_observer()
         self._installed = False
 
     def finish(self) -> None:
@@ -158,24 +127,6 @@ class Sanitizer:
             self._releases += 1
             self._held.pop(id(request), None)
 
-    def _on_draw(self, stream: "RandomStream") -> None:
-        process = self.env.active_process
-        if process is None:
-            # Setup-time draws (model construction) have no owner.
-            return
-        name = stream.name or repr(stream)
-        owners = self._drawers.setdefault(name, [])
-        if not any(owner is process for owner in owners):
-            owners.append(process)
-        if len(owners) > 1 and name not in self._shared_reported:
-            self._shared_reported.add(name)
-            message = (f"stream {name!r} drawn by {len(owners)} distinct "
-                       f"processes (latest: {process!r}); their variate "
-                       "sequences are now interleaving-dependent")
-            if self.on_shared_stream == "error":
-                raise SharedStreamError(message)
-            self.warnings.append(message)
-
     # -- introspection ------------------------------------------------------
 
     @property
@@ -188,29 +139,19 @@ class Sanitizer:
         """Currently outstanding (granted, unreleased) requests."""
         return len(self._held)
 
-    def shared_streams(self) -> dict[str, int]:
-        """Stream name -> number of distinct drawing processes (>1 only)."""
-        return {name: len(owners) for name, owners in self._drawers.items()
-                if len(owners) > 1}
-
 
 @contextmanager
-def sanitize(env: "Environment",
-             streams: "Optional[StreamFactory]" = None,
-             check_monotonicity: bool = True,
-             check_leaks: bool = True,
-             on_shared_stream: str = "warn"):
+def sanitize(env: "Environment", check_monotonicity: bool = True,
+             check_leaks: bool = True):
     """Context manager running a DES block under the sanitizer.
 
-    Raises :class:`MonotonicityError` / :class:`SharedStreamError` at the
-    offending event, and :class:`ResourceLeakError` at block exit if any
-    granted resource request was never released.  If the body itself
-    raises, that exception propagates unmasked (no leak check).
+    Raises :class:`MonotonicityError` at the offending event, and
+    :class:`ResourceLeakError` at block exit if any granted resource
+    request was never released.  If the body itself raises, that
+    exception propagates unmasked (no leak check).
     """
-    monitor = Sanitizer(env, streams,
-                        check_monotonicity=check_monotonicity,
-                        check_leaks=check_leaks,
-                        on_shared_stream=on_shared_stream)
+    monitor = Sanitizer(env, check_monotonicity=check_monotonicity,
+                        check_leaks=check_leaks)
     monitor.install()
     try:
         yield monitor

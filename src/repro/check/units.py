@@ -204,10 +204,6 @@ CALL_RETURNS: dict[str, Dim] = {
     "ms": SECONDS,
     "us": SECONDS,
     "s_to_ms": MILLISECONDS,
-    "kib": BYTES,
-    "mib": BYTES,
-    "kb": BYTES,
-    "mb": BYTES,
     "kb_per_s": BYTES_PER_S,
     "mb_per_s": BYTES_PER_S,
     "to_bits": BITS,

@@ -31,8 +31,7 @@ _FNV_PRIME = 16777619
 _FNV_MASK = (1 << 64) - 1
 
 #: What :meth:`Environment.observe` accepts, one monitor list per kind.
-_MONITOR_KINDS = ("step", "schedule", "resource", "access", "transfer",
-                  "alias")
+_MONITOR_KINDS = ("step", "schedule", "resource", "transfer", "alias")
 
 
 class EmptySchedule(Exception):
@@ -145,7 +144,6 @@ class Environment:
         self._step_monitors: list = []
         self._resource_monitors: list = []
         self._schedule_monitors: list = []
-        self._access_monitors: list = []
         self._transfer_monitors: list = []
         self._alias_monitors: list = []
         # The seed-dependent half of tie_break_key, cached so schedule()
@@ -176,16 +174,15 @@ class Environment:
         ``_schedule_fast``: no tie shuffle and no schedule monitors, so
         triggering code may push ``(when, eid, event)`` (or append a
         same-time event to the ready cohort) directly, bypassing
-        :meth:`schedule`.  ``_unmonitored``: no step, schedule, resource
-        or access monitors, so event pooling and the inlined
-        monitor-free resource paths are allowed.
+        :meth:`schedule`.  ``_unmonitored``: no step, schedule or
+        resource monitors, so event pooling and the inlined monitor-free
+        resource paths are allowed.
         """
         self._schedule_fast = (self._tie_seed_prefix is None
                                and not self._schedule_monitors)
         self._unmonitored = not (self._step_monitors
                                  or self._schedule_monitors
-                                 or self._resource_monitors
-                                 or self._access_monitors)
+                                 or self._resource_monitors)
         if not self._unmonitored:
             # Box pending call_at entries into Timeouts under their own
             # keys: monitors see only Events, in unchanged order.
@@ -226,7 +223,6 @@ class Environment:
         schedule    ``(event, active_process)``           ``_unmonitored``,
                                                           ``_schedule_fast``
         resource    ``(action, resource, request)``       ``_unmonitored``
-        access      ``(obj, label, is_write)``            ``_unmonitored``
         transfer    ``(kind, **info)``                    none
         alias       ``(kind, buffer)``                    none
         ==========  ====================================  ==================
@@ -238,14 +234,14 @@ class Environment:
         the calendar; ``active_process`` is the process whose segment
         scheduled it (None in the callback phase or at setup).
         *resource* runs on every ``Resource`` grant or release
-        (``action`` is ``"acquire"`` or ``"release"``), *access* on every
-        instrumented shared-state access, *transfer* on every data-path
-        accounting event (the conservation ledger) and *alias* on every
-        shared buffer mutate or retire (the aliasing sanitizer).
+        (``action`` is ``"acquire"`` or ``"release"``), *transfer* on
+        every data-path accounting event (the conservation ledger) and
+        *alias* on every shared buffer mutate or retire (the aliasing
+        sanitizer).
 
         Clearing ``_unmonitored`` turns off event pooling, token grants,
         inline finishes and raw :meth:`call_at` entries (pending ones
-        become Timeouts at attach time), because detectors key state by
+        become Timeouts at attach time), because monitors key state by
         event identity and need every completion event.  Clearing
         ``_schedule_fast`` also routes every event through the heap, so
         schedule callbacks see each one.  Transfer and alias callbacks
@@ -274,10 +270,6 @@ class Environment:
         for callback in self._resource_monitors:
             callback(action, resource, request)
 
-    def _notify_access(self, obj, label: str, is_write: bool) -> None:
-        for callback in self._access_monitors:
-            callback(obj, label, is_write)
-
     def _notify_transfer(self, kind: str, **info) -> None:
         for callback in self._transfer_monitors:
             callback(kind, **info)
@@ -300,8 +292,8 @@ class Environment:
         call may return the same object re-armed.  Holding a reference to
         a fired Timeout and inspecting it after the simulation has moved
         on is therefore unsupported (see docs/PERFORMANCE.md).  Recycling
-        is suspended while step, schedule, resource or access monitors
-        are attached, since detectors key state by event identity.
+        is suspended while step, schedule or resource monitors are
+        attached, since monitors key state by event identity.
         """
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
@@ -464,10 +456,9 @@ class Environment:
 
         Only exact Timeout/Release instances are pooled (subclasses may
         carry extra state), the pools are bounded, and recycling is
-        disabled entirely while step, schedule, resource or access
-        monitors are attached —
-        the happens-before detector and the sanitizer key per-event
-        state by object identity, which reuse would alias.
+        disabled entirely while step, schedule or resource monitors are
+        attached — the sanitizer keys per-event state by object
+        identity, which reuse would alias.
         """
         if not self._unmonitored:
             return

@@ -73,16 +73,12 @@ class Event:
         The environment the event belongs to.
     """
 
-    #: ``_hb_clock`` is written only by the happens-before detector
-    #: (:mod:`repro.check.hb`) while its schedule monitor is attached;
-    #: normal runs never touch the slot, so it stays unset and costs
-    #: nothing to construct.  ``_stale`` is the aliasing sanitizer's
-    #: recycle mark: the instrumented free list that currently parks
-    #: this event, or None.  It is initialised by every constructor so
-    #: :attr:`value` can test it with a plain load, and set/cleared only
-    #: by the sanitizer's pools — re-arm fast paths never touch it.
-    __slots__ = ("env", "callbacks", "_value", "_ok", "_defused",
-                 "_stale", "_hb_clock")
+    #: ``_stale`` is the aliasing sanitizer's recycle mark: the
+    #: instrumented free list that currently parks this event, or None.
+    #: It is initialised by every constructor so :attr:`value` can test
+    #: it with a plain load, and set/cleared only by the sanitizer's
+    #: pools — re-arm fast paths never touch it.
+    __slots__ = ("env", "callbacks", "_value", "_ok", "_defused", "_stale")
 
     def __init__(self, env: "Environment"):
         self.env = env

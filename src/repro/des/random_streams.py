@@ -5,12 +5,6 @@ runs are reproducible and components are statistically independent.  Streams
 are spawned from a :class:`StreamFactory` keyed by name, so adding a new
 component does not perturb the draws of existing ones.
 
-Streams accept an optional *observer* — a callable invoked (with the
-stream) before every draw.  The runtime sanitizer
-(:mod:`repro.check.sanitize`) uses this to detect two components sharing
-one stream, which would entangle their draw sequences and make results
-depend on event interleaving.
-
 **Block sampling.**  The float distributions (:meth:`~RandomStream.exponential`,
 :meth:`~RandomStream.uniform`, :meth:`~RandomStream.uniform_mean`,
 :meth:`~RandomStream.bernoulli`) — the only draws the models make — do not
@@ -27,7 +21,6 @@ from __future__ import annotations
 
 import random
 from math import log as _log
-from typing import Callable, Optional
 
 __all__ = ["RandomStream", "StreamFactory", "BLOCK_SIZE"]
 
@@ -40,13 +33,11 @@ BLOCK_SIZE = 256
 class RandomStream:
     """A named, seeded source of the variates the paper's models need."""
 
-    __slots__ = ("_rng", "name", "observer", "_block")
+    __slots__ = ("_rng", "name", "_block")
 
     def __init__(self, seed: int, name: str = ""):
         self._rng = random.Random(seed)
         self.name = name
-        #: Called with this stream before every draw (sanitizer hook).
-        self.observer: Optional[Callable[["RandomStream"], None]] = None
         #: Buffered raw uniforms, stored reversed so ``pop()`` serves them
         #: in draw order.
         self._block: list[float] = []
@@ -64,8 +55,6 @@ class RandomStream:
         """Exponential variate with the given mean (interarrival times)."""
         if mean <= 0:
             raise ValueError(f"mean must be positive, got {mean}")
-        if self.observer is not None:
-            self.observer(self)
         block = self._block
         if not block:
             block = self._refill()
@@ -76,8 +65,6 @@ class RandomStream:
         """Uniform variate on [low, high] (seek times, rotational delay)."""
         if high < low:
             raise ValueError(f"empty interval [{low}, {high}]")
-        if self.observer is not None:
-            self.observer(self)
         block = self._block
         if not block:
             block = self._refill()
@@ -92,8 +79,6 @@ class RandomStream:
         """
         if mean < 0:
             raise ValueError(f"mean must be non-negative, got {mean}")
-        if self.observer is not None:
-            self.observer(self)
         block = self._block
         if not block:
             block = self._refill()
@@ -104,8 +89,6 @@ class RandomStream:
         """True with the given probability (packet loss)."""
         if not 0.0 <= probability <= 1.0:
             raise ValueError(f"probability out of range: {probability}")
-        if self.observer is not None:
-            self.observer(self)
         block = self._block
         if not block:
             block = self._refill()
@@ -126,29 +109,12 @@ class StreamFactory:
     def __init__(self, master_seed: int = 0):
         self.master_seed = master_seed
         self._issued: dict[str, RandomStream] = {}
-        self._observer: Optional[Callable[[RandomStream], None]] = None
 
     def stream(self, name: str) -> RandomStream:
         """The stream for ``name`` (created on first use, then cached)."""
         if name not in self._issued:
-            child_seed = self._derive(name)
-            issued = RandomStream(child_seed, name=name)
-            issued.observer = self._observer
-            self._issued[name] = issued
+            self._issued[name] = RandomStream(self._derive(name), name=name)
         return self._issued[name]
-
-    def attach_observer(self,
-                        observer: Callable[[RandomStream], None]) -> None:
-        """Install ``observer`` on every issued and future stream."""
-        self._observer = observer
-        for stream in self._issued.values():
-            stream.observer = observer
-
-    def detach_observer(self) -> None:
-        """Remove the observer from every issued and future stream."""
-        self._observer = None
-        for stream in self._issued.values():
-            stream.observer = None
 
     def _derive(self, name: str) -> int:
         # A small, stable string hash (Python's hash() is salted per run).

@@ -269,8 +269,8 @@ class Resource:
         state machines) skipping it removes one calendar
         entry per hold.  Grant order, monitor notification order and
         request recycling are identical to :meth:`release`; with any
-        step/schedule/resource/access monitor attached the release
-        routes through the fully notifying slow path.
+        step/schedule/resource monitor attached the release routes
+        through the fully notifying slow path.
         """
         env = self.env
         if env._unmonitored:
@@ -345,8 +345,6 @@ class Resource:
 
     def _enqueue(self, request: Request) -> None:
         env = self.env
-        if env._access_monitors:
-            env._notify_access(self, "Resource.request", True)
         if not self._waiting and len(self.users) < self.capacity:
             # Uncontended fast path: an empty wait queue with a free
             # server grants immediately, skipping the heap round-trip.
@@ -373,8 +371,6 @@ class Resource:
             self._withdraw(request)
             return
         env = self.env
-        if env._access_monitors:
-            env._notify_access(self, "Resource.release", True)
         if env._resource_monitors:
             env._notify_resource("release", self, request)
         if self._waiting:
@@ -448,20 +444,14 @@ class FifoServer:
     when the queue is empty".
     """
 
-    __slots__ = ("env", "free_at", "monitor")
+    __slots__ = ("free_at", "monitor")
 
     def __init__(self, env: "Environment", monitor=None):
-        self.env = env
         self.free_at = env.now
         self.monitor = monitor
 
     def serve(self, now: float, duration: float) -> float:
         """Queue a ``duration``-second hold requested at ``now``; its end."""
-        env = self.env
-        if env._access_monitors:
-            # Serve order is FIFO order: two unordered same-time serves
-            # are a race, as two Resource.request calls are.
-            env._notify_access(self, "Server.serve", True)
         start = self.free_at
         if start <= now:
             start = now
@@ -484,8 +474,6 @@ class StorePut(Event):
     def __init__(self, store: "Store", item: Any):
         super().__init__(store.env)
         self.item = item
-        if store.env._access_monitors:
-            store.env._notify_access(store, "Store.put", True)
         store._put_queue.append(self)
         store._dispatch()
 
@@ -499,8 +487,6 @@ class StoreGet(Event):
         super().__init__(store.env)
         self.store = store
         self.predicate = predicate
-        if store.env._access_monitors:
-            store.env._notify_access(store, "Store.get", True)
         store._get_queue.append(self)
         store._dispatch()
 
@@ -546,9 +532,6 @@ class Store:
         one calendar entry cheaper.  Raises ``RuntimeError`` when the
         store is full.
         """
-        env = self.env
-        if env._access_monitors:
-            env._notify_access(self, "Store.put", True)
         if self._put_queue or len(self.items) >= self.capacity:
             raise RuntimeError("put_nowait on a full store")
         self.items.append(item)
@@ -566,8 +549,6 @@ class Store:
 
     def purge(self, predicate: Callable[[Any], bool]) -> int:
         """Discard buffered items matching ``predicate``; returns the count."""
-        if self.env._access_monitors:
-            self.env._notify_access(self, "Store.purge", True)
         keep = [item for item in self.items if not predicate(item)]
         removed = len(self.items) - len(keep)
         self.items = keep

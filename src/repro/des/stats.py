@@ -94,10 +94,6 @@ class OnlineStats:
         self._m2 = 0.0
         self._min = math.inf
         self._max = -math.inf
-        #: Called with this accumulator before every :meth:`add` — the
-        #: happens-before race detector (:mod:`repro.check.hb`) attaches
-        #: here to see which process segment folds each observation in.
-        self.observer = None
 
     def reset(self) -> None:
         """Drop every observation (back to the freshly built state).
@@ -114,8 +110,6 @@ class OnlineStats:
 
     def add(self, value: float) -> None:
         """Fold one observation into the accumulator."""
-        if self.observer is not None:
-            self.observer(self)
         self.count += 1
         delta = value - self._mean
         self._mean += delta / self.count

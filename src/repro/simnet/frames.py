@@ -13,16 +13,13 @@ regardless of the Python object inside.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 __all__ = ["Address", "Datagram", "HEADER_SIZE"]
 
 #: UDP/IP header bytes carried by every datagram.
 HEADER_SIZE = 28
-
-_datagram_ids = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -36,15 +33,15 @@ class Address:
         return f"{self.host}:{self.port}"
 
 
-@dataclass
+@dataclass(eq=False)
 class Datagram:
-    """One datagram in flight."""
+    """One datagram in flight; two datagrams are equal only if they are
+    the same object."""
 
     src: Address
     dst: Address
     size: int  # bytes on the wire, headers included
     message: Any = None
-    uid: int = field(default_factory=lambda: next(_datagram_ids))
 
     def __post_init__(self):
         if self.size < HEADER_SIZE:
@@ -54,5 +51,4 @@ class Datagram:
 
     def __repr__(self) -> str:
         kind = type(self.message).__name__ if self.message is not None else "raw"
-        return (f"<Datagram #{self.uid} {self.src}->{self.dst} "
-                f"{self.size}B {kind}>")
+        return f"<Datagram {self.src}->{self.dst} {self.size}B {kind}>"

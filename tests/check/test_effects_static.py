@@ -30,6 +30,8 @@ EFFECT_FIXTURES = {
     "fixture_effect_fs_cached.py": ("effect-ambient-read", "a5d3dcb5ee"),
     "fixture_effect_global_worker.py": ("effect-global-write",
                                         "1b64e8415c"),
+    "fixture_effect_global_rebind_worker.py": ("effect-global-write",
+                                               "d1be9000d0"),
     "fixture_effect_counter_worker.py": ("effect-global-write",
                                          "527d994792"),
     "fixture_effect_random_workload.py": ("effect-unseeded-random",
@@ -186,7 +188,7 @@ def test_cli_effects_json_carries_stats(capsys):
     report = json.loads(capsys.readouterr().out)
     by_rule = report["summary"]["by_rule"]
     assert by_rule["effect-ambient-read"] == 3
-    assert by_rule["effect-global-write"] == 2
+    assert by_rule["effect-global-write"] == 3
     assert by_rule["effect-unseeded-random"] == 1
     assert by_rule["effect-unkeyed-input"] == 1
     assert report["effects"]["functions"] > 0
@@ -236,4 +238,4 @@ def test_cli_all_fails_on_any_pass(capsys):
     report = json.loads(capsys.readouterr().out)
     by_pass = {entry["name"]: entry["findings"]
                for entry in report["passes"]}
-    assert by_pass["effects"] == 7
+    assert by_pass["effects"] == 8

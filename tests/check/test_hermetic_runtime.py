@@ -92,11 +92,11 @@ def test_trap_error_carries_dual_stacks():
 
 
 def test_undeclared_global_drift_raises_at_exit():
-    import repro.simnet.frames as frames
+    import repro.core.session as session
     with pytest.raises(HermeticityError) as excinfo:
         with hermetic_sanitize():
-            next(frames._datagram_ids)
-    assert "_datagram_ids" in str(excinfo.value)
+            next(session._session_ids)
+    assert "_session_ids" in str(excinfo.value)
     assert "invisible to the cache key" in str(excinfo.value)
 
 
@@ -120,10 +120,10 @@ def test_empty_allowlist_flags_the_memo_too():
 
 
 def test_explicit_watch_module_registration():
-    import repro.simnet.frames as frames
+    import repro.core.session as session
     monitor = HermeticitySanitizer()
-    monitor.watch_module(frames)
-    assert ("repro.simnet.frames", "_datagram_ids") in monitor._watched
+    monitor.watch_module(session)
+    assert ("repro.core.session", "_session_ids") in monitor._watched
 
 
 # -- the real cached run ------------------------------------------------------

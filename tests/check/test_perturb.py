@@ -1,19 +1,27 @@
 """Schedule-perturbation harness: tie-break shuffles must not move metrics."""
 
 import dataclasses
+import functools
 
 import pytest
 
+import repro.baselines.nfs
+import repro.prototype.testbed
+from repro.baselines import NfsBaseline
 from repro.check import (
     ScheduleRaceError,
+    ScheduleTrace,
     assert_schedule_invariant,
     run_perturbed,
 )
 from repro.check.perturb import derive_tie_seeds
 from repro.des import Environment
 from repro.des.stats import OnlineStats
+from repro.prototype import PrototypeTestbed
 from repro.sim.model import SwiftSimModel
 from repro.sim.workload import SimConfig
+
+MB = 1 << 20
 
 
 def _racy_scenario(tie_break_seed, trace):
@@ -100,3 +108,49 @@ def test_end_to_end_model_is_schedule_invariant():
     report = assert_schedule_invariant(scenario, permutations=8)
     assert report.invariant
     assert report.baseline_metrics["completed"] > 0
+
+
+def _prototype_scenario(monkeypatch, table):
+    """The seed-3 testbed behind ``table`` (Table 3 is the NFS one) as a
+    harness scenario: a 1 MB prepare, then the read and write rates."""
+    def scenario(tie_break_seed, trace):
+        seeded = functools.partial(Environment, tie_break_seed=tie_break_seed)
+        monkeypatch.setattr(repro.prototype.testbed, "Environment", seeded)
+        monkeypatch.setattr(repro.baselines.nfs, "Environment", seeded)
+        if table == "table3":
+            bed = NfsBaseline(seed=3)
+            trace.attach(bed.env)
+            bed.prepare_file("f", MB)
+            rates = bed.measure_read("f", MB), bed.measure_write("g", MB)
+        else:
+            bed = PrototypeTestbed(seed=3, second_ethernet=table == "table4")
+            trace.attach(bed.env)
+            bed.prepare_object("obj", MB)
+            rates = bed.measure_read("obj", MB), bed.measure_write("obj", MB)
+        return {"read": rates[0], "write": rates[1]}
+    return scenario
+
+
+@pytest.mark.parametrize("table, moved", [
+    ("table1", 4), ("table4", 4), ("table3", 0)])
+def test_prototype_tie_order_dependence_is_pinned(monkeypatch, table, moved):
+    # A known defect, pinned as such (ROADMAP, "Tables 1 and 4 depend on
+    # tie order"): the per-agent writers send at one instant, so their
+    # datagrams reach one host CPU or one cable in tie order, and every
+    # shuffle moves the Swift rates.  The NFS baseline has one writer.
+    report = run_perturbed(_prototype_scenario(monkeypatch, table),
+                           permutations=4)
+    assert len(report.divergences) == moved
+    for divergence in report.divergences:
+        assert "write" in divergence.metric_diffs
+        assert divergence.first_divergent_event is not None
+
+
+def test_prototype_schedule_trace_is_reproducible(monkeypatch):
+    # Fingerprints hold no object address and no process-global counter,
+    # so a divergence index points at a reordered tie, not at the first
+    # datagram of the run.
+    scenario = _prototype_scenario(monkeypatch, "table1")
+    first, second = ScheduleTrace(), ScheduleTrace()
+    assert scenario(None, first) == scenario(None, second)
+    assert first.fingerprints == second.fingerprints

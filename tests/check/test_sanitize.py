@@ -7,10 +7,9 @@ import pytest
 from repro.check import (
     MonotonicityError,
     ResourceLeakError,
-    SharedStreamError,
     sanitize,
 )
-from repro.des import Environment, Resource, Store, StreamFactory
+from repro.des import Environment, Resource, Store
 
 
 def _inject_stale_event(env):
@@ -34,7 +33,6 @@ def test_clean_run_passes():
         env.run()
     assert monitor.events_processed > 0
     assert monitor.held_requests == 0
-    assert monitor.warnings == []
 
 
 def test_catches_injected_event_time_regression():
@@ -96,61 +94,12 @@ def test_released_requests_do_not_leak():
     assert monitor.held_requests == 0
 
 
-def test_detects_cross_stream_sharing():
-    env = Environment()
-    streams = StreamFactory(7)
-    shared = streams.stream("shared")
-
-    def drawer(env):
-        yield env.timeout(shared.uniform(0.0, 1.0))
-
-    with sanitize(env, streams) as monitor:
-        env.process(drawer(env))
-        env.process(drawer(env))
-        env.run()
-    assert monitor.shared_streams() == {"shared": 2}
-    assert len(monitor.warnings) == 1
-    assert "shared" in monitor.warnings[0]
-
-
-def test_cross_stream_sharing_can_be_fatal():
-    env = Environment()
-    streams = StreamFactory(7)
-    shared = streams.stream("shared")
-
-    def drawer(env):
-        yield env.timeout(shared.uniform(0.0, 1.0))
-
-    with pytest.raises(SharedStreamError):
-        with sanitize(env, streams, on_shared_stream="error"):
-            env.process(drawer(env))
-            env.process(drawer(env))
-            env.run()
-
-
-def test_per_component_streams_are_silent():
-    env = Environment()
-    streams = StreamFactory(7)
-
-    def drawer(env, stream):
-        yield env.timeout(stream.uniform(0.0, 1.0))
-
-    with sanitize(env, streams) as monitor:
-        env.process(drawer(env, streams.stream("a")))
-        env.process(drawer(env, streams.stream("b")))
-        env.run()
-    assert monitor.warnings == []
-
-
 def test_uninstall_restores_zero_overhead_hooks():
     env = Environment()
-    streams = StreamFactory(1)
-    stream = streams.stream("x")
-    with sanitize(env, streams):
+    with sanitize(env):
         pass
     assert env._step_monitors == []
     assert env._resource_monitors == []
-    assert stream.observer is None
 
 
 def test_sanitizer_does_not_mask_body_exceptions():

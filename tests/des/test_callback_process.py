@@ -22,8 +22,7 @@ from repro.des import (
     Timeout,
 )
 
-MONITOR_KINDS = ("step", "schedule", "resource", "access", "transfer",
-                 "alias")
+MONITOR_KINDS = ("step", "schedule", "resource", "transfer", "alias")
 
 
 class Stepper(CallbackProcess):
@@ -411,8 +410,8 @@ def test_observe_gates_follow_monitor_kinds():
     # kind -> (_schedule_fast, _unmonitored) while one callback of that
     # kind is attached.
     gates = {"step": (True, False), "schedule": (False, False),
-             "resource": (True, False), "access": (True, False),
-             "transfer": (True, True), "alias": (True, True)}
+             "resource": (True, False), "transfer": (True, True),
+             "alias": (True, True)}
     env = Environment()
     probe = lambda *args, **kwargs: None
     for kind, expected in gates.items():
@@ -421,8 +420,9 @@ def test_observe_gates_follow_monitor_kinds():
         env.unobserve(kind, probe)
         assert env._schedule_fast and env._unmonitored, kind
         env.unobserve(kind, probe)  # absent: a no-op
-    with pytest.raises(ValueError):
-        env.observe("steps", probe)
+    for unknown in ("steps", "access"):
+        with pytest.raises(ValueError):
+            env.observe(unknown, probe)
     with pytest.raises(ValueError):
         env.unobserve("steps", probe)
 

@@ -44,7 +44,7 @@ def test_pool_is_bounded():
 def test_monitors_disable_recycling():
     # Every monitor kind that clears `_unmonitored` keeps processed
     # Timeouts and Releases out of the pools, run loop included.
-    for kind in ("step", "schedule", "resource", "access"):
+    for kind in ("step", "schedule", "resource"):
         env = Environment()
         env.observe(kind, lambda *args: None)
         resource = Resource(env, capacity=1)

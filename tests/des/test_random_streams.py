@@ -141,13 +141,3 @@ def test_mixed_float_sequence_matches_reference(boundary):
     got = [STREAM_DRAWS[names[i % 4]](stream) for i in range(count)]
     want = [REFERENCE_DRAWS[names[i % 4]](reference) for i in range(count)]
     assert got == want
-
-
-def test_observer_fires_per_draw_not_per_refill():
-    stream = RandomStream(8)
-    seen = []
-    stream.observer = seen.append
-    count = BLOCK_SIZE + 10  # crosses a refill
-    for _ in range(count):
-        stream.uniform_mean(1.0)
-    assert seen == [stream] * count

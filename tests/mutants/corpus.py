@@ -57,14 +57,6 @@ MUTATIONS: tuple[Mutation, ...] = (
         "        self._left -= 1\n"
         "        self.wait_timeout(self._disk.block_service_time(self._unit),\n"
         "                          self._next_block)\n"),)),
-    Mutation("serve-notification", "CHANGES.md: Server.serve access notification",
-             ((RESOURCES,
-               "        if env._access_monitors:\n"
-               "            # Serve order is FIFO order: two unordered same-time"
-               " serves\n"
-               "            # are a race, as two Resource.request calls are.\n"
-               "            env._notify_access(self, \"Server.serve\", True)\n",
-               ""),)),
     Mutation("ring-idle", "CHANGES.md: idle mark only when the queue drained", ((
         RESOURCES,
         "        if self.free_at == now:\n"
@@ -205,6 +197,16 @@ MUTATIONS: tuple[Mutation, ...] = (
         (MODEL,
          "        nominal_span = config.num_requests / config.arrival_rate\n",
          "        _RUNS[config.seed] = _RUNS.get(config.seed, 0) + 1\n"
+         "        nominal_span = config.num_requests / config.arrival_rate\n"),
+    )),
+    Mutation("global-rebind-run", "effect-global-write", (
+        (MODEL,
+         "__all__ = [\"SwiftSimModel\", \"SimResult\"]\n",
+         "__all__ = [\"SwiftSimModel\", \"SimResult\"]\n\n_runs = 0\n"),
+        (MODEL,
+         "        nominal_span = config.num_requests / config.arrival_rate\n",
+         "        global _runs\n"
+         "        _runs += 1\n"
          "        nominal_span = config.num_requests / config.arrival_rate\n"),
     )),
     Mutation("unkeyed-horizon", "effect-unkeyed-input", (

@@ -20,10 +20,11 @@ def test_datagram_smaller_than_header_rejected():
         Datagram(Address("a", 1), Address("b", 2), size=HEADER_SIZE - 1)
 
 
-def test_datagram_uids_unique():
+def test_datagrams_compare_by_identity():
     a = Datagram(Address("a", 1), Address("b", 2), size=100)
     b = Datagram(Address("a", 1), Address("b", 2), size=100)
-    assert a.uid != b.uid
+    assert a != b
+    assert a == a
 
 
 def test_address_str():
