@@ -171,7 +171,6 @@ class _FileHandler:
         if state is None or state.applied:
             # Late or duplicate data for a finished op: ignore (the ACK may
             # have been lost; the client's status query will resolve it).
-            yield self.agent.env.timeout(0.0)
             return
         if packet.index in state.received:
             self.agent.stats.duplicate_packets += 1
@@ -186,8 +185,6 @@ class _FileHandler:
                 state.written.add(packet.index)
         if state.complete:
             yield from self._finish_write(state)
-        else:
-            yield self.agent.env.timeout(0.0)
 
     def _finish_write(self, state: _WriteState):
         if not state.applied:

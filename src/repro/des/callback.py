@@ -12,11 +12,12 @@ The trade is explicitness: a subclass writes its control flow as states
 (methods) connected by :meth:`wait` edges instead of straight-line
 ``yield`` code.  Generator processes therefore remain the general API —
 callback processes are reserved for measured hot loops (the §5 model's
-request path in ``sim/model.py``, the disk service loop, socket sends,
-the Swift packet pumps).  Where every stage is a FIFO server with a
-known hold time (host CPUs, cables) the loops go further: a stage is
-one :class:`~repro.des.resources.FifoServer` serve and one timer, and
-the prototype network's NIC and receive path need no process at all.
+request path in ``sim/model.py``, the disk service loop, the Swift
+packet pumps).  Where every stage is a FIFO server with a known hold
+time (host CPUs, cables) the loops go further: a stage is one
+:class:`~repro.des.resources.FifoServer` serve and one timer, and the
+prototype network's sends, NIC and receive path need no process at
+all.
 ``tests/sim/reference_model.py`` keeps a generator twin of the §5
 request path, and ``tests/sim/test_process_modes.py`` pins the two
 equal field for field.

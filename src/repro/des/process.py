@@ -7,6 +7,14 @@ exception thrown in, for failed events).
 
 A :class:`Process` is itself an event: it triggers when the generator
 returns (value = the generator's return value) or raises.
+
+A process starts inside :meth:`~repro.des.engine.Environment.process`:
+the generator runs to its first ``yield`` before the call returns, as a
+:class:`~repro.des.callback.CallbackProcess` runs its ``_start``.  So
+start order follows creation order by construction, with no calendar
+entry to tie with another's.  Unmonitored, a process that returns with
+nobody waiting on it takes no calendar entry either (its completion
+keeps its event id, so ids match the monitored run's).
 """
 
 from __future__ import annotations
@@ -22,6 +30,17 @@ __all__ = ["Process", "ProcessGenerator"]
 
 #: The type a process function must return.
 ProcessGenerator = Generator[Event, Any, Any]
+
+
+class _Start:
+    """The trigger a process starts on: a success with value None."""
+
+    __slots__ = ()
+    _ok = True
+    _value = None
+
+
+_START = _Start()
 
 
 class Process(Event):
@@ -42,14 +61,7 @@ class Process(Event):
         # method otherwise allocates a fresh bound-method object, and the
         # resume callback is registered once per yield.
         self._bound_resume = self._resume
-        # Kick the process off at the current simulation time via an
-        # initialisation event so that process start order follows
-        # creation order.
-        init = Event(env)
-        init._ok = True
-        init._value = None
-        init.callbacks.append(self._bound_resume)
-        env.schedule(init)
+        self._resume(_START)
 
     # -- public API ----------------------------------------------------------
 
@@ -63,6 +75,8 @@ class Process(Event):
     def _resume(self, trigger: Event) -> None:
         """Advance the generator with the outcome of ``trigger``."""
         env = self.env
+        # A process can start inside another's step: restore that one.
+        prev = env._active_process
         env._active_process = self
         generator = self._generator
         try:
@@ -101,14 +115,20 @@ class Process(Event):
             env._processes.pop(self, None)
             self._ok = True
             self._value = exc.value
-            env.schedule(self)
+            if self.callbacks or not env._unmonitored:
+                env.schedule(self)
+            else:
+                # Nobody waits: processed at once, as
+                # CallbackProcess._finish does, under its own id.
+                env._eid += 1
+                self.callbacks = None
         except BaseException as exc:
             env._processes.pop(self, None)
             self._ok = False
             self._value = exc
             env.schedule(self)
         finally:
-            env._active_process = None
+            env._active_process = prev
 
     def __repr__(self) -> str:
         name = getattr(self._generator, "__name__", "process")

@@ -487,8 +487,17 @@ class StoreGet(Event):
         super().__init__(store.env)
         self.store = store
         self.predicate = predicate
-        store._get_queue.append(self)
-        store._dispatch()
+        if store._put_queue:
+            store._get_queue.append(self)
+            store._dispatch()
+            return
+        # Every waiting get has already failed to match every buffered
+        # item, so only this get can match now: no other is re-tested.
+        index = store._match(predicate)
+        if index is None:
+            store._get_queue.append(self)
+        else:
+            self._fire(store.items.pop(index))
 
     def cancel(self) -> None:
         """Withdraw an unfired get so it never consumes an item.
@@ -502,12 +511,43 @@ class StoreGet(Event):
             except ValueError:  # pragma: no cover - already dispatched
                 pass
 
+    def expire(self, _trigger) -> None:
+        """A deadline for this get: withdraw it if still pending and fire
+        it with None.  A timer callback (``env.call_at(when, get.expire)``);
+        a no-op once the get has its item."""
+        if self._value is PENDING:
+            self.cancel()
+            self._fire(None)
+
+    def _fire(self, value: Any) -> None:
+        """Satisfy the get with ``value``.
+
+        Unmonitored, the waiter resumes inline, as
+        :meth:`~repro.des.callback.CallbackProcess._finish` resumes its
+        waiters: no calendar entry.  Monitored, the get triggers
+        normally, so observers see every wakeup.
+        """
+        if self.env._unmonitored:
+            callbacks = self.callbacks
+            self._ok = True
+            self._value = value
+            self.callbacks = None
+            for callback in callbacks:
+                callback(self)
+        else:
+            self.succeed(value)
+
 
 class Store:
     """A FIFO buffer of items with optional capacity.
 
     ``get(predicate)`` takes the first item satisfying the predicate,
     which lets protocol code wait for e.g. "the ACK for sequence 7".
+    Predicates must be pure: a get is re-tested only when an item
+    arrives, so an answer that changes without a store operation is
+    never seen.  A get satisfied at once — by a buffered item, or by an
+    arriving one through :meth:`put_nowait` — wakes its waiter inline
+    when unmonitored (see :meth:`StoreGet._fire`).
     """
 
     def __init__(self, env: "Environment", capacity: float = float("inf")):
@@ -527,16 +567,24 @@ class Store:
         """Deposit ``item`` at once, without a :class:`StorePut` event.
 
         For producers that never wait on their put (a socket's receive
-        buffer, which enforces its own limit): the item lands and any
-        waiting get it matches is satisfied exactly as :meth:`put` would,
-        one calendar entry cheaper.  Raises ``RuntimeError`` when the
-        store is full.
+        buffer, which enforces its own limit): the item lands and the
+        first waiting get it matches is satisfied, as :meth:`put` would,
+        with no put event (and, unmonitored, no wakeup event).  Raises
+        ``RuntimeError`` when the store is full.
         """
         if self._put_queue or len(self.items) >= self.capacity:
             raise RuntimeError("put_nowait on a full store")
+        # Every waiting get has already failed to match every buffered
+        # item, so only the new item can satisfy one: the first waiting
+        # get it matches takes it.
+        gets = self._get_queue
+        for index, get in enumerate(gets):
+            predicate = get.predicate
+            if predicate is None or predicate(item):
+                del gets[index]
+                get._fire(item)
+                return
         self.items.append(item)
-        if self._get_queue:
-            self._dispatch()
 
     def get(self, predicate: Optional[Callable[[Any], bool]] = None) -> StoreGet:
         """Withdraw the first item (matching ``predicate`` if given)."""

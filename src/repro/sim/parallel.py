@@ -140,5 +140,9 @@ def find_max_sustainable_many(bases: Sequence[SimConfig],
     tasks = [(base, rate_low, rate_high, iterations, cache_root)
              for base in bases]
     context = _pool_context()
-    with context.Pool(min(workers, len(tasks))) as pool:
-        return pool.map(_run_max_sustainable, tasks)
+    # One search per worker process: a search is long, so a fresh
+    # worker costs little, and each search's spans carry their own pid
+    # (otherwise a worker that starts first can take several).
+    with context.Pool(min(workers, len(tasks)),
+                      maxtasksperchild=1) as pool:
+        return pool.map(_run_max_sustainable, tasks, chunksize=1)

@@ -92,9 +92,10 @@ class LocalFileSystem:
         self._inodes: dict[str, _Inode] = {}
         self._store: dict[int, bytes] = {}
         self._next_disk_block = 0
-        # In-flight reads: block -> completion event.  A reader that wants
-        # a block already being fetched waits for that I/O instead of
-        # issuing a duplicate disk access (as a real buffer cache does).
+        # In-flight reads: block -> completion event, or None until a
+        # second reader wants the block.  That reader waits for the I/O
+        # instead of issuing a duplicate disk access (as a real buffer
+        # cache does).
         self._inflight: dict[int, object] = {}
 
     # -- namespace --------------------------------------------------------------
@@ -144,10 +145,8 @@ class LocalFileSystem:
             yield from self._disk_write(touched)
             for disk_block in touched:
                 self.cache.clean(disk_block)
-        elif touched:
-            # The memory-copy cost of an async write is charged by the host
-            # CPU model (simnet.host); the file system itself is free.
-            yield self.env.timeout(0.0)
+        # An async write only dirties the cache: its memory-copy cost is
+        # charged by the host CPU model (simnet.host), so it takes no time.
         return len(data)
 
     def read(self, name: str, offset: int, nbytes: int):
@@ -182,15 +181,18 @@ class LocalFileSystem:
             else:
                 chunks.append(cached)
         if pending_misses:
+            inflight = self._inflight
             to_fetch = []
             waiters = []
             for disk_block in pending_misses:
-                event = self._inflight.get(disk_block)
-                if event is None:
-                    self._inflight[disk_block] = self.env.event()
+                if disk_block not in inflight:
+                    inflight[disk_block] = None
                     to_fetch.append(disk_block)
-                else:
-                    waiters.append(event)
+                    continue
+                event = inflight[disk_block]
+                if event is None:
+                    event = inflight[disk_block] = self.env.event()
+                waiters.append(event)
             if to_fetch:
                 try:
                     yield from self._disk_read(to_fetch,
@@ -276,11 +278,15 @@ class LocalFileSystem:
             disk_block = inode.blocks.get(file_block)
             if disk_block is None:
                 disk_block = self._allocate_block(inode, file_block)
-            old = self._store.get(disk_block)
-            block = (bytearray(old) if old is not None
-                     else bytearray(self.block_size))
-            block[within:within + span] = remaining[:span]
-            new = bytes(block)
+            if span == self.block_size:
+                # A whole block: one copy, nothing of the old one stays.
+                new = remaining[:span].tobytes()
+            else:
+                old = self._store.get(disk_block)
+                block = (bytearray(old) if old is not None
+                         else bytearray(self.block_size))
+                block[within:within + span] = remaining[:span]
+                new = bytes(block)
             self._store[disk_block] = new
             self.cache.insert(disk_block, new, dirty=True)
             touched.append(disk_block)

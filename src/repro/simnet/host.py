@@ -23,12 +23,12 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from ..des import CallbackProcess, Environment, FifoServer, Store
+from ..des import Environment, FifoServer, Store, Timeout
 from .frames import Address, Datagram, HEADER_SIZE
 from .medium import Medium
 
 __all__ = ["CostModel", "Host", "Interface", "DatagramSocket",
-           "SocketSend", "mips_cost_model"]
+           "mips_cost_model"]
 
 
 @dataclass(frozen=True)
@@ -187,10 +187,20 @@ class Interface:
         self._transmitting = False
         self.tx_dropped = 0
         self.rx_dropped_no_socket = 0
+        self._bound_charged = self._charged
         self._bound_sent = self._sent
         self._bound_received = self._received
 
     # -- transmit side -----------------------------------------------------------
+
+    def _charged(self, timeout) -> None:
+        """A send's CPU charge ended: queue its datagram (see
+        :meth:`DatagramSocket.send_op`)."""
+        datagram = timeout._value
+        # The waiter of the send gets None, and the pooled timeout must
+        # not keep the datagram alive.
+        timeout._value = None
+        self.enqueue(datagram)
 
     def enqueue(self, datagram: Datagram) -> bool:
         """Queue a datagram for the wire; silently drop when full.
@@ -267,15 +277,32 @@ class DatagramSocket:
     # -- sending ------------------------------------------------------------------
 
     def send_op(self, dst: Address, message: Any = None,
-                payload_size: int = 0) -> "SocketSend":
+                payload_size: int = 0) -> Timeout:
         """Pay send CPU, then queue on the routed interface.
 
         ``payload_size`` is the number of payload bytes on the wire (headers
         are added here).  Always "succeeds" from the caller's perspective,
-        exactly like the prototype's kernel.  Returns a started
-        :class:`SocketSend`; generator processes ``yield`` it.
+        exactly like the prototype's kernel.  The send is one pooled
+        timer at the end of its jittered CPU charge: its first callback
+        queues the datagram on the interface, and a waiter (generator
+        processes ``yield`` it) resumes next, with None.  Do not hold on
+        to it after it has fired.
         """
-        return SocketSend(self, dst, message, payload_size)
+        if self.closed:
+            raise RuntimeError("socket is closed")
+        if payload_size < 0:
+            raise ValueError("payload_size must be non-negative")
+        host = self.host
+        interface = host.route(dst.host)
+        size = payload_size + HEADER_SIZE
+        datagram = Datagram(src=self.address, dst=dst, size=size,
+                            message=message)
+        cost = host.jittered(
+            host.send_cost.time(size) * interface.cpu_cost_scale)
+        env = host.env
+        timeout = env.timeout_at(host.cpu.serve(env._now, cost), datagram)
+        timeout.callbacks.append(interface._bound_charged)
+        return timeout
 
     # -- receiving ------------------------------------------------------------------
 
@@ -298,15 +325,15 @@ class DatagramSocket:
         """Process method: matching datagram or None after ``timeout_s``.
 
         The paper's protocol resubmits requests when packets are lost; this
-        is the timeout primitive it uses.
+        is the timeout primitive it uses.  It waits on the get alone; the
+        deadline is a timer that withdraws the get if it is still pending
+        and fires it with None.
         """
-        get = self.recv(predicate)
-        expiry = self.host.env.timeout(timeout_s)
-        yield self.host.env.any_of([get, expiry])
-        if get.triggered:
-            return get.value
-        get.cancel()
-        return None
+        get = self._rx.get(predicate)
+        if not get.triggered:
+            env = self.host.env
+            env.call_at(env._now + timeout_s, get.expire)
+        return (yield get)
 
     def close(self) -> None:
         """Release the port; further sends raise, arrivals are dropped."""
@@ -318,39 +345,3 @@ class DatagramSocket:
         """Datagrams buffered and not yet received."""
         return self._rx.size
 
-
-class SocketSend(CallbackProcess):
-    """One datagram send, started immediately (see
-    :meth:`DatagramSocket.send_op`).
-
-    Validation, routing and datagram construction happen at the call
-    site, then the jittered CPU charge is served on the host CPU, one
-    timer at its end, and the datagram joins the interface queue.
-    """
-
-    __slots__ = ("socket", "interface", "datagram")
-
-    def __init__(self, socket: DatagramSocket, dst: Address,
-                 message: Any = None, payload_size: int = 0):
-        if socket.closed:
-            raise RuntimeError("socket is closed")
-        if payload_size < 0:
-            raise ValueError("payload_size must be non-negative")
-        host = socket.host
-        self.socket = socket
-        self.interface = host.route(dst.host)
-        size = payload_size + HEADER_SIZE
-        self.datagram = Datagram(src=socket.address, dst=dst, size=size,
-                                 message=message)
-        super().__init__(host.env)
-
-    def _start(self, value):
-        host = self.socket.host
-        cost = host.jittered(
-            host.send_cost.time(self.datagram.size)
-            * self.interface.cpu_cost_scale)
-        self.wait_at(host.cpu.serve(self.env._now, cost), self._charged)
-
-    def _charged(self, value):
-        self.interface.enqueue(self.datagram)
-        self._finish()

@@ -110,47 +110,67 @@ def test_end_to_end_model_is_schedule_invariant():
     assert report.baseline_metrics["completed"] > 0
 
 
-def _prototype_scenario(monkeypatch, table):
-    """The seed-3 testbed behind ``table`` (Table 3 is the NFS one) as a
-    harness scenario: a 1 MB prepare, then the read and write rates."""
+#: Testbed options per prototype configuration: Table 1's lab, Table 4's
+#: two Ethernets, the variants the sensitivity and ablation runs use,
+#: and (None) Table 3's NFS baseline.
+PROTOTYPE_CONFIGS = {
+    "plain": {},
+    "two-ethernets": {"second_ethernet": True},
+    "parity": {"parity": True},
+    "tcp": {"tcp_mode": True},
+    "no-prefetch": {"agent_prefetch": False},
+    "sync-writes": {"synchronous_agent_writes": True},
+    "contention": {"ethernet_contention": True},
+    "nfs": None,
+}
+
+
+def _prototype_scenario(monkeypatch, config, seed=3, traced=True):
+    """The ``config`` testbed as a harness scenario: a 1 MB prepare, then
+    the read and write rates and the final clock.  Untraced, the run
+    stays on the unmonitored fast path (and divergences go unlocalized)."""
+    options = PROTOTYPE_CONFIGS[config]
+
     def scenario(tie_break_seed, trace):
         seeded = functools.partial(Environment, tie_break_seed=tie_break_seed)
         monkeypatch.setattr(repro.prototype.testbed, "Environment", seeded)
         monkeypatch.setattr(repro.baselines.nfs, "Environment", seeded)
-        if table == "table3":
-            bed = NfsBaseline(seed=3)
-            trace.attach(bed.env)
-            bed.prepare_file("f", MB)
-            rates = bed.measure_read("f", MB), bed.measure_write("g", MB)
+        if options is None:
+            bed = NfsBaseline(seed=seed)
+            prepare, name = bed.prepare_file, "f"
         else:
-            bed = PrototypeTestbed(seed=3, second_ethernet=table == "table4")
+            bed = PrototypeTestbed(seed=seed, **options)
+            prepare, name = bed.prepare_object, "obj"
+        if traced:
             trace.attach(bed.env)
-            bed.prepare_object("obj", MB)
-            rates = bed.measure_read("obj", MB), bed.measure_write("obj", MB)
-        return {"read": rates[0], "write": rates[1]}
+        prepare(name, MB)
+        read = bed.measure_read(name, MB)
+        write = bed.measure_write(name if options is not None else "g", MB)
+        return {"read": read, "write": write, "now": bed.env.now}
     return scenario
 
 
-@pytest.mark.parametrize("table, moved", [
-    ("table1", 4), ("table4", 4), ("table3", 0)])
-def test_prototype_tie_order_dependence_is_pinned(monkeypatch, table, moved):
-    # A known defect, pinned as such (ROADMAP, "Tables 1 and 4 depend on
-    # tie order"): the per-agent writers send at one instant, so their
-    # datagrams reach one host CPU or one cable in tie order, and every
-    # shuffle moves the Swift rates.  The NFS baseline has one writer.
-    report = run_perturbed(_prototype_scenario(monkeypatch, table),
-                           permutations=4)
-    assert len(report.divergences) == moved
-    for divergence in report.divergences:
-        assert "write" in divergence.metric_diffs
-        assert divergence.first_divergent_event is not None
+@pytest.mark.parametrize("traced", [True, False],
+                         ids=["monitored", "fast-path"])
+@pytest.mark.parametrize("config", list(PROTOTYPE_CONFIGS))
+def test_prototype_is_tie_order_invariant(monkeypatch, config, traced):
+    # Every process starts inside env.process(), so Table 1's and 4's
+    # per-agent writers send in creation order whatever the tie order.
+    # Traced, the engine takes its monitored path; untraced, the
+    # in-place socket wakeups and elided completions are what gets
+    # shuffled.
+    for seed in (0, 5):
+        report = run_perturbed(
+            _prototype_scenario(monkeypatch, config, seed, traced),
+            permutations=3)
+        assert report.invariant, report.format()
 
 
 def test_prototype_schedule_trace_is_reproducible(monkeypatch):
     # Fingerprints hold no object address and no process-global counter,
     # so a divergence index points at a reordered tie, not at the first
     # datagram of the run.
-    scenario = _prototype_scenario(monkeypatch, "table1")
+    scenario = _prototype_scenario(monkeypatch, "plain")
     first, second = ScheduleTrace(), ScheduleTrace()
     assert scenario(None, first) == scenario(None, second)
     assert first.fingerprints == second.fingerprints

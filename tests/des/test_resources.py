@@ -3,6 +3,7 @@
 import pytest
 
 from repro.des import Environment, Resource, Store
+from repro.des.resources import StoreGet
 
 
 def test_resource_capacity_validation():
@@ -317,27 +318,51 @@ def test_store_get_with_predicate():
 
 
 def test_store_put_nowait_wakes_a_matching_get_without_an_event():
+    # Unmonitored, an arriving item that a waiting get matches resumes
+    # the waiter inside put_nowait: neither the put nor the wakeup makes
+    # an event.  The consumer never finishes, so no completion id hides
+    # in the count.
     env = Environment()
     store = Store(env, capacity=2)
     got = []
 
     def consumer(env):
-        item = yield store.get(lambda m: m["seq"] == 2)
-        got.append((item["seq"], env.now))
+        while True:
+            item = yield store.get(lambda m: m["seq"] % 2 == 0)
+            got.append((item["seq"], env.now))
 
     env.process(consumer(env))
     env.run()
     scheduled = env._eid
     store.put_nowait({"seq": 1})
+    assert got == []
     store.put_nowait({"seq": 2})
-    # One event: the consumer's wakeup, not a put per item.
-    assert env._eid == scheduled + 1
-    env.run()
     assert got == [(2, 0.0)]
+    assert env._eid == scheduled
+    assert not env._queue and not env._ready
     assert [m["seq"] for m in store.items] == [1]
     store.put_nowait({"seq": 3})
     with pytest.raises(RuntimeError):
         store.put_nowait({"seq": 4})
+
+
+def test_store_wakeup_is_an_event_when_monitored():
+    env = Environment()
+    steps = []
+    env.observe("step", lambda when, event: steps.append(type(event)))
+    store = Store(env)
+    got = []
+
+    def consumer(env):
+        got.append((yield store.get()))
+
+    env.process(consumer(env))
+    env.run()
+    store.put_nowait("item")
+    assert got == []
+    env.run()
+    assert got == ["item"]
+    assert StoreGet in steps
 
 
 def test_store_invalid_capacity():

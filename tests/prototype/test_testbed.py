@@ -5,6 +5,7 @@ import weakref
 
 import pytest
 
+from repro.baselines import LocalScsiBaseline, NfsBaseline
 from repro.prototype import PrototypeTestbed
 from repro.prototype.calibration import ETHERNET_MEASURED_CAPACITY
 
@@ -138,3 +139,36 @@ def test_dropping_the_testbed_frees_the_stored_object_without_the_collector():
     finally:
         if enabled:
             gc.enable()
+
+
+#: Seed-3 testbeds a monitor must not move: Tables 1-4 (the local SCSI
+#: disk and NFS are Tables 2 and 3), plus parity and synchronous agent
+#: writes.
+MONITORED_BEDS = {
+    "table1": lambda: PrototypeTestbed(seed=3),
+    "table2": lambda: LocalScsiBaseline(seed=3),
+    "table3": lambda: NfsBaseline(seed=3),
+    "table4": lambda: PrototypeTestbed(seed=3, second_ethernet=True),
+    "parity": lambda: PrototypeTestbed(seed=3, parity=True),
+    "sync-writes": lambda: PrototypeTestbed(
+        seed=3, synchronous_agent_writes=True),
+}
+
+
+def _rates_and_clock(make_bed, monitored):
+    bed = make_bed()
+    if monitored:
+        bed.env.observe("step", lambda when, event: None)
+    prepare = getattr(bed, "prepare_object", None) or bed.prepare_file
+    prepare("r", MB)
+    return bed.measure_read("r", MB), bed.measure_write("w", MB), bed.env.now
+
+
+@pytest.mark.parametrize("bed", list(MONITORED_BEDS))
+def test_a_monitor_changes_no_prototype_result(bed):
+    # Unmonitored, a finished process nobody waits on and a socket get
+    # satisfied at once take no calendar entry; a step monitor turns
+    # both fast paths off.  Neither the rates nor the clock may notice.
+    make_bed = MONITORED_BEDS[bed]
+    assert (_rates_and_clock(make_bed, monitored=True)
+            == _rates_and_clock(make_bed, monitored=False))

@@ -60,8 +60,17 @@ SHAPE_IDS = ["fig3", "fig5", "realtime"]
 
 #: Engine events (``env._eid``) per shape: (SwiftSimModel, GeneratorModel).
 #: A change to either count changes the request path's event schedule
-#: and should be a deliberate one.
-EVENT_COUNTS = [(7_965, 29_813), (7_050, 23_541), (7_965, 29_813)]
+#: and should be a deliberate one.  A generator process starts inside
+#: ``env.process()`` and takes no start event.
+EVENT_COUNTS = [(7_898, 27_554), (6_961, 22_364), (7_898, 27_554)]
+
+#: A seed-3 Table 1 testbed's 1 MB prepare, read and write: (engine
+#: events, datagrams carried).  A datagram costs three timers — sender
+#: CPU, cable, receiver CPU — so 1,680 of the 2,300 ids; the rest are
+#: write-stream gaps, disk block timers, receive deadlines, write
+#: watchdogs and a few completions.  A process start, a send's
+#: completion or a socket wakeup takes no entry of its own.
+TABLE1_EVENT_BUDGET = (2_300, 560)
 
 BASE = SimConfig(num_requests=24, warmup_requests=4)
 
@@ -102,6 +111,15 @@ def test_event_counts_are_pinned(config, counts):
     generator = GeneratorModel(config)
     generator.run()
     assert (callback.env._eid, generator.env._eid) == counts
+
+
+def test_prototype_event_budget_is_pinned():
+    testbed = PrototypeTestbed(seed=3)
+    testbed.prepare_object("obj", MB)
+    testbed.measure_read("obj", MB)
+    testbed.measure_write("obj", MB)
+    carried = testbed.network.medium("laboratory").stats.datagrams_carried
+    assert (testbed.env._eid, carried) == TABLE1_EVENT_BUDGET
 
 
 def test_cohort_dispatch_off_is_bit_identical():

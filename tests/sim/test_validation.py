@@ -5,7 +5,8 @@ import dataclasses
 import pytest
 
 from repro.sim import SimConfig, run_once
-from repro.sim.validation import (
+
+from .validation import (
     disk_utilization_estimate,
     mean_block_service_s,
     offered_load_fraction,
