@@ -2,14 +2,16 @@
 
 ::
 
-    python benchmarks/ab_cells.py PARENT_SRC CHANGE_SRC fig3|fig5|kernel
+    python benchmarks/ab_cells.py PARENT_SRC CHANGE_SRC fig3|fig5|tables|kernel
         [--rounds N] [--seed S]
 
 ``PARENT_SRC`` and ``CHANGE_SRC`` are checkouts (or their ``src``
 directories) of the two versions to compare.  One long-lived worker
 interpreter runs per tree, importing ``repro`` from that tree only.  Both
 workers run each cell of the e2ebench grid (``fig3_curve``: one load
-point; ``fig5_search``: one disk model and count) back to back, and
+point; ``fig5_search``: one disk model and count; ``tables``: one table
+row, its 8 samples taken as the e2ebench workload takes them, with the
+row's e2ebench hash as its digest) back to back, and
 which tree goes first alternates from cell to cell, so both sides of a
 cell run in the same spell of host throughput.  On a shared 2-vCPU host
 whole-grid fresh-interpreter pairs swing by about +-20 %, because
@@ -46,7 +48,7 @@ from _common import archive_json
 HERE = Path(__file__).resolve().parent
 E2EBENCH = HERE.parent / "e2ebench"
 WORKLOADS = {"fig3": "fig3_curve", "fig5": "fig5_search",
-             "kernel": "kernel"}
+             "tables": "tables", "kernel": "kernel"}
 #: Ping-pong runs per round of the ``kernel`` workload.
 KERNEL_CELLS = 20
 KB = 1 << 10
@@ -70,7 +72,13 @@ def grid_cells(workload: str, seed: int) -> list:
     sys.path.insert(0, str(E2EBENCH))
     import workloads
 
-    grid = workloads.load_json("contract.json")["workloads"][workload]["grid"]
+    contract = workloads.load_json("contract.json")
+    if workload == "tables":
+        return [{"table": table, "op": op, "size_mb": size_mb,
+                 "seeds": seeds}
+                for table, op, size_mb, seeds
+                in workloads.make_grid(contract, workload, seed)["rows"]]
+    grid = contract["workloads"][workload]["grid"]
     if workload == "fig5_search":
         return [{"disk_names": [name], "disk_counts": [disks],
                  "num_requests": grid["num_requests"],
@@ -120,6 +128,9 @@ def _run_cell(workload: str, cell: dict) -> dict:
 
     import workloads
 
+    if workload == "tables":
+        return _run_table_row(workloads, cell)
+
     from repro.sim import figure3_series, figure5_series
 
     kwargs = {key: tuple(value) if isinstance(value, list) else value
@@ -134,6 +145,21 @@ def _run_cell(workload: str, cell: dict) -> dict:
               for name in workloads.FIGURE_FIELDS}
     fields["arrival_rate"] = result.config.arrival_rate
     return {"seconds": seconds, "digest": workloads.digest(fields)}
+
+
+def _run_table_row(workloads, cell: dict) -> dict:
+    """One e2ebench ``tables`` row: its samples, timed, and its hash."""
+    program = workloads.import_program("tables")
+    kind, second_ethernet = {table: (kind, second) for table, kind, second
+                             in workloads.TABLES}[cell["table"]]
+    start = time.perf_counter()
+    samples = [workloads._measure(program, kind, second_ethernet, cell["op"],
+                                  cell["size_mb"] << 20, seed)
+               for seed in cell["seeds"]]
+    seconds = time.perf_counter() - start
+    mean = program["SampleSet"](samples).mean
+    return {"seconds": seconds,
+            "digest": workloads.digest({"samples": samples, "mean": mean})}
 
 
 def serve() -> int:

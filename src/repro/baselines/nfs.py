@@ -80,7 +80,6 @@ class _NfsServer:
     """One nfsd: decodes RPCs, hits the IPI file system, replies."""
 
     def __init__(self, env: Environment, host, filesystem: LocalFileSystem):
-        self.env = env
         self.host = host
         self.filesystem = filesystem
         self.socket = host.bind(NFS_PORT, buffer_packets=32)
@@ -113,11 +112,7 @@ class _NfsServer:
         if length <= 0 or offset < self._prefetched_upto:
             return
         self._prefetched_upto = offset + length
-
-        def prefetcher():
-            yield from self.filesystem.read(name, offset, length)
-
-        self.env.process(prefetcher())
+        self.filesystem.prefetch(name, offset, length)
 
     def _write(self, rpc: WriteRpc, reply_to: Address):
         fs = self.filesystem

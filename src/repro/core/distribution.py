@@ -26,6 +26,7 @@ agent down.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -67,6 +68,43 @@ def _frozen(data) -> "bytes | memoryview":
         return data
     view = memoryview(data)
     return view if view.readonly else view.tobytes()
+
+
+class _Region:
+    """One agent's contiguous file region as a list of views, not joined.
+
+    ``parts`` are the region's pieces in file order: one view of the
+    caller's buffer per chunk (or one per parity unit).  A packet cut
+    from the region is a view of the part it lies in; only a packet that
+    straddles two parts is joined.
+    """
+
+    __slots__ = ("parts", "_ends")
+
+    def __init__(self, parts: list):
+        self.parts = parts
+        self._ends = list(itertools.accumulate(map(len, parts)))
+
+    def __len__(self) -> int:
+        return self._ends[-1]
+
+    def piece(self, start: int, length: int):
+        """Bytes ``[start, start + length)`` of the region, cut at its end."""
+        ends = self._ends
+        stop = min(start + length, ends[-1])
+        index = bisect_right(ends, start)
+        part = self.parts[index]
+        end = ends[index]
+        base = end - len(part)
+        if stop <= end:
+            if start == base and stop == end:
+                return part  # the whole part: no new view object
+            return part[start - base:stop - base]
+        joined = [part[start - base:]]
+        while stop > ends[index]:
+            index += 1
+            joined.append(self.parts[index][:stop - ends[index - 1]])
+        return b"".join(joined)
 
 
 @dataclass
@@ -167,7 +205,9 @@ class DistributionAgent:
         """A transfer id (``name#w3`` / ``name#r1``) when a ledger listens.
 
         Emitting is gated on an attached transfer monitor, so the data
-        path pays one falsy test per call in normal runs.
+        path pays one falsy test per call in normal runs.  The per-chunk
+        and per-packet sites test ``op`` before calling :meth:`_emit`,
+        so they do not even build its keyword arguments.
         """
         if not self.env._transfer_monitors:
             return None
@@ -283,7 +323,9 @@ class DistributionAgent:
         op = self._new_op("r")
         self._emit(op, "read-begin", logical_offset=offset,
                    logical_bytes=length)
-        buffer = bytearray(length)
+        # Logical offset -> payload of every piece: the agents' immutable
+        # DATA payloads, joined once in offset order.
+        pieces: dict = {}
         degraded: list = []  # chunks on failed agents
         segments = self.layout.agent_segments(offset, length)
         readers = []
@@ -293,21 +335,22 @@ class DistributionAgent:
                 degraded.extend(chunks)
                 continue
             readers.append(self.env.process(
-                self._read_agent(channel, chunks, buffer, offset, op)))
+                self._read_agent(channel, chunks, pieces, op)))
         if readers:
             yield self.env.all_of(readers)
             for process in readers:
                 failed_chunks = process.value
                 degraded.extend(failed_chunks)
         if degraded:
-            yield from self._read_degraded(degraded, buffer, offset, op)
+            yield from self._read_degraded(degraded, pieces, op)
         self._emit(op, "read-end")
-        return bytes(buffer)
+        return b"".join([pieces[start] for start in sorted(pieces)])
 
-    def _read_agent(self, channel: _Channel, chunks, buffer: bytearray,
-                    base_offset: int, op: Optional[str] = None):
+    def _read_agent(self, channel: _Channel, chunks, pieces: dict,
+                    op: Optional[str] = None):
         """One agent's reader: single outstanding request, resubmit on loss.
 
+        Adds each packet's payload to ``pieces`` at its logical offset.
         Returns the chunks *not* retrieved (empty normally; the remainder
         if the agent fails mid-read).
         """
@@ -326,17 +369,18 @@ class DistributionAgent:
                     # reading; report only the bytes actually placed.
                     if position:
                         done, rest = chunk.split(position)
-                        self._emit(op, "read-data", agent=channel.index,
-                                   logical_offset=done.logical_offset,
-                                   nbytes=done.length)
+                        if op is not None:
+                            self._emit(op, "read-data", agent=channel.index,
+                                       logical_offset=done.logical_offset,
+                                       nbytes=done.length)
                         return [rest] + pending[1:]
                     return pending
-                start = chunk.logical_offset - base_offset + position
-                buffer[start:start + len(payload)] = payload
+                pieces[chunk.logical_offset + position] = payload
                 position += span
-            self._emit(op, "read-data", agent=channel.index,
-                       logical_offset=chunk.logical_offset,
-                       nbytes=chunk.length)
+            if op is not None:
+                self._emit(op, "read-data", agent=channel.index,
+                           logical_offset=chunk.logical_offset,
+                           nbytes=chunk.length)
             pending.pop(0)
         return []
 
@@ -377,9 +421,13 @@ class DistributionAgent:
 
     # -- degraded read ------------------------------------------------------------------
 
-    def _read_degraded(self, chunks, buffer: bytearray, base_offset: int,
+    def _read_degraded(self, chunks, pieces: dict,
                        op: Optional[str] = None):
-        """Serve chunks of failed agents by XOR reconstruction."""
+        """Serve chunks of failed agents by XOR reconstruction.
+
+        Adds each chunk's bytes to ``pieces`` as a view of its rebuilt
+        unit.
+        """
         if not self.parity:
             failed = sorted({self.data_channels[c.agent].agent_host
                              for c in chunks})
@@ -396,12 +444,12 @@ class DistributionAgent:
                                                          chunk.agent, op)
                 rebuilt[key] = unit
             within = chunk.agent_offset % self.layout.striping_unit
-            piece = unit[within:within + chunk.length]
-            start = chunk.logical_offset - base_offset
-            buffer[start:start + len(piece)] = piece
-            self._emit(op, "read-data", agent=chunk.agent,
-                       logical_offset=chunk.logical_offset,
-                       nbytes=len(piece))
+            piece = memoryview(unit)[within:within + chunk.length]
+            pieces[chunk.logical_offset] = piece
+            if op is not None:
+                self._emit(op, "read-data", agent=chunk.agent,
+                           logical_offset=chunk.logical_offset,
+                           nbytes=len(piece))
 
     def _reconstruct_unit(self, stripe: int, missing_agent: int,
                           op: Optional[str] = None):
@@ -474,11 +522,11 @@ class DistributionAgent:
                 raise AgentFailure(
                     f"agent {channel.agent_host} failed and no redundancy "
                     "is configured")
-            region_offset, payload = self._assemble_region(chunks, data, offset)
+            region_offset, region = self._assemble_region(chunks, data, offset)
             self._emit(op, "write-region", agent=channel.index,
-                       region_offset=region_offset, nbytes=len(payload))
+                       region_offset=region_offset, nbytes=len(region))
             writers.append(self.env.process(
-                self._write_agent(channel, region_offset, payload, op)))
+                self._write_agent(channel, region_offset, region, op)))
         yield self.env.all_of(writers)
 
     def _write_with_parity(self, offset: int, data: bytes,
@@ -510,15 +558,16 @@ class DistributionAgent:
                 self._emit(op, "write-skip", agent=channel.index,
                            nbytes=sum(chunk.length for chunk in chunks))
                 continue
-            region_offset, payload = self._assemble_region(chunks, data, offset)
+            region_offset, region = self._assemble_region(chunks, data, offset)
             self._emit(op, "write-region", agent=channel.index,
-                       region_offset=region_offset, nbytes=len(payload))
+                       region_offset=region_offset, nbytes=len(region))
             writers.append(self.env.process(
-                self._write_agent(channel, region_offset, payload, op)))
+                self._write_agent(channel, region_offset, region, op)))
 
         # Parity units, one per touched stripe, computed from the images.
         # The XOR kernel consumes memoryview slices of the stripe image
-        # directly — no per-unit bytes() copies.
+        # directly — no per-unit bytes() copies — and the units go out as
+        # the parity agent's region without being joined.
         num_stripes = last_stripe - first_stripe + 1
         image_view = memoryview(image)
         parity_units = []
@@ -526,37 +575,31 @@ class DistributionAgent:
             base = stripe * layout.stripe_width - span_start
             units = [image_view[base + a * unit: base + (a + 1) * unit]
                      for a in range(layout.num_agents)]
-            parity_units.append(compute_parity(units, unit))
-        parity_payload = b"".join(parity_units)
+            parity_units.append(memoryview(compute_parity(units, unit)))
+        parity_region = _Region(parity_units)
         parity_offset = layout.agent_unit_offset(first_stripe)
         if self.parity_channel.failed:
             if self.failed_agents != [self.parity_channel.index]:
                 raise AgentFailure("cannot write: data and parity agents down")
         else:
             self._emit(op, "write-parity", agent=self.parity_channel.index,
-                       nbytes=len(parity_payload),
+                       nbytes=len(parity_region),
                        expected_bytes=num_stripes * unit)
             writers.append(self.env.process(self._write_agent(
-                self.parity_channel, parity_offset, parity_payload, op)))
+                self.parity_channel, parity_offset, parity_region, op)))
         if writers:
             yield self.env.all_of(writers)
 
     def _assemble_region(self, chunks, data: bytes, base_offset: int):
         """One agent's chunks as its contiguous file region (zero-copy).
 
-        Returns ``(region_offset, payload)`` where ``payload`` is a
-        memoryview into ``data`` when the region is a single chunk (the
-        common case for unit-aligned transfers) and a joined ``bytes``
-        otherwise.  Callers only slice and measure the payload, so both
-        types flow through the packetiser unchanged.
+        Returns ``(region_offset, region)``: a :class:`_Region` whose
+        parts are views of ``data``, one per chunk.  Nothing is copied
+        here; packets are cut from the views as they are sent.
         """
         chunks = sorted(chunks, key=lambda c: c.agent_offset)
         region_offset = chunks[0].agent_offset
         view = memoryview(data)
-        if len(chunks) == 1:
-            chunk = chunks[0]
-            start = chunk.logical_offset - base_offset
-            return region_offset, view[start:start + chunk.length]
         parts = []
         expected = region_offset
         for chunk in chunks:
@@ -565,10 +608,10 @@ class DistributionAgent:
             start = chunk.logical_offset - base_offset
             parts.append(view[start:start + chunk.length])
             expected += chunk.length
-        return region_offset, b"".join(parts)
+        return region_offset, _Region(parts)
 
     def _write_agent(self, channel: _Channel, region_offset: int,
-                     payload: bytes, op: Optional[str] = None):
+                     payload: _Region, op: Optional[str] = None):
         """§3.1 write: announce, stream, await ACK, retransmit NAKed."""
         op_id = channel.next_op()
         # Drop replies left over from earlier ops on this channel: a
@@ -613,7 +656,7 @@ class DistributionAgent:
             f"agent {channel.agent_host} never acknowledged write op {op_id}")
 
     def _stream_packets(self, channel: _Channel, request: WriteRequest,
-                        payload: bytes, indices,
+                        payload: _Region, indices,
                         op: Optional[str] = None) -> "_StreamPackets":
         """Send the numbered packets 'as fast as it can' (§3.1), separated
         by the prototype's small wait loop when configured.
@@ -681,7 +724,8 @@ class DistributionAgent:
             stripe = position // unit
             rebuilt = yield from self._reconstruct_unit(stripe, index)
             span = min(unit, agent_length - position)
-            yield from self._write_agent(channel, position, rebuilt[:span])
+            yield from self._write_agent(
+                channel, position, _Region([memoryview(rebuilt)[:span]]))
             position += span
         channel.local_size = agent_length
 
@@ -705,7 +749,8 @@ class DistributionAgent:
                         "parity rebuild")
                 units.append(payload)
             parity = compute_parity(units, unit)
-            yield from self._write_agent(channel, unit_offset, parity)
+            yield from self._write_agent(channel, unit_offset,
+                                         _Region([memoryview(parity)]))
 
     # -- helpers -------------------------------------------------------------------------
 
@@ -723,10 +768,11 @@ class SwiftUsageError(RuntimeError):
 class _StreamPackets(CallbackProcess):
     """Callback pump for :meth:`DistributionAgent._stream_packets`.
 
-    Packet for packet the generator's sequence: slice the payload view,
-    build the :class:`WriteData`, emit the ledger record, send, count,
-    then the optional inter-packet gap.  Started immediately, so the
-    first packet's send-cost draw lands exactly where the inline
+    Packet for packet the generator's sequence: cut the packet from the
+    region (a view of the caller's buffer unless it straddles two
+    chunks), build the :class:`WriteData`, emit the ledger record, send,
+    count, then the optional inter-packet gap.  Started immediately, so
+    the first packet's send-cost draw lands exactly where the inline
     ``yield from`` used to execute.
     """
 
@@ -734,7 +780,7 @@ class _StreamPackets(CallbackProcess):
                  "op", "_pos")
 
     def __init__(self, dist: DistributionAgent, channel: _Channel,
-                 request: WriteRequest, payload: bytes, indices,
+                 request: WriteRequest, payload: _Region, indices,
                  op: Optional[str]):
         self.dist = dist
         self.channel = channel
@@ -757,12 +803,13 @@ class _StreamPackets(CallbackProcess):
         request = self.request
         index = self.indices[self._pos]
         start = index * dist.packet_size
-        piece = self.payload[start:start + dist.packet_size]
+        piece = self.payload.piece(start, dist.packet_size)
         packet = WriteData(handle=channel.handle, op_id=request.op_id,
                            index=index, offset=request.offset + start,
                            payload=piece)
-        dist._emit(self.op, "wire-data", agent=channel.index, index=index,
-                   payload_bytes=len(piece))
+        if self.op is not None:
+            dist._emit(self.op, "wire-data", agent=channel.index,
+                       index=index, payload_bytes=len(piece))
         self.wait(channel.socket.send_op(channel.data_address,
                                          message=packet,
                                          payload_size=wire_size(packet)),

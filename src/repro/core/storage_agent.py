@@ -138,12 +138,7 @@ class _FileHandler:
         if length <= 0 or offset < self._prefetched_upto:
             return
         self._prefetched_upto = offset + length
-
-        def prefetcher():
-            yield from self.agent.filesystem.read(self.file_name, offset,
-                                                  length)
-
-        self.agent.env.process(prefetcher())
+        self.agent.filesystem.prefetch(self.file_name, offset, length)
 
     # -- write path ----------------------------------------------------------------
 

@@ -181,34 +181,48 @@ class LocalFileSystem:
             else:
                 chunks.append(cached)
         if pending_misses:
-            inflight = self._inflight
-            to_fetch = []
+            to_fetch, fetching = self._claim(pending_misses)
             waiters = []
-            for disk_block in pending_misses:
-                if disk_block not in inflight:
-                    inflight[disk_block] = None
-                    to_fetch.append(disk_block)
-                    continue
-                event = inflight[disk_block]
+            for disk_block in fetching:
+                event = self._inflight[disk_block]
                 if event is None:
-                    event = inflight[disk_block] = self.env.event()
+                    event = self._inflight[disk_block] = self.env.event()
                 waiters.append(event)
             if to_fetch:
-                try:
-                    yield from self._disk_read(to_fetch,
-                                               self._publish_block)
-                finally:
-                    # Safety: if the access aborted mid-run, release any
-                    # readers still parked on unpublished blocks.
-                    for disk_block in to_fetch:
-                        if disk_block in self._inflight:
-                            self._publish_block(disk_block)
+                yield from self._fetch(to_fetch)
             for event in waiters:
                 if not event.processed:
                     yield event
         data = b"".join(chunks)
         start = offset - first_block * self.block_size
         return data[start:start + nbytes]
+
+    def prefetch(self, name: str, offset: int, nbytes: int) -> None:
+        """Read ahead into the cache without building the bytes.
+
+        Makes the cache lookups, in-flight marks and disk accesses of
+        ``read(name, offset, nbytes)`` at the call's instant, for a caller
+        that would throw read()'s result away.  A block another read
+        already has in flight is left to that read, and no process starts
+        when no block is left to fetch.
+        """
+        if offset < 0 or nbytes < 0:
+            raise ValueError("offset and nbytes must be non-negative")
+        inode = self._inode(name)
+        nbytes = min(nbytes, inode.size - offset)
+        if nbytes <= 0:
+            return
+        blocks = inode.blocks
+        lookup = self.cache.lookup
+        misses = []
+        for file_block in range(offset // self.block_size,
+                                (offset + nbytes - 1) // self.block_size + 1):
+            disk_block = blocks.get(file_block)
+            if disk_block is not None and lookup(disk_block) is None:
+                misses.append(disk_block)
+        to_fetch, _ = self._claim(misses)
+        if to_fetch:
+            self.env.process(self._fetch(to_fetch))
 
     def sync(self, name: Optional[str] = None):
         """Process method: write back dirty blocks (one file or all)."""
@@ -295,6 +309,44 @@ class LocalFileSystem:
         inode.size = max(inode.size, offset + len(data))
         return touched
 
+    def _claim(self, misses: list[int]) -> tuple[list[int], list[int]]:
+        """Mark the missed blocks no read has in flight as the caller's.
+
+        Returns those blocks, to fetch, and the ones another read already
+        fetches.
+        """
+        inflight = self._inflight
+        to_fetch: list[int] = []
+        fetching: list[int] = []
+        for disk_block in misses:
+            if disk_block in inflight:
+                fetching.append(disk_block)
+            else:
+                inflight[disk_block] = None
+                to_fetch.append(disk_block)
+        return to_fetch, fetching
+
+    def _fetch(self, disk_blocks: list[int]):
+        """Process method: read claimed blocks, publishing each as it lands.
+
+        One spindle access per contiguous run, positioned at most once.
+        """
+        try:
+            for run in self._runs(disk_blocks):
+                def publish(index, run=run):
+                    self._publish_block(run[index])
+                yield self.disk.access_op(
+                    self.block_size, blocks=len(run), sequential=True,
+                    at_block=run[0],
+                    per_block_extra_s=self.read_block_overhead_s,
+                    on_block=publish)
+        finally:
+            # Safety: if the access aborted mid-run, release any readers
+            # still parked on unpublished blocks.
+            for disk_block in disk_blocks:
+                if disk_block in self._inflight:
+                    self._publish_block(disk_block)
+
     def _publish_block(self, disk_block: int) -> None:
         """A block's I/O completed: cache it and wake waiting readers.
 
@@ -318,21 +370,6 @@ class LocalFileSystem:
             else:
                 runs.append([block])
         return runs
-
-    def _disk_read(self, disk_blocks: list[int], on_block_complete=None):
-        # One spindle access per contiguous run, positioned at most
-        # once; `on_block` publishes each block to waiting readers as
-        # it lands.
-        for run in self._runs(disk_blocks):
-            callback = None
-            if on_block_complete is not None:
-                def callback(index, run=run):
-                    on_block_complete(run[index])
-            yield self.disk.access_op(
-                self.block_size, blocks=len(run), sequential=True,
-                at_block=run[0],
-                per_block_extra_s=self.read_block_overhead_s,
-                on_block=callback)
 
     def _disk_write(self, disk_blocks: list[int]):
         for run in self._runs(disk_blocks):

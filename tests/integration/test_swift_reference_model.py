@@ -2,7 +2,10 @@
 
 Random sequences of writes, reads and seeks against a live deployment are
 compared against a plain bytearray reference model — across striping
-configurations, with and without parity.
+units and packet sizes, with and without parity.  Packets that straddle
+units, end mid-unit or exceed a unit, holes and short packets at an
+agent's end of file all run through the write gather and the read's one
+join.
 """
 
 import pytest
@@ -23,6 +26,9 @@ operations = st.lists(
     min_size=1, max_size=8,
 )
 
+#: Packet sizes: under an Ethernet frame, under, at and over a unit.
+packet_sizes = st.sampled_from([1500, 4096, 8192, 12288])
+
 
 def apply_to_reference(reference: bytearray, op) -> bytes | None:
     kind, offset, arg = op
@@ -39,9 +45,10 @@ def apply_to_reference(reference: bytearray, op) -> bytes | None:
 
 @settings(max_examples=20, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(ops=operations, unit=st.sampled_from([1024, 4096, 8192]))
-def test_plain_swift_matches_reference(ops, unit):
-    deployment = build_local_swift(num_agents=3)
+@given(ops=operations, unit=st.sampled_from([1024, 4096, 8192]),
+       packet_size=packet_sizes)
+def test_plain_swift_matches_reference(ops, unit, packet_size):
+    deployment = build_local_swift(num_agents=3, packet_size=packet_size)
     client = deployment.client()
     handle = client.open("obj", "w", striping_unit=unit)
     reference = bytearray()
@@ -59,9 +66,10 @@ def test_plain_swift_matches_reference(ops, unit):
 
 @settings(max_examples=10, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(ops=operations)
-def test_parity_swift_matches_reference(ops):
-    deployment = build_local_swift(num_agents=4, parity=True)
+@given(ops=operations, packet_size=packet_sizes)
+def test_parity_swift_matches_reference(ops, packet_size):
+    deployment = build_local_swift(num_agents=4, parity=True,
+                                   packet_size=packet_size)
     client = deployment.client()
     handle = client.open("obj", "w", parity=True, striping_unit=4096)
     reference = bytearray()
