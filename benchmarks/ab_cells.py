@@ -27,7 +27,10 @@ Per round it prints the change/parent ratio of the summed cell seconds
 and how many cells' result digests (the e2ebench cell hash) differ
 between the trees, next to each tree's kernel ping-pong events/s
 measured in the same workers (8 processes x 500 holds of a capacity-2
-resource, best of 3).  The record, with provenance, is archived as
+resource, best of 3).  At the end it prints the cells whose ratio of
+per-tree median seconds (over the rounds) moved furthest from 1, so a
+claim can say which cells moved.  The record, with provenance and every
+cell's per-tree median seconds (``per_cell``), is archived as
 ``benchmarks/results/BENCH_ab_<workload>.json``.
 """
 
@@ -36,6 +39,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -54,6 +58,8 @@ KERNEL_CELLS = 20
 KB = 1 << 10
 #: How long a worker may take to exit once its stdin closes.
 CLOSE_TIMEOUT_S = 60.0
+#: How many of the cells that moved most the summary prints.
+MOVED_SHOWN = 6
 
 
 def _src_dir(path: str) -> Path:
@@ -91,6 +97,18 @@ def grid_cells(workload: str, seed: int) -> list:
             for kb in grid["block_sizes_kb"]
             for disks in grid["disk_counts"]
             for rate in grid["rates"]]
+
+
+def cell_label(cell: dict) -> str:
+    """A short name for one cell of :func:`grid_cells`."""
+    if "table" in cell:
+        return f"{cell['table']} {cell['op']} {cell['size_mb']} MB"
+    if "run" in cell:
+        return f"run {cell['run']}"
+    if "rates" in cell:
+        return (f"{cell['block_sizes'][0] // KB} KB x "
+                f"{cell['disk_counts'][0]} disks @ {cell['rates'][0]:g}/s")
+    return f"{cell['disk_names'][0]} x {cell['disk_counts'][0]}"
 
 
 # -- the worker: one interpreter per source tree ------------------------------
@@ -206,9 +224,13 @@ class Worker:
 
 def run_round(workers: dict, workload: str, cells: list,
               round_index: int) -> dict:
-    """Every cell on both trees, the first tree alternating per cell."""
+    """Every cell on both trees, the first tree alternating per cell.
+
+    ``cell_s`` holds each cell's ``[parent, change]`` seconds.
+    """
     names = ("parent", "change")
     seconds = {name: 0.0 for name in names}
+    cell_s = []
     # The ping-pong order alternates per round.
     kernel = {name: workers[name].ask(op="pingpong")["events_per_s"]
               for name in (names if round_index % 2 == 0 else names[::-1])}
@@ -220,13 +242,28 @@ def run_round(workers: dict, workload: str, cells: list,
                    for name in order}
         for name in names:
             seconds[name] += replies[name]["seconds"]
+        cell_s.append([replies[name]["seconds"] for name in names])
         mismatches += replies["parent"]["digest"] != \
             replies["change"]["digest"]
     return {"parent_s": seconds["parent"], "change_s": seconds["change"],
             "ratio": seconds["change"] / seconds["parent"],
             "mismatches": mismatches,
             "parent_kernel_events_per_s": kernel["parent"],
-            "change_kernel_events_per_s": kernel["change"]}
+            "change_kernel_events_per_s": kernel["change"],
+            "cell_s": cell_s}
+
+
+def per_cell_medians(cells: list, rounds: list) -> list:
+    """Each cell's median seconds per tree over the rounds, and their
+    change/parent ratio."""
+    summary = []
+    for index, cell in enumerate(cells):
+        parent = statistics.median(r["cell_s"][index][0] for r in rounds)
+        change = statistics.median(r["cell_s"][index][1] for r in rounds)
+        summary.append({"cell": cell_label(cell), "parent_median_s": parent,
+                        "change_median_s": change,
+                        "ratio": change / parent})
+    return summary
 
 
 def main(argv=None) -> int:
@@ -268,9 +305,20 @@ def main(argv=None) -> int:
           f"median {statistics.median(ratios):.3f} "
           f"(min {min(ratios):.3f}, max {max(ratios):.3f}), mismatches "
           f"{sum(record['mismatches'] for record in rounds)}")
+    per_cell = per_cell_medians(cells, rounds)
+    print("cells that moved most (ratio of per-tree median seconds):")
+    for entry in sorted(per_cell,
+                        key=lambda entry: -abs(math.log(entry["ratio"])))[
+                            :MOVED_SHOWN]:
+        print(f"  {entry['cell']}: parent {entry['parent_median_s']:.3f} s, "
+              f"change {entry['change_median_s']:.3f} s, ratio "
+              f"{entry['ratio']:.3f}")
+    for record in rounds:
+        del record["cell_s"]
     path = archive_json(f"BENCH_ab_{workload}", {
         "workload": workload, "seed": args.seed, "cells": len(cells),
         "rounds": rounds, "ratio_median": statistics.median(ratios),
+        "per_cell": per_cell,
     })
     print(f"-> {path}")
     return 0

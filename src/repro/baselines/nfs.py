@@ -43,7 +43,9 @@ NFS_SERVER_RPC_OVERHEAD_S = 1.0e-3
 _xids = itertools.count(1)
 
 
-@dataclass(frozen=True)
+# The RPCs are slotted value records like the Swift protocol's messages
+# (see ``core/agent_protocol.py``).
+@dataclass(slots=True, unsafe_hash=True)
 class ReadRpc:
     xid: int
     file_name: str
@@ -51,13 +53,13 @@ class ReadRpc:
     count: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ReadReply:
     xid: int
     payload: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class WriteRpc:
     xid: int
     file_name: str
@@ -65,7 +67,7 @@ class WriteRpc:
     payload: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class WriteReply:
     xid: int
 
@@ -87,10 +89,14 @@ class _NfsServer:
         env.process(self._serve())
 
     def _serve(self):
+        host = self.host
+        env = host.env
         while True:
             datagram = yield self.socket.recv()
             message = datagram.message
-            yield from self.host.consume_cpu(NFS_SERVER_RPC_OVERHEAD_S)
+            # RPC/XDR decode and nfsd dispatch on the server CPU.
+            yield env.timeout_at(
+                host.cpu.serve(env._now, NFS_SERVER_RPC_OVERHEAD_S))
             if isinstance(message, ReadRpc):
                 yield from self._read(message, datagram.src)
             elif isinstance(message, WriteRpc):

@@ -18,6 +18,11 @@ The protocol runs over unreliable datagrams:
 Message sizes model the prototype's small binary headers: control messages
 are 64 bytes on the wire; data-bearing messages are payload plus a 32-byte
 header (the UDP/IP header is added by the socket layer).
+
+Every message is a slotted dataclass that compares and hashes by value.
+None is frozen: one is built per packet, and a frozen dataclass sets each
+field through ``object.__setattr__``, where these constructors assign.
+Nothing mutates a message once it is sent.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ CONTROL_SIZE_BYTES = 64
 DATA_HEADER_SIZE_BYTES = 32
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class OpenRequest:
     """Open (and optionally create) a file on an agent."""
 
@@ -62,7 +67,7 @@ class OpenRequest:
     request_id: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class OpenReply:
     """Agent's answer: the private port and the local file size."""
 
@@ -74,7 +79,7 @@ class OpenReply:
     error: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ReadRequest:
     """Ask for one packet of the file."""
 
@@ -84,7 +89,7 @@ class ReadRequest:
     length: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class DataPacket:
     """One packet of file data (the answer to a ReadRequest)."""
 
@@ -94,7 +99,7 @@ class DataPacket:
     payload: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class WriteRequest:
     """Announce a write operation (or query its status when re-sent)."""
 
@@ -112,7 +117,7 @@ class WriteRequest:
         return -(-self.length // self.packet_size)  # ceil division
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class WriteData:
     """One packet of a write operation's data stream."""
 
@@ -123,7 +128,7 @@ class WriteData:
     payload: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class WriteAck:
     """Every expected packet arrived; the data is accepted."""
 
@@ -131,7 +136,7 @@ class WriteAck:
     op_id: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class WriteNak:
     """Some packets are missing; the client must retransmit these indices."""
 
@@ -140,7 +145,7 @@ class WriteNak:
     missing: tuple[int, ...] = field(default_factory=tuple)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class RemoveRequest:
     """Unlink a file on the agent (namespace op, control port)."""
 
@@ -148,7 +153,7 @@ class RemoveRequest:
     request_id: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class RemoveReply:
     """Acknowledgement of a remove (idempotent: ok even if absent)."""
 
@@ -156,7 +161,7 @@ class RemoveReply:
     existed: bool
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class StatRequest:
     """Ask for a file's local size (namespace op, control port)."""
 
@@ -164,7 +169,7 @@ class StatRequest:
     request_id: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class StatReply:
     """The agent's answer to a stat."""
 
@@ -173,14 +178,14 @@ class StatReply:
     local_size: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ListRequest:
     """Ask for the agent's file names (namespace op, control port)."""
 
     request_id: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ListReply:
     """The agent's directory listing."""
 
@@ -188,14 +193,14 @@ class ListReply:
     names: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CloseRequest:
     """Expire the handle and release the private port."""
 
     handle: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CloseReply:
     """Acknowledgement of a close."""
 

@@ -391,9 +391,10 @@ class DistributionAgent:
                               seq=channel.next_seq(),
                               offset=offset, length=length)
         # Drop stale duplicates of older sequence numbers.
-        channel.socket.purge(
-            lambda d: isinstance(d.message, DataPacket)
-            and d.message.seq < request.seq)
+        if channel.socket.pending:
+            channel.socket.purge(
+                lambda d: isinstance(d.message, DataPacket)
+                and d.message.seq < request.seq)
         for attempt in range(self.max_retries):
             yield channel.socket.send_op(
                 channel.data_address, message=request,

@@ -46,10 +46,6 @@ class AgentStats:
     """Operation counters one storage agent keeps."""
 
     def __init__(self):
-        self.reset()
-
-    def reset(self) -> None:
-        """Zero every counter (between back-to-back scenario runs)."""
         self.opens = 0
         self.reads_served = 0
         self.bytes_read = 0
@@ -63,7 +59,12 @@ WELL_KNOWN_PORT = 2001
 
 
 class _WriteState:
-    """Progress of one announced write operation."""
+    """Progress of one announced write operation.
+
+    Once the op is applied its packets are dropped: they are views of
+    the client's buffer, and the handler keeps every op's state until
+    the file closes.  An applied op stays complete.
+    """
 
     def __init__(self, request: WriteRequest):
         self.request = request
@@ -73,7 +74,8 @@ class _WriteState:
 
     @property
     def complete(self) -> bool:
-        return len(self.received) >= self.request.expected_packets
+        return (self.applied
+                or len(self.received) >= self.request.expected_packets)
 
     def missing(self) -> tuple[int, ...]:
         return tuple(index for index in range(self.request.expected_packets)
@@ -194,6 +196,7 @@ class _FileHandler:
                 yield from fs.write(self.file_name, packet.offset,
                                     packet.payload,
                                     sync=self.agent.synchronous_writes)
+            state.received.clear()
         yield from self._reply(
             WriteAck(handle=self.handle, op_id=state.request.op_id))
 

@@ -19,14 +19,15 @@ from typing import Iterator
 __all__ = ["Chunk", "StripeLayout"]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(init=False, slots=True, unsafe_hash=True)
 class Chunk:
     """A maximal piece of one request that lands on a single agent.
 
     ``logical_offset`` is where the chunk starts in the object's byte space;
     ``agent_offset`` is where it starts inside that agent's local file.
-    Slotted: chunk objects are minted per unit per request, so the
-    per-instance ``__dict__`` was measurable on large transfers.
+    Slotted, with the checks in a plain-assignment ``__init__``: chunk
+    objects are minted per unit per request.  Compared and hashed by
+    value; nothing mutates one.
     """
 
     agent: int
@@ -35,12 +36,17 @@ class Chunk:
     length: int
     stripe: int
 
-    def __post_init__(self):
-        if self.length <= 0:
+    def __init__(self, agent: int, agent_offset: int, logical_offset: int,
+                 length: int, stripe: int):
+        if length <= 0:
             raise ValueError("chunk length must be positive")
-        if min(self.agent, self.agent_offset, self.logical_offset,
-               self.stripe) < 0:
+        if min(agent, agent_offset, logical_offset, stripe) < 0:
             raise ValueError("chunk coordinates must be non-negative")
+        self.agent = agent
+        self.agent_offset = agent_offset
+        self.logical_offset = logical_offset
+        self.length = length
+        self.stripe = stripe
 
     def split(self, at: int) -> tuple["Chunk", "Chunk"]:
         """Cut into ``(head, tail)`` at ``at`` bytes from the start.
@@ -97,19 +103,18 @@ class StripeLayout:
         self._check_offset(offset)
         if length < 0:
             raise ValueError("length must be non-negative")
+        # locate() and stripe_of(), inlined: a transfer cuts one chunk
+        # per unit.
+        unit = self.striping_unit
+        width = unit * self.num_agents
         position = offset
         end = offset + length
         while position < end:
-            agent, agent_offset = self.locate(position)
-            room_in_unit = self.striping_unit - (agent_offset % self.striping_unit)
-            span = min(room_in_unit, end - position)
-            yield Chunk(
-                agent=agent,
-                agent_offset=agent_offset,
-                logical_offset=position,
-                length=span,
-                stripe=position // self.stripe_width,
-            )
+            stripe, within = divmod(position, width)
+            agent, unit_offset = divmod(within, unit)
+            span = min(unit - unit_offset, end - position)
+            yield Chunk(agent, stripe * unit + unit_offset, position, span,
+                        stripe)
             position += span
 
     def agent_segments(self, offset: int, length: int) -> dict[int, list[Chunk]]:

@@ -484,7 +484,14 @@ class StoreGet(Event):
     __slots__ = ("store", "predicate")
 
     def __init__(self, store: "Store", predicate: Optional[Callable[[Any], bool]]):
-        super().__init__(store.env)
+        # Flattened Event.__init__, as in Request.__init__: every socket
+        # receive makes one get.
+        self.env = store.env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = None
+        self._defused = False
+        self._stale = None
         self.store = store
         self.predicate = predicate
         if store._put_queue:

@@ -95,19 +95,6 @@ class OnlineStats:
         self._min = math.inf
         self._max = -math.inf
 
-    def reset(self) -> None:
-        """Drop every observation (back to the freshly built state).
-
-        Lets one accumulator be reused across engine runs without state
-        bleeding from the previous scenario into the next — the runtime
-        sanitizer relies on this to run a scenario twice and diff.
-        """
-        self.count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self._min = math.inf
-        self._max = -math.inf
-
     def add(self, value: float) -> None:
         """Fold one observation into the accumulator."""
         self.count += 1
@@ -182,11 +169,6 @@ class SampleSet:
         self.samples.append(sample)
         self._stats.add(sample)
 
-    def reset(self) -> None:
-        """Drop every recorded sample."""
-        self.samples.clear()
-        self._stats.reset()
-
     def __len__(self) -> int:
         return len(self.samples)
 
@@ -230,17 +212,6 @@ class UtilizationMonitor:
         self._busy_since: float | None = None
         self._busy_total = 0.0
         self._started_at = env.now
-
-    def reset(self) -> None:
-        """Restart the measurement window at the current simulated time.
-
-        An open busy interval survives the reset (the device is still
-        busy) but its time before the reset is discarded.
-        """
-        self._busy_total = 0.0
-        self._started_at = self.env.now
-        if self._busy_since is not None:
-            self._busy_since = self.env.now
 
     def busy(self, at: float) -> None:
         """Mark the device busy from ``at`` (idempotent).

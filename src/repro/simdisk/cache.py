@@ -32,9 +32,6 @@ class CacheStats:
             return 0.0
         return self.hits / self.accesses
 
-    def reset(self) -> None:
-        self.hits = self.misses = self.evictions = self.writebacks = 0
-
 
 class BufferCache:
     """Fixed-capacity LRU cache of disk blocks.

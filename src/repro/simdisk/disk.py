@@ -158,7 +158,7 @@ class DiskAccess(CallbackProcess):
         super().__init__(disk.env)
 
     def _start(self, value):
-        self._started = self.env.now
+        self._started = self.env._now
         resource = self.disk.resource
         if resource.try_acquire():
             self._grant = None
@@ -173,7 +173,7 @@ class DiskAccess(CallbackProcess):
         # that queued ahead of us may have moved it.
         head_continues = (self.at_block is not None
                           and self.at_block == disk._head)
-        now = self.env.now
+        now = self.env._now
         disk.monitor.busy(now)
         if self.on_block is None:
             spec = disk.spec
@@ -229,7 +229,7 @@ class DiskAccess(CallbackProcess):
         # In order: head update, idle check while still holding, the
         # release, then the finish.
         disk = self.disk
-        now = self.env.now
+        now = self.env._now
         disk._head = (self.at_block + self.blocks
                       if self.at_block is not None else None)
         if disk.resource.count <= 1:

@@ -15,11 +15,11 @@ than simulated.
 
 from __future__ import annotations
 
-import math
+from math import ceil, log
 
 from ..des import Environment, RandomStream
 from ..units import seconds_to_send, to_bytes_per_s
-from .medium import Medium
+from .medium import Medium, _WireParameter
 
 __all__ = ["Ethernet", "BackgroundLoad", "ETHERNET_MTU_PAYLOAD"]
 
@@ -50,6 +50,8 @@ class Ethernet(Medium):
     default — the base model is a collision-free ideal cable, which
     matches the paper's measured capacity well below saturation.
     """
+
+    bits_per_second = _WireParameter()
 
     def __init__(self, env: Environment, name: str = "ethernet",
                  bits_per_second: float = 10_000_000.0,
@@ -87,7 +89,7 @@ class Ethernet(Medium):
         """Cable time for one datagram, including fragmentation overhead."""
         if size <= 0:
             raise ValueError("size must be positive")
-        fragments = max(1, math.ceil(size / ETHERNET_MTU_PAYLOAD))
+        fragments = max(1, ceil(size / ETHERNET_MTU_PAYLOAD))
         wire_bytes = size + fragments * _FRAME_OVERHEAD_BYTES
         return seconds_to_send(wire_bytes, self.bits_per_second) \
             + fragments * _INTERFRAME_GAP_S
@@ -131,44 +133,60 @@ class BackgroundLoad:
         self.period_s = period_s
         #: The end of the last burst while its idle mark is pending.
         self._idle_at: float | None = None
+        #: When the next burst is requested, and how long it lasts.
         self._request_at = float("inf")
+        self._busy_s = 0.0
         if fraction > 0:
             if medium._background is not None:
                 raise ValueError(
                     f"{medium.name!r} already carries a background load")
             medium._background = self
-            self._draw(env.now)
-
-    def _draw(self, after: float) -> None:
-        """Schedule the next burst: a gap after ``after``."""
-        gap = self.stream.exponential(self.period_s)
-        self._request_at = after + gap
-        self._busy_s = gap * self.fraction / max(1e-12, 1.0 - self.fraction)
+            gap = stream.exponential(period_s)
+            self._request_at = env.now + gap
+            self._busy_s = gap * fraction / max(1e-12, 1.0 - fraction)
 
     def fold(self, now: float) -> None:
-        """Queue every burst requested by ``now`` on the cable."""
-        if self._request_at <= now:
-            cable = self.medium.cable
-            while self._request_at <= now:
-                request_at = self._request_at
-                if self._idle_at is not None:
-                    self._settle(request_at)
-                start = cable.free_at
-                if start <= request_at:
-                    start = request_at
-                    self.medium.monitor.busy(request_at)
-                cable.free_at = end = start + self._busy_s
-                self._idle_at = end
-                self._draw(end)
-        if self._idle_at is not None:
-            self._settle(now)
+        """Queue every burst requested by ``now`` on the cable.
 
-    def _settle(self, now: float) -> None:
-        """Resolve the last burst's idle mark as far as ``now`` tells."""
+        One pass per due burst: resolve the previous burst's idle mark,
+        place the burst, draw the next gap; a last pass resolves the idle
+        mark as far as ``now`` tells.
+        """
+        request_at = self._request_at
         idle_at = self._idle_at
-        if self.medium.cable.free_at != idle_at:
-            # A frame queued behind the burst: its completion idles.
-            self._idle_at = None
-        elif idle_at <= now:
-            self.medium.monitor.idle(idle_at)
-            self._idle_at = None
+        if idle_at is None and request_at > now:
+            return
+        medium = self.medium
+        cable = medium.cable
+        monitor = medium.monitor
+        stream = self.stream
+        rate = 1.0 / self.period_s
+        fraction = self.fraction
+        denominator = max(1e-12, 1.0 - fraction)
+        busy_s = self._busy_s
+        while True:
+            # Resolve the last burst's idle mark.  A burst ends no later
+            # than the next request, so a due request resolves it.
+            if idle_at is not None:
+                if cable.free_at != idle_at:
+                    # A frame queued behind the burst: its completion
+                    # idles the cable.
+                    idle_at = None
+                elif idle_at <= now:
+                    monitor.idle(idle_at)
+                    idle_at = None
+            if request_at > now:
+                break
+            start = cable.free_at
+            if start <= request_at:
+                start = request_at
+                monitor.busy(request_at)
+            cable.free_at = idle_at = end = start + busy_s
+            # The next gap: RandomStream.exponential(period_s), inlined.
+            block = stream._block or stream._refill()
+            gap = -log(1.0 - block.pop()) / rate
+            request_at = end + gap
+            busy_s = gap * fraction / denominator
+        self._request_at = request_at
+        self._busy_s = busy_s
+        self._idle_at = idle_at

@@ -33,21 +33,26 @@ class Address:
         return f"{self.host}:{self.port}"
 
 
-@dataclass(eq=False)
 class Datagram:
     """One datagram in flight; two datagrams are equal only if they are
-    the same object."""
+    the same object.
 
-    src: Address
-    dst: Address
-    size: int  # bytes on the wire, headers included
-    message: Any = None
+    Slotted, with the size check in ``__init__``: one is built per
+    datagram sent.
+    """
 
-    def __post_init__(self):
-        if self.size < HEADER_SIZE:
+    __slots__ = ("src", "dst", "size", "message")
+
+    def __init__(self, src: Address, dst: Address, size: int,
+                 message: Any = None):
+        if size < HEADER_SIZE:
             raise ValueError(
-                f"datagram size {self.size} smaller than header {HEADER_SIZE}"
+                f"datagram size {size} smaller than header {HEADER_SIZE}"
             )
+        self.src = src
+        self.dst = dst
+        self.size = size  # bytes on the wire, headers included
+        self.message = message
 
     def __repr__(self) -> str:
         kind = type(self.message).__name__ if self.message is not None else "raw"

@@ -89,15 +89,11 @@ class Host:
             if noise_stream is not None and noise_fraction else 1.0)
         self.cpu = FifoServer(env)
         self.interfaces: list[Interface] = []
+        #: Destination host name -> the interface :meth:`route` found;
+        #: a medium's ``attach`` clears it on every host of the medium.
+        self._routes: dict[str, Interface] = {}
         self._sockets: dict[int, DatagramSocket] = {}
         self._next_ephemeral_port = 32768
-
-    def jittered(self, cost_s: float) -> float:
-        """Apply the host's OS-noise jitter to a CPU cost."""
-        if not self.noise_fraction:
-            return cost_s
-        return cost_s * self._speed_factor * (1.0 + self.noise_stream.uniform(
-            -self.noise_fraction, self.noise_fraction))
 
     # -- interfaces -------------------------------------------------------------
 
@@ -110,11 +106,22 @@ class Host:
         return interface
 
     def route(self, dst_host: str) -> "Interface":
-        """The interface whose medium reaches ``dst_host``."""
-        for interface in self.interfaces:
-            if interface.medium.reaches(dst_host):
-                return interface
-        raise LookupError(f"{self.name!r} has no route to {dst_host!r}")
+        """The first interface whose medium reaches ``dst_host``.
+
+        Memoised per destination until a host attaches to a medium this
+        host is on (see :meth:`Medium.attach`); an unreachable
+        destination is not memoised.
+        """
+        interface = self._routes.get(dst_host)
+        if interface is None:
+            for interface in self.interfaces:
+                if interface.medium.reaches(dst_host):
+                    break
+            else:
+                raise LookupError(
+                    f"{self.name!r} has no route to {dst_host!r}")
+            self._routes[dst_host] = interface
+        return interface
 
     # -- sockets -----------------------------------------------------------------
 
@@ -140,19 +147,6 @@ class Host:
     def close_socket(self, socket: "DatagramSocket") -> None:
         """Release a socket's port."""
         self._sockets.pop(socket.port, None)
-
-    def socket_on(self, port: int) -> Optional["DatagramSocket"]:
-        """The socket bound to ``port``, if any."""
-        return self._sockets.get(port)
-
-    # -- CPU accounting ------------------------------------------------------------
-
-    def consume_cpu(self, seconds: float):
-        """Process method: hold the CPU for ``seconds``."""
-        if seconds < 0:
-            raise ValueError("seconds must be non-negative")
-        env = self.env
-        yield env.timeout_at(self.cpu.serve(env.now, seconds))
 
     def __repr__(self) -> str:
         return f"<Host {self.name} ifaces={len(self.interfaces)}>"
@@ -194,42 +188,36 @@ class Interface:
     # -- transmit side -----------------------------------------------------------
 
     def _charged(self, timeout) -> None:
-        """A send's CPU charge ended: queue its datagram (see
-        :meth:`DatagramSocket.send_op`)."""
+        """A send's CPU charge ended (see :meth:`DatagramSocket.send_op`):
+        put its datagram on the medium, queue it, or drop it silently when
+        the queue is full.
+
+        The *protocol* code never sees a drop (SunOS "claimed they had
+        been sent"); only ``tx_dropped`` counts it.
+        """
         datagram = timeout._value
         # The waiter of the send gets None, and the pooled timeout must
         # not keep the datagram alive.
         timeout._value = None
-        self.enqueue(datagram)
-
-    def enqueue(self, datagram: Datagram) -> bool:
-        """Queue a datagram for the wire; silently drop when full.
-
-        Returns False on drop — but note the *protocol* code never sees
-        this (SunOS "claimed they had been sent"); only tests and stats do.
-        """
         if not self._transmitting:
-            self._transmit(datagram)
+            self._transmitting = True
+            self.medium.transmit_op(datagram).callbacks.append(
+                self._bound_sent)
         elif len(self._tx_queue) >= self.tx_queue_packets:
             self.tx_dropped += 1
-            return False
         else:
             self._tx_queue.append(datagram)
-        return True
 
     @property
     def tx_backlog(self) -> int:
         """Datagrams waiting in the transmit queue."""
         return len(self._tx_queue)
 
-    def _transmit(self, datagram: Datagram) -> None:
-        self._transmitting = True
-        self.medium.transmit_op(datagram).callbacks.append(self._bound_sent)
-
     def _sent(self, _event) -> None:
         queue = self._tx_queue
         if queue:
-            self._transmit(queue.popleft())
+            self.medium.transmit_op(queue.popleft()).callbacks.append(
+                self._bound_sent)
         else:
             self._transmitting = False
 
@@ -239,21 +227,30 @@ class Interface:
         """Called by the medium on delivery; charges the receiving CPU."""
         host = self.host
         env = host.env
-        cost = host.jittered(
-            host.recv_cost.time(datagram.size) * self.cpu_cost_scale)
+        cost = host.recv_cost.time(datagram.size) * self.cpu_cost_scale
+        noise = host.noise_fraction
+        if noise:
+            # The host's OS-noise jitter.
+            cost = cost * host._speed_factor * (
+                1.0 + host.noise_stream.uniform(-noise, noise))
         timeout = env.timeout_at(host.cpu.serve(env._now, cost), datagram)
         timeout.callbacks.append(self._bound_received)
 
     def _received(self, timeout) -> None:
+        """The receive CPU charge ended: buffer the datagram in its
+        socket, or drop it (no socket on that port, a closed socket, a
+        full buffer)."""
         datagram = timeout._value
         # The timeout goes back to the engine's pool: do not let it keep
         # the datagram (and its payload) alive.
         timeout._value = None
-        socket = self.host.socket_on(datagram.dst.port)
+        socket = self.host._sockets.get(datagram.dst.port)
         if socket is None:
             self.rx_dropped_no_socket += 1
+        elif socket.closed or len(socket._rx.items) >= socket.buffer_packets:
+            socket.rx_dropped += 1
         else:
-            socket.deliver(datagram)
+            socket._rx.put_nowait(datagram)
 
 
 class DatagramSocket:
@@ -264,15 +261,12 @@ class DatagramSocket:
             raise ValueError("socket buffer must hold at least one packet")
         self.host = host
         self.port = port
+        #: This socket's (host, port) address.
+        self.address = Address(host.name, port)
         self.buffer_packets = buffer_packets
         self._rx = Store(host.env)
         self.rx_dropped = 0
         self.closed = False
-
-    @property
-    def address(self) -> Address:
-        """This socket's (host, port) address."""
-        return Address(self.host.name, self.port)
 
     # -- sending ------------------------------------------------------------------
 
@@ -293,25 +287,21 @@ class DatagramSocket:
         if payload_size < 0:
             raise ValueError("payload_size must be non-negative")
         host = self.host
-        interface = host.route(dst.host)
+        interface = host._routes.get(dst.host) or host.route(dst.host)
         size = payload_size + HEADER_SIZE
-        datagram = Datagram(src=self.address, dst=dst, size=size,
-                            message=message)
-        cost = host.jittered(
-            host.send_cost.time(size) * interface.cpu_cost_scale)
+        datagram = Datagram(self.address, dst, size, message)
+        cost = host.send_cost.time(size) * interface.cpu_cost_scale
+        noise = host.noise_fraction
+        if noise:
+            # The host's OS-noise jitter.
+            cost = cost * host._speed_factor * (
+                1.0 + host.noise_stream.uniform(-noise, noise))
         env = host.env
         timeout = env.timeout_at(host.cpu.serve(env._now, cost), datagram)
         timeout.callbacks.append(interface._bound_charged)
         return timeout
 
     # -- receiving ------------------------------------------------------------------
-
-    def deliver(self, datagram: Datagram) -> None:
-        """Interface-side delivery into the receive buffer (drop if full)."""
-        if self.closed or self._rx.size >= self.buffer_packets:
-            self.rx_dropped += 1
-            return
-        self._rx.put_nowait(datagram)
 
     def recv(self, predicate=None):
         """Event: the next buffered datagram (optionally filtered)."""

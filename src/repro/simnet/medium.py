@@ -29,6 +29,23 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["Medium", "MediumStats"]
 
 
+class _WireParameter:
+    """A medium attribute its transmission time depends on: setting it
+    forgets the medium's memoised wire times."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self._slot = "_" + name
+
+    def __get__(self, medium, owner=None):
+        if medium is None:
+            return self
+        return getattr(medium, self._slot)
+
+    def __set__(self, medium, value) -> None:
+        setattr(medium, self._slot, value)
+        medium._wire_times.clear()
+
+
 class MediumStats:
     """Traffic counters for one medium."""
 
@@ -40,7 +57,17 @@ class MediumStats:
 
 
 class Medium:
-    """Base class for shared interconnects."""
+    """Base class for shared interconnects.
+
+    A datagram's wire time depends only on its size and the medium's
+    parameters, so :meth:`transmit_op` memoises
+    :meth:`transmission_time` per size; a subclass declares each
+    attribute the time depends on as a :class:`_WireParameter`, whose
+    setter clears the memo.
+    """
+
+    #: True when :meth:`contention_penalty` applies to transmissions.
+    contention = False
 
     def __init__(self, env: Environment, name: str,
                  loss_probability: float = 0.0,
@@ -54,6 +81,8 @@ class Medium:
         self.monitor = UtilizationMonitor(env)
         self.cable = FifoServer(env, self.monitor)
         self.stats = MediumStats()
+        #: Datagram size -> :meth:`transmission_time` of that size.
+        self._wire_times: dict[int, float] = {}
         self._interfaces: dict[str, "Interface"] = {}
         #: Stations currently transmitting or waiting for the cable,
         #: used by contention models (a station never collides with
@@ -72,6 +101,10 @@ class Medium:
             raise ValueError(
                 f"host {host_name!r} already attached to {self.name!r}")
         self._interfaces[host_name] = interface
+        # The new station may be reachable through this medium ahead of
+        # another: every host on it forgets its memoised routes.
+        for attached in self._interfaces.values():
+            attached.host._routes.clear()
 
     def reaches(self, host_name: str) -> bool:
         """True if a host of that name is attached."""
@@ -84,7 +117,10 @@ class Medium:
         raise NotImplementedError
 
     def contention_penalty(self, sender_host: str) -> float:
-        """Extra occupancy when stations contend (CSMA/CD); 0 by default."""
+        """Extra occupancy when stations contend (CSMA/CD); 0 by default.
+
+        :meth:`transmit_op` adds it only while :attr:`contention` is on.
+        """
         return 0.0
 
     def contending_stations(self, sender_host: str) -> int:
@@ -101,10 +137,10 @@ class Medium:
     def transmit_op(self, datagram: Datagram) -> Timeout:
         """Queue ``datagram`` on the cable; the event fires at its end.
 
-        The cable is served with the transmission time plus the
-        contention penalty, drawn now, at join; the sender counts as
-        contending until the frame leaves the cable, when the returned
-        timeout fires.  Its first callback is the medium's own:
+        The cable is served with the (memoised) transmission time plus,
+        with contention on, the penalty drawn now, at join; the sender
+        counts as contending until the frame leaves the cable, when the
+        returned timeout fires.  Its first callback is the medium's own:
         deregistration, stats, the loss draw and delivery to the
         destination host's interface, after which the event's value is
         True if the datagram was delivered (loss injection and unknown
@@ -117,8 +153,12 @@ class Medium:
         if self._background is not None:
             self._background.fold(now)
         sender = datagram.src.host
-        service = self.transmission_time(datagram.size) \
-            + self.contention_penalty(sender)
+        size = datagram.size
+        service = self._wire_times.get(size)
+        if service is None:
+            service = self._wire_times[size] = self.transmission_time(size)
+        if self.contention:
+            service += self.contention_penalty(sender)
         active = self._active_by_host
         active[sender] = active.get(sender, 0) + 1
         timeout = env.timeout_at(self.cable.serve(now, service), datagram)

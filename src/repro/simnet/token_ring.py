@@ -15,13 +15,16 @@ from __future__ import annotations
 
 from ..des import Environment, RandomStream
 from ..units import seconds_to_send, to_bytes_per_s
-from .medium import Medium
+from .medium import Medium, _WireParameter
 
 __all__ = ["TokenRing"]
 
 
 class TokenRing(Medium):
     """A shared token ring."""
+
+    bits_per_second = _WireParameter()
+    token_rotation_s = _WireParameter()
 
     def __init__(self, env: Environment, name: str = "token-ring",
                  bits_per_second: float = 1_000_000_000.0,

@@ -6,7 +6,11 @@ import weakref
 import pytest
 
 from repro.baselines import NfsBaseline
+from repro.baselines.nfs import NFS_SERVER_RPC_OVERHEAD_S
+from repro.calibration import NFS_BLOCK_SIZE
 from repro.des import RandomStream
+
+from ..simnet.recording import RecordingCpu
 
 MB = 1 << 20
 
@@ -93,3 +97,17 @@ def test_dropping_the_baseline_frees_the_served_file_without_the_collector():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_each_rpc_holds_the_server_cpu_for_its_overhead():
+    # Decode and dispatch of each RPC is one hold of exactly the
+    # overhead on the server CPU, queued with its datagram charges.
+    baseline = NfsBaseline(seed=3, background_load=0.0)
+    server_cpu = RecordingCpu(baseline.env)
+    baseline.server.host.cpu = server_cpu
+    baseline.prepare_file("f", 5 * NFS_BLOCK_SIZE)
+    baseline.measure_read("f", 5 * NFS_BLOCK_SIZE)
+    baseline.measure_write("g", 3 * NFS_BLOCK_SIZE)
+    assert server_cpu.holds.count(NFS_SERVER_RPC_OVERHEAD_S) == 8
+    # Each RPC also charges its request's receive and its reply's send.
+    assert len(server_cpu.holds) == 3 * 8

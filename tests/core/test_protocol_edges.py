@@ -56,12 +56,23 @@ def run(env, gen):
     return env.run(until=env.process(gen))
 
 
+class _ReceiveCharge:
+    """Stands in for the finished receive-CPU timer of a datagram."""
+
+    def __init__(self, datagram):
+        self._value = datagram
+
+
 def inject(channel, message):
-    """Plant a crafted datagram in the client channel's receive buffer."""
-    channel.socket.deliver(Datagram(
+    """Plant a crafted datagram in the client channel's receive buffer,
+    as the client's interface does when a datagram's receive charge
+    ends."""
+    socket = channel.socket
+    interface = socket.host.route(channel.agent_host)
+    interface._received(_ReceiveCharge(Datagram(
         src=channel.data_address,
-        dst=Address("client", channel.socket.port),
-        size=64, message=message))
+        dst=Address("client", socket.port),
+        size=64, message=message)))
 
 
 def inject_at(env, delay, channel, message):

@@ -17,6 +17,7 @@ from repro.core import (
     WELL_KNOWN_PORT,
     wire_size,
 )
+from repro.core import build_local_swift
 from repro.core.deployment import INSTANT_DISK, LoopbackMedium
 from repro.des import Environment
 from repro.simdisk import Disk, LocalFileSystem
@@ -270,3 +271,76 @@ def test_wire_size_accounting():
     nak = WriteNak(handle=1, op_id=1, missing=(1, 2, 3))
     assert wire_size(nak) == 64 + 12
     assert wire_size(CloseRequest(handle=1)) == 64
+
+
+# -- applied write ops --------------------------------------------------------
+
+def _overwritten_handle(rounds=20, size=1 << 20):
+    """A handle that overwrote one object ``rounds`` times, still open."""
+    deployment = build_local_swift(num_agents=3)
+    handle = deployment.client().open("obj", "w")
+    for round_ in range(rounds):
+        handle.pwrite(0, bytes([round_]) * size)
+    return deployment, handle
+
+
+def _exchange(env, channel, message, reply_predicate):
+    """Send ``message`` on a client channel; the reply datagram or None."""
+    def exchange():
+        yield channel.socket.send_op(channel.data_address, message=message,
+                                     payload_size=wire_size(message))
+        return (yield from channel.socket.recv_wait(0.05, reply_predicate))
+    return env.run(until=env.process(exchange()))
+
+
+def test_applied_write_ops_hold_no_payload():
+    # An open handle keeps each op's state until the file closes; once an
+    # op is applied its packets (views of the client's buffer) are gone.
+    deployment, handle = _overwritten_handle()
+    channels = handle.engine.data_channels
+    assert len(channels) == 3
+    states = [state for agent in deployment.agents.values()
+              for handler in agent._handlers.values()
+              for state in handler.write_ops.values()]
+    assert len(states) == 60
+    assert all(state.applied and state.complete and not state.received
+               for state in states)
+    assert handle.pread(0, 1 << 20) == bytes([19]) * (1 << 20)
+
+
+def test_status_query_for_an_applied_op_is_acked_once():
+    deployment, handle = _overwritten_handle()
+    env = deployment.env
+    totals = [(agent.stats.write_ops_completed, agent.stats.bytes_written)
+              for agent in deployment.agents.values()]
+    assert [completed for completed, _ in totals] == [20, 20, 20]
+    assert sum(written for _, written in totals) == 20 << 20
+    for channel in handle.engine.data_channels:
+        handler = deployment.agents[channel.agent_host]._handlers[
+            channel.handle]
+        op_id, state = next(iter(handler.write_ops.items()))
+        reply = _exchange(
+            env, channel, state.request,
+            lambda d: isinstance(d.message, (WriteAck, WriteNak))
+            and d.message.op_id == op_id)
+        assert isinstance(reply.message, WriteAck)
+    # The query re-acknowledges; it neither re-applies nor re-counts.
+    assert [(agent.stats.write_ops_completed, agent.stats.bytes_written)
+            for agent in deployment.agents.values()] == totals
+    assert handle.pread(0, 1 << 20) == bytes([19]) * (1 << 20)
+
+
+def test_late_write_data_for_an_applied_op_is_ignored():
+    deployment, handle = _overwritten_handle()
+    env = deployment.env
+    channel = handle.engine.data_channels[0]
+    agent = deployment.agents[channel.agent_host]
+    handler = agent._handlers[channel.handle]
+    op_id = next(iter(handler.write_ops))
+    duplicates = agent.stats.duplicate_packets
+    late = WriteData(handle=channel.handle, op_id=op_id, index=0, offset=0,
+                     payload=b"\xff" * 64)
+    assert _exchange(env, channel, late, lambda d: True) is None
+    assert not handler.write_ops[op_id].received
+    assert agent.stats.duplicate_packets == duplicates
+    assert handle.pread(0, 64) == bytes([19]) * 64

@@ -64,8 +64,8 @@ MUTATIONS: tuple[Mutation, ...] = (
         "        self.monitor.idle(now)\n"),)),
     Mutation("background-busy-now", "CHANGES.md: background burst busy mark", ((
         "src/repro/simnet/ethernet.py",
-        "self.medium.monitor.busy(request_at)",
-        "self.medium.monitor.busy(now)"),)),
+        "monitor.busy(request_at)",
+        "monitor.busy(now)"),)),
     Mutation("stale-ack-purge", "CHANGES.md: stale ACK/NAK purge in _write_agent", ((
         DIST,
         "        channel.socket.purge(\n"

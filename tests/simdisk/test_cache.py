@@ -84,10 +84,3 @@ def test_reinsert_same_key_updates_value():
 def test_hit_ratio_empty_cache():
     cache = BufferCache(4)
     assert cache.stats.hit_ratio == 0.0
-
-
-def test_stats_reset():
-    cache = BufferCache(4)
-    cache.lookup("nope")
-    cache.stats.reset()
-    assert cache.stats.accesses == 0

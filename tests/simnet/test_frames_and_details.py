@@ -106,19 +106,18 @@ def test_host_noise_requires_stream():
 
 def test_jitter_bounded():
     env = Environment()
-    host = Host(env, "h", noise_fraction=0.1,
-                noise_stream=RandomStream(4))
+    host = Host(env, "h", send_cost=CostModel(per_packet_s=1.0),
+                noise_fraction=0.1, noise_stream=RandomStream(4))
+    host.attach(Ethernet(env))
+    sock = host.bind(1)
+    previous = host.cpu.free_at
     for _ in range(200):
-        jittered = host.jittered(1.0)
-        # speed factor within +-5%, per-packet jitter +-10%.
-        assert 0.84 <= jittered <= 1.16
-
-
-def test_consume_cpu_validation():
-    env = Environment()
-    host = Host(env, "h")
-    with pytest.raises(ValueError):
-        list(host.consume_cpu(-1.0))
+        sock.send_op(Address("h", 1))
+        charge = host.cpu.free_at - previous
+        previous = host.cpu.free_at
+        # A 1 s send cost, jittered: speed factor within +-5%,
+        # per-packet jitter +-10%.
+        assert 0.84 <= charge <= 1.16
 
 
 def test_send_payload_validation():
