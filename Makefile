@@ -33,16 +33,38 @@ bench:
 bench-full:
 	REPRO_BENCH_FULL=1 $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# CI perf gate: first run every benchmark module once, untimed, so a
-# benchmark that no longer runs fails here instead of at the next
-# `make bench`; then the kernel events/sec benchmark and a 2-worker
-# mini-sweep, failing on a >20% throughput regression vs
-# benchmarks/baselines/ or a sanitizer overhead ceiling
+# The kernel gate's reference: a checkout of the commit the change is
+# measured against.  By default bench-smoke extracts it into
+# .bench_parent with git archive, reading the change from the tree: with
+# uncommitted changes (tracked or untracked) the change is the working
+# tree and the reference HEAD, on a clean tree the change is the last
+# commit and the reference HEAD~1.  Pass PARENT=DIR to use an existing
+# checkout instead.
+PARENT ?= .bench_parent
+
+# CI perf gate: extract the reference first, so a clone without the
+# parent commit fails at once; then run every benchmark module once,
+# untimed, so a benchmark that no longer runs fails here instead of at
+# the next `make bench`; then the kernel events/sec benchmark, a
+# 2-worker mini-sweep and 200 alternating ping-pong runs of PARENT and
+# this tree, failing when the kernel's throughput is >20% below the
+# parent's or a sanitizer overhead ceiling is crossed
 # (thresholds in benchmarks/baselines/thresholds.json).
 bench-smoke:
+	@if [ "$(PARENT)" = .bench_parent ]; then \
+		if [ -n "$$(git status --porcelain)" ]; then ref=HEAD; else ref=HEAD~1; fi; \
+		echo "bench-smoke: timing the kernel against $$ref"; \
+		rm -rf .bench_parent && mkdir .bench_parent || exit 1; \
+		git archive -o .bench_parent/parent.tar "$$ref" || { \
+			rm -rf .bench_parent; \
+			echo "bench-smoke: cannot archive $$ref; fetch the parent commit or pass PARENT=DIR" >&2; \
+			exit 1; }; \
+		tar -xf .bench_parent/parent.tar -C .bench_parent && rm .bench_parent/parent.tar || exit 1; \
+	fi
 	$(PYTHON) -m pytest benchmarks --benchmark-disable
 	$(PYTHON) -m pytest benchmarks/bench_kernel_events.py --benchmark-only
 	REPRO_BENCH_WORKERS=2 $(PYTHON) -m pytest benchmarks/bench_sweep_parallel.py --benchmark-only
+	$(PYTHON) benchmarks/ab_cells.py $(PARENT) . kernel --rounds 10
 	$(PYTHON) benchmarks/check_regression.py
 	$(PYTHON) benchmarks/profile_kernel.py
 
@@ -89,5 +111,5 @@ examples:
 	$(PYTHON) examples/scaling_study.py
 
 clean:
-	rm -rf .pytest_cache .hypothesis .benchmarks benchmarks/results
+	rm -rf .pytest_cache .hypothesis .benchmarks benchmarks/results .bench_parent
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -1,21 +1,27 @@
 """Kernel-throughput regression gate for CI.
 
-Compares the freshly archived ``benchmarks/results/BENCH_kernel_events.json``
-against the committed reference in ``benchmarks/baselines/`` and exits
-nonzero if events/second dropped by more than the threshold (default
-20 % — far outside shared-runner noise, well inside any accidental
-de-optimisation of the kernel fast paths; see docs/PERFORMANCE.md).
+Reads the interleaved A/B of the change against its parent commit,
+``benchmarks/results/BENCH_ab_kernel.json`` as archived by::
 
-Faster-than-baseline results pass silently: the gate is one-sided, and
-re-baselining is a deliberate act (copy the fresh JSON into
-``benchmarks/baselines/`` in the same commit as the speedup).
+    python benchmarks/ab_cells.py PARENT_CHECKOUT . kernel --rounds 10
 
-The fresh JSON is additionally self-gated: the aliasing sanitizer's
-measured overhead ratio must stay under ``--sanitizer-threshold``
-(default 1.5x of the uninstrumented kernel).  That bound is absolute,
-not baseline-relative — it holds the instrumented pools cheap enough
-that sanitized CI runs stay practical.  Baselines archived before the
-sanitizer existed simply lack the key and are not penalised.
+(200 alternating single ping-pong runs of each tree in two long-lived
+workers), and exits nonzero if the change's kernel throughput is more
+than the threshold (default 20 %) below the parent's: the inverse of
+the median round ratio (the change's summed seconds over the parent's)
+must stay at or above ``1 - threshold``.  Both trees run in the same spell of host
+throughput, so the ratio measures the code, not the host (see
+docs/PERFORMANCE.md); an absolute events/s baseline taken on another
+host passed or failed with the host's speed.
+
+Faster-than-parent results pass silently: the gate is one-sided.
+
+The fresh ``BENCH_kernel_events.json`` (from ``pytest
+benchmarks/bench_kernel_events.py --benchmark-only``) is self-gated: the
+aliasing sanitizer's measured overhead ratio must stay under
+``--sanitizer-threshold`` (default 1.5x of the uninstrumented kernel).
+That bound is absolute — it holds the instrumented pools cheap enough
+that sanitized CI runs stay practical.
 
 The hermeticity sanitizer is gated the same way: a fresh
 ``BENCH_sweep_parallel.json`` carries
@@ -25,8 +31,8 @@ plain warm-cache sweep), and it must stay under
 the sweep benchmark skip this gate.
 
 Thresholds live in ``benchmarks/baselines/thresholds.json`` — committed
-next to the baselines they guard, so tolerance changes are reviewed
-like re-baselines.  Command-line flags override individual values.
+so tolerance changes are reviewed like code.  Command-line flags
+override individual values.
 
 Usage::
 
@@ -42,7 +48,7 @@ import sys
 from pathlib import Path
 
 BENCH_DIR = Path(__file__).parent
-BASELINE = BENCH_DIR / "baselines" / "BENCH_kernel_events.json"
+AB = BENCH_DIR / "results" / "BENCH_ab_kernel.json"
 FRESH = BENCH_DIR / "results" / "BENCH_kernel_events.json"
 SWEEP_FRESH = BENCH_DIR / "results" / "BENCH_sweep_parallel.json"
 THRESHOLDS = BENCH_DIR / "baselines" / "thresholds.json"
@@ -54,8 +60,10 @@ DEFAULT_THRESHOLDS = {
     "hermeticity_threshold": 1.5,
 }
 
-#: Metrics gated, with direction: events/sec must not drop.
-GATED_METRIC = "events_per_sec"
+#: The A/B field gated: the median over rounds of the change's summed
+#: ping-pong seconds over the parent's; its inverse is the change's
+#: throughput relative to the parent, which must not drop.
+GATED_METRIC = "ratio_median"
 
 #: Fresh-run-only gate: sanitized/plain throughput ratio must stay low.
 SANITIZER_METRIC = "aliasing_sanitizer_overhead_ratio"
@@ -82,7 +90,8 @@ def main(argv=None) -> int:
     # unset flags take the thresholds.json defaults below.
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--threshold", type=float, default=None,
-                        help="maximum tolerated fractional drop "
+                        help="maximum tolerated fractional throughput drop "
+                             "against the parent "
                              "(default from thresholds.json: 0.20 = 20%%)")
     parser.add_argument("--sanitizer-threshold", type=float, default=None,
                         help="maximum tolerated aliasing-sanitizer "
@@ -95,7 +104,9 @@ def main(argv=None) -> int:
     parser.add_argument("--thresholds", type=Path, default=THRESHOLDS,
                         help="committed threshold defaults "
                              "(benchmarks/baselines/thresholds.json)")
-    parser.add_argument("--baseline", type=Path, default=BASELINE)
+    parser.add_argument("--ab", type=Path, default=AB,
+                        help="the ab_cells.py kernel A/B of the change "
+                             "against its parent")
     parser.add_argument("--fresh", type=Path, default=FRESH)
     parser.add_argument("--sweep-fresh", type=Path, default=SWEEP_FRESH)
     options = parser.parse_args(argv)
@@ -108,34 +119,37 @@ def main(argv=None) -> int:
     if options.hermeticity_threshold is None:
         options.hermeticity_threshold = committed["hermeticity_threshold"]
 
-    if not options.baseline.exists():
-        print(f"regression gate: no baseline at {options.baseline}; "
-              "nothing to compare (commit one to enable the gate)")
-        return 0
-    if not options.fresh.exists():
-        print(f"regression gate: {options.fresh} missing — run "
-              "`pytest benchmarks/bench_kernel_events.py --benchmark-only` "
-              "first", file=sys.stderr)
+    for path, how in ((options.ab, "python benchmarks/ab_cells.py "
+                       "PARENT_CHECKOUT . kernel --rounds 10"),
+                      (options.fresh, "pytest "
+                       "benchmarks/bench_kernel_events.py --benchmark-only")):
+        if not path.exists():
+            print(f"regression gate: {path} missing — run `{how}` first",
+                  file=sys.stderr)
+            return 2
+
+    ab = json.loads(options.ab.read_text())
+    if ab.get("workload") != "kernel":
+        print(f"regression gate: {options.ab} is an A/B of "
+              f"{ab.get('workload')!r}, not of the kernel", file=sys.stderr)
         return 2
-
-    baseline = json.loads(options.baseline.read_text())
-    fresh = json.loads(options.fresh.read_text())
-    reference = baseline[GATED_METRIC]
-    measured = fresh[GATED_METRIC]
-    ratio = measured / reference
+    throughput = 1.0 / ab[GATED_METRIC]
     floor = 1.0 - options.threshold
-
-    print(f"regression gate: {GATED_METRIC} baseline {reference:,.0f}, "
-          f"measured {measured:,.0f} ({ratio:.2f}x of baseline, "
-          f"floor {floor:.2f}x)")
-    if ratio < floor:
+    rounds = ab["rounds"]
+    print(f"regression gate: kernel ping-pong throughput of the change "
+          f"{throughput:.3f}x the parent's (median of {len(rounds)} "
+          f"interleaved rounds, round ratios "
+          f"{min(r['ratio'] for r in rounds):.3f}-"
+          f"{max(r['ratio'] for r in rounds):.3f}, digest mismatches "
+          f"{sum(r['mismatches'] for r in rounds)}; floor {floor:.2f}x)")
+    if throughput < floor:
         print(f"regression gate: FAIL — kernel throughput dropped "
-              f"{(1.0 - ratio) * 100.0:.1f}% (> {options.threshold * 100:.0f}% "
-              "allowed).  If the slowdown is intentional, re-baseline by "
-              "copying the fresh JSON into benchmarks/baselines/.",
+              f"{(1.0 - throughput) * 100.0:.1f}% against the parent "
+              f"(> {options.threshold * 100:.0f}% allowed).",
               file=sys.stderr)
         return 1
 
+    fresh = json.loads(options.fresh.read_text())
     overhead = fresh.get(SANITIZER_METRIC)
     if overhead is not None:
         print(f"regression gate: {SANITIZER_METRIC} measured "

@@ -5,35 +5,13 @@ from __future__ import annotations
 import argparse
 import sys
 
+from ..cli import add_check_arguments
 from . import RULES, run_check
 from .findings import Severity
 from .lint import RULE_GROUPS
 from .report import exit_code, render_json, render_text
 
-__all__ = ["add_check_arguments", "run_check_command", "main"]
-
-
-def add_check_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the check options to an (sub)parser."""
-    parser.add_argument(
-        "--json", action="store_true",
-        help="emit a machine-readable JSON report (for CI)")
-    parser.add_argument(
-        "--rules", default=None,
-        help="comma-separated rule ids, or groups ("
-             + ", ".join(RULE_GROUPS) + "), to run (default: every rule; "
-             "see --list-rules)")
-    parser.add_argument(
-        "--fail-on", choices=("error", "warning"), default="error",
-        help="severity threshold for a nonzero exit: 'error' (default) "
-             "fails only on errors, 'warning' fails on any finding")
-    parser.add_argument(
-        "--list-rules", action="store_true",
-        help="print the rule catalogue and exit")
-    parser.add_argument(
-        "paths", nargs="*", default=None,
-        help="files or directories to audit (default: the installed repro "
-             "package)")
+__all__ = ["run_check_command", "main"]
 
 
 def _pieces(text: str | None) -> list[str]:
@@ -47,6 +25,9 @@ def run_check_command(args) -> int:
         for name, rules in RULES.items():
             for rule_id, summary in rules.items():
                 print(f"{rule_id:<22} {summary} [{name}]")
+        for group, prefixes in RULE_GROUPS.items():
+            print(f"{group:<22} group: rule ids starting with "
+                  f"{', '.join(prefixes)}")
         return 0
     try:
         run = run_check(args.paths, _pieces(args.rules) or None)

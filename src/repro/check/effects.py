@@ -13,7 +13,8 @@ This module closes that gap with a call-graph effect analysis:
 
 1. **module-resolved call graph** — every ``def`` in the audited tree
    becomes a node; calls are resolved through imports (including package
-   ``__init__`` re-exports), ``self`` methods, locally constructed
+   ``__init__`` re-exports, whether imported or served lazily from an
+   :data:`EXPORT_TABLE` literal), ``self`` methods, locally constructed
    instances (``v = ClassName(...)``), annotated parameters, attribute
    types recorded from ``__init__`` bodies, nested functions, and — for
    package-unique method names outside :data:`GENERIC_METHOD_NAMES` — a
@@ -79,6 +80,7 @@ from .rules import RANDOM_MODULE_CALLS, WALL_CLOCK_CALLS
 
 __all__ = [
     "EFFECT_RULES",
+    "EXPORT_TABLE",
     "ALLOWED_GLOBAL_WRITES",
     "CACHED_ENTRY_POINTS",
     "BENCH_ENTRY_MODULES",
@@ -88,6 +90,12 @@ __all__ = [
     "analyze_effects",
     "build_program",
 ]
+
+#: The module-level literal a package ``__init__`` serves its exports
+#: from (``repro._lazy_exports``): export name -> the submodule defining
+#: it, a name mapped to itself being that submodule.  Its entries are
+#: re-exports exactly like ``from .submodule import name`` lines.
+EXPORT_TABLE = "_EXPORTS"
 
 #: The rules this pass reports: rule id -> one-line summary.
 EFFECT_RULES = {
@@ -418,6 +426,26 @@ def _collect_module(program: _Program, path: Path) -> None:
                     module.module_globals.add(target.id)
                     module.symbols.setdefault(
                         target.id, f"{module.name}.{target.id}")
+            if (isinstance(node.value, ast.Dict) and _is_package_init(path)
+                    and any(isinstance(target, ast.Name)
+                            and target.id == EXPORT_TABLE
+                            for target in targets)):
+                _collect_export_table(program, module, node.value)
+
+
+def _collect_export_table(program: _Program, module: ModuleInfo,
+                          table: ast.Dict) -> None:
+    """Record a package's :data:`EXPORT_TABLE` entries as re-exports."""
+    for key, value in zip(table.keys, table.values):
+        if not (isinstance(key, ast.Constant) and isinstance(key.value, str)
+                and isinstance(value, ast.Constant)
+                and isinstance(value.value, str)):
+            continue
+        name, submodule = key.value, value.value
+        origin = f"{module.name}.{submodule}"
+        target = origin if submodule == name else f"{origin}.{name}"
+        module.symbols[name] = target
+        program.aliases[f"{module.name}.{name}"] = target
 
 
 def _collect_class(program: _Program, module: ModuleInfo, path: Path,

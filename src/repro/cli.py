@@ -9,6 +9,11 @@ Usage::
     python -m repro fig3 | fig4 | fig5 | fig6 [--workers 2] [--cache DIR]
     python -m repro demo            # the quickstart, end to end
     python -m repro check [paths] [--rules ids] [--json]  # static checks
+
+Building the parser imports nothing else of the package: each command
+imports the layers it runs (and the CSV and chart helpers it prints
+with) when it runs, so ``--help`` and a table command never load the
+§5 model, the checker or the §4 client stack unless they use it.
 """
 
 from __future__ import annotations
@@ -16,9 +21,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .analysis import figure_points_to_csv, render_chart, table_to_csv, write_csv
-
-__all__ = ["main"]
+__all__ = ["main", "add_check_arguments"]
 
 KB = 1 << 10
 
@@ -108,12 +111,38 @@ def _build_parser() -> argparse.ArgumentParser:
     check_parser = sub.add_parser(
         "check",
         help="static determinism lint + protocol-invariant verification")
-    from .check.cli import add_check_arguments
     add_check_arguments(check_parser)
     return parser
 
 
+def add_check_arguments(parser: argparse.ArgumentParser) -> None:
+    """Attach the ``repro check`` options to a (sub)parser.
+
+    Declared here rather than in :mod:`repro.check`, whose package import
+    loads every pass: the options need none of them.
+    """
+    parser.add_argument(
+        "--json", action="store_true",
+        help="emit a machine-readable JSON report (for CI)")
+    parser.add_argument(
+        "--rules", default=None,
+        help="comma-separated rule ids or allow groups to run (default: "
+             "every rule; --list-rules prints both)")
+    parser.add_argument(
+        "--fail-on", choices=("error", "warning"), default="error",
+        help="severity threshold for a nonzero exit: 'error' (default) "
+             "fails only on errors, 'warning' fails on any finding")
+    parser.add_argument(
+        "--list-rules", action="store_true",
+        help="print the rule catalogue and the allow groups, and exit")
+    parser.add_argument(
+        "paths", nargs="*", default=None,
+        help="files or directories to audit (default: the installed repro "
+             "package)")
+
+
 def _run_table(args) -> int:
+    from .analysis import table_to_csv, write_csv
     from .prototype import (
         PAPER_TABLE1, PAPER_TABLE2, PAPER_TABLE3, PAPER_TABLE4,
         format_comparison, format_table,
@@ -146,13 +175,15 @@ def _run_table(args) -> int:
 
 
 def _run_figure(args) -> int:
+    from .analysis import figure_points_to_csv, render_chart, write_csv
     from .sim import (
-        ResultCache, figure3_series, figure4_series, figure5_series,
-        figure6_series,
+        figure3_series, figure4_series, figure5_series, figure6_series,
     )
     # Fanned-out and cached points are bit-identical to the serial ones.
-    fanout = dict(workers=args.workers,
-                  cache=ResultCache(args.cache) if args.cache else None)
+    fanout = dict(workers=args.workers, cache=None)
+    if args.cache:
+        from .sim import ResultCache
+        fanout["cache"] = ResultCache(args.cache)
     if args.command == "fig3":
         points = figure3_series(num_requests=args.requests, **fanout)
         title = "Figure 3 — mean completion (ms) vs req/s, 1 MB requests"

@@ -1,80 +1,46 @@
 """The Swift architecture: striping, parity, mediator, agents, client."""
 
-from .agent_protocol import (
-    CONTROL_SIZE_BYTES,
-    DATA_HEADER_SIZE_BYTES,
-    CloseReply,
-    CloseRequest,
-    DataPacket,
-    OpenReply,
-    OpenRequest,
-    ReadRequest,
-    WriteAck,
-    WriteData,
-    WriteNak,
-    WriteRequest,
-    wire_size,
-)
-from .buffered import BufferedSwiftFile
-from .client import SwiftClient, SwiftFile
-from .deployment import (
-    LoopbackMedium,
-    SwiftDeployment,
-    build_local_swift,
-)
-from .distribution import DistributionAgent, TransferStats
-from .errors import (
-    AdmissionError,
-    AgentFailure,
-    DegradedModeError,
-    ObjectExists,
-    ObjectNotFound,
-    SessionClosed,
-    SwiftError,
-    TransferError,
-)
-from .namespace import NamespaceClient
-from .mediator import (
-    MAX_STRIPING_UNIT,
-    MIN_STRIPING_UNIT,
-    AgentDescriptor,
-    StorageMediator,
-)
-from .parity import compute_parity, reconstruct_unit, update_parity, xor_bytes
-from .session import Reservation, Session
-from .storage_agent import WELL_KNOWN_PORT, AgentStats, StorageAgent
-from .streaming import (
-    PlaybackReport,
-    PlaybackSession,
-    RecordingReport,
-    RecordingSession,
-)
-from .striping import Chunk, StripeLayout
-from .transfer_plan import TransferPlan
+from .. import _lazy_exports
 
-__all__ = [
+#: Each export -> the submodule that defines it, loaded on first access.
+_EXPORTS = {
     # striping / parity
-    "StripeLayout", "Chunk",
-    "xor_bytes", "compute_parity", "reconstruct_unit", "update_parity",
+    "StripeLayout": "striping", "Chunk": "striping",
+    "xor_bytes": "parity", "compute_parity": "parity",
+    "reconstruct_unit": "parity", "update_parity": "parity",
     # plans / sessions / mediator
-    "TransferPlan", "Session", "Reservation",
-    "StorageMediator", "AgentDescriptor",
-    "MIN_STRIPING_UNIT", "MAX_STRIPING_UNIT",
+    "TransferPlan": "transfer_plan", "Session": "session",
+    "Reservation": "session",
+    "StorageMediator": "mediator", "AgentDescriptor": "mediator",
+    "MIN_STRIPING_UNIT": "mediator", "MAX_STRIPING_UNIT": "mediator",
     # agents / client
-    "StorageAgent", "AgentStats", "WELL_KNOWN_PORT",
-    "PlaybackSession", "PlaybackReport",
-    "RecordingSession", "RecordingReport",
-    "NamespaceClient",
-    "DistributionAgent", "TransferStats",
-    "SwiftClient", "SwiftFile", "BufferedSwiftFile",
+    "StorageAgent": "storage_agent", "AgentStats": "storage_agent",
+    "WELL_KNOWN_PORT": "storage_agent",
+    "PlaybackSession": "streaming", "PlaybackReport": "streaming",
+    "RecordingSession": "streaming", "RecordingReport": "streaming",
+    "NamespaceClient": "namespace",
+    "DistributionAgent": "distribution", "TransferStats": "distribution",
+    "SwiftClient": "client", "SwiftFile": "client",
+    "BufferedSwiftFile": "buffered",
     # deployment
-    "SwiftDeployment", "build_local_swift", "LoopbackMedium",
+    "SwiftDeployment": "deployment", "build_local_swift": "deployment",
+    "LoopbackMedium": "deployment",
     # protocol
-    "OpenRequest", "OpenReply", "ReadRequest", "DataPacket",
-    "WriteRequest", "WriteData", "WriteAck", "WriteNak",
-    "CloseRequest", "CloseReply", "wire_size",
-    "CONTROL_SIZE_BYTES", "DATA_HEADER_SIZE_BYTES",
+    "OpenRequest": "agent_protocol", "OpenReply": "agent_protocol",
+    "ReadRequest": "agent_protocol", "DataPacket": "agent_protocol",
+    "WriteRequest": "agent_protocol", "WriteData": "agent_protocol",
+    "WriteAck": "agent_protocol", "WriteNak": "agent_protocol",
+    "CloseRequest": "agent_protocol", "CloseReply": "agent_protocol",
+    "wire_size": "agent_protocol",
+    "CONTROL_SIZE_BYTES": "agent_protocol",
+    "DATA_HEADER_SIZE_BYTES": "agent_protocol",
     # errors
-    "SwiftError", "AdmissionError", "ObjectNotFound", "ObjectExists",
-    "AgentFailure", "TransferError", "DegradedModeError", "SessionClosed",
-]
+    "SwiftError": "errors", "AdmissionError": "errors",
+    "ObjectNotFound": "errors", "ObjectExists": "errors",
+    "AgentFailure": "errors", "TransferError": "errors",
+    "DegradedModeError": "errors", "SessionClosed": "errors",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS, globals())

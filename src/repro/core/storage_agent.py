@@ -16,6 +16,8 @@ makes the storage mediators unnecessary").
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from ..des import Environment
 from ..simdisk import LocalFileSystem
 from ..simnet import Address, Host
@@ -59,31 +61,65 @@ WELL_KNOWN_PORT = 2001
 
 
 class _WriteState:
-    """Progress of one announced write operation.
-
-    Once the op is applied its packets are dropped: they are views of
-    the client's buffer, and the handler keeps every op's state until
-    the file closes.  An applied op stays complete.
-    """
+    """Progress of one announced write operation, until it is applied."""
 
     def __init__(self, request: WriteRequest):
         self.request = request
         self.received: dict[int, WriteData] = {}
         self.written: set[int] = set()
-        self.applied = False
 
     @property
     def complete(self) -> bool:
-        return (self.applied
-                or len(self.received) >= self.request.expected_packets)
+        return len(self.received) >= self.request.expected_packets
 
     def missing(self) -> tuple[int, ...]:
         return tuple(index for index in range(self.request.expected_packets)
                      if index not in self.received)
 
 
+class _AppliedOps:
+    """The ids of a handle's applied write ops, as sorted disjoint
+    ``[start, stop)`` ranges.
+
+    A client numbers the ops of a handle consecutively, so a handle that
+    applied any number of ops in order holds one range.
+    """
+
+    def __init__(self):
+        self.starts: list[int] = []
+        self.stops: list[int] = []
+
+    def __contains__(self, op_id: int) -> bool:
+        index = bisect_right(self.starts, op_id) - 1
+        return index >= 0 and op_id < self.stops[index]
+
+    def add(self, op_id: int) -> None:
+        starts, stops = self.starts, self.stops
+        index = bisect_right(starts, op_id) - 1
+        if index >= 0 and op_id < stops[index]:
+            return
+        joins_left = index >= 0 and stops[index] == op_id
+        joins_right = index + 1 < len(starts) and starts[index + 1] == op_id + 1
+        if joins_left and joins_right:
+            stops[index] = stops.pop(index + 1)
+            del starts[index + 1]
+        elif joins_left:
+            stops[index] = op_id + 1
+        elif joins_right:
+            starts[index + 1] = op_id
+        else:
+            starts.insert(index + 1, op_id)
+            stops.insert(index + 1, op_id + 1)
+
+
 class _FileHandler:
-    """The secondary thread: one open file, one private port."""
+    """The secondary thread: one open file, one private port.
+
+    An announced write op keeps a :class:`_WriteState` until it is
+    applied; from then on only its id is remembered (in
+    :attr:`applied_ops`), so the packets, views of the client's buffer,
+    are not kept until the file closes.
+    """
 
     def __init__(self, agent: "StorageAgent", handle: int, file_name: str,
                  client: Address):
@@ -93,6 +129,7 @@ class _FileHandler:
         self.client = client
         self.socket = agent.host.bind(buffer_packets=agent.socket_buffer)
         self.write_ops: dict[int, _WriteState] = {}
+        self.applied_ops = _AppliedOps()
         self.open = True
         self._prefetched_upto = 0
         self.process = agent.env.process(self._serve())
@@ -145,6 +182,12 @@ class _FileHandler:
     # -- write path ----------------------------------------------------------------
 
     def _serve_write_request(self, request: WriteRequest):
+        if request.op_id in self.applied_ops:
+            # Duplicate WRITE-REQ for an applied op: a status query whose
+            # ACK was lost.
+            yield from self._reply(
+                WriteAck(handle=self.handle, op_id=request.op_id))
+            return
         state = self.write_ops.get(request.op_id)
         if state is None:
             state = _WriteState(request)
@@ -155,19 +198,16 @@ class _FileHandler:
                 self.agent.env.process(self._write_watchdog(request.op_id))
         else:
             # Duplicate WRITE-REQ: a status query from the client.
-            if state.complete:
-                yield from self._reply(
-                    WriteAck(handle=self.handle, op_id=request.op_id))
-            else:
-                yield from self._reply(WriteNak(
-                    handle=self.handle, op_id=request.op_id,
-                    missing=state.missing()))
+            yield from self._reply(WriteNak(
+                handle=self.handle, op_id=request.op_id,
+                missing=state.missing()))
 
     def _serve_write_data(self, packet: WriteData):
         state = self.write_ops.get(packet.op_id)
-        if state is None or state.applied:
-            # Late or duplicate data for a finished op: ignore (the ACK may
-            # have been lost; the client's status query will resolve it).
+        if state is None:
+            # Late or duplicate data for an applied op, or data for an op
+            # never announced: ignore (the ACK may have been lost; the
+            # client's status query will resolve it).
             return
         if packet.index in state.received:
             self.agent.stats.duplicate_packets += 1
@@ -184,21 +224,20 @@ class _FileHandler:
             yield from self._finish_write(state)
 
     def _finish_write(self, state: _WriteState):
-        if not state.applied:
-            state.applied = True
-            self.agent.stats.write_ops_completed += 1
-            self.agent.stats.bytes_written += state.request.length
-            fs = self.agent.filesystem
-            for index in sorted(state.received):
-                if index in state.written:
-                    continue
-                packet = state.received[index]
-                yield from fs.write(self.file_name, packet.offset,
-                                    packet.payload,
-                                    sync=self.agent.synchronous_writes)
-            state.received.clear()
-        yield from self._reply(
-            WriteAck(handle=self.handle, op_id=state.request.op_id))
+        op_id = state.request.op_id
+        del self.write_ops[op_id]
+        self.applied_ops.add(op_id)
+        self.agent.stats.write_ops_completed += 1
+        self.agent.stats.bytes_written += state.request.length
+        fs = self.agent.filesystem
+        for index in sorted(state.received):
+            if index in state.written:
+                continue
+            packet = state.received[index]
+            yield from fs.write(self.file_name, packet.offset,
+                                packet.payload,
+                                sync=self.agent.synchronous_writes)
+        yield from self._reply(WriteAck(handle=self.handle, op_id=op_id))
 
     def _write_watchdog(self, op_id: int):
         """NAK the missing packets if a write *stalls*.

@@ -1,56 +1,36 @@
 """The §5 simulation study: Swift on a gigabit token ring (Figures 3-6)."""
 
-from .figures import (
-    FIG3_BLOCK_SIZES,
-    FIG3_DISK_COUNTS,
-    FIG4_DISK_COUNTS,
-    FIG56_DISK_COUNTS,
-    FigurePoint,
-    figure3_series,
-    figure4_series,
-    figure5_series,
-    figure6_series,
-)
-from .cache import ResultCache, code_version, config_key
-from .model import SimResult, SwiftSimModel
-from .parallel import (
-    find_max_sustainable_many,
-    parallel_load_sweep,
-    run_many,
-)
-from .sweep import find_max_sustainable, load_sweep, run_once
-from .trace import (
-    TraceRecord,
-    synthesize_bursty_trace,
-    synthesize_poisson_trace,
-    trace_mean_rate,
-)
-from .workload import SimConfig
+from .. import _lazy_exports
 
-__all__ = [
-    "SimConfig",
-    "TraceRecord",
-    "synthesize_poisson_trace",
-    "synthesize_bursty_trace",
-    "trace_mean_rate",
-    "SwiftSimModel",
-    "SimResult",
-    "run_once",
-    "load_sweep",
-    "find_max_sustainable",
-    "run_many",
-    "parallel_load_sweep",
-    "find_max_sustainable_many",
-    "ResultCache",
-    "config_key",
-    "code_version",
-    "FigurePoint",
-    "figure3_series",
-    "figure4_series",
-    "figure5_series",
-    "figure6_series",
-    "FIG3_BLOCK_SIZES",
-    "FIG3_DISK_COUNTS",
-    "FIG4_DISK_COUNTS",
-    "FIG56_DISK_COUNTS",
-]
+#: Each export -> the submodule that defines it, loaded on first access.
+_EXPORTS = {
+    "SimConfig": "workload",
+    "TraceRecord": "trace",
+    "synthesize_poisson_trace": "trace",
+    "synthesize_bursty_trace": "trace",
+    "trace_mean_rate": "trace",
+    "SwiftSimModel": "model",
+    "SimResult": "model",
+    "run_once": "sweep",
+    "load_sweep": "sweep",
+    "find_max_sustainable": "sweep",
+    "run_many": "parallel",
+    "parallel_load_sweep": "parallel",
+    "find_max_sustainable_many": "parallel",
+    "ResultCache": "cache",
+    "config_key": "cache",
+    "code_version": "cache",
+    "FigurePoint": "figures",
+    "figure3_series": "figures",
+    "figure4_series": "figures",
+    "figure5_series": "figures",
+    "figure6_series": "figures",
+    "FIG3_BLOCK_SIZES": "figures",
+    "FIG3_DISK_COUNTS": "figures",
+    "FIG4_DISK_COUNTS": "figures",
+    "FIG56_DISK_COUNTS": "figures",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS, globals())

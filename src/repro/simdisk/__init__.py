@@ -1,34 +1,28 @@
 """Storage substrate: disk models, buffer cache, block file system, SCSI path."""
 
-from .cache import BufferCache, CacheStats
-from .disk import Disk, DiskAccess
-from .filesystem import (
-    FileExists,
-    FileNotFound,
-    FileSystemError,
-    LocalFileSystem,
-)
-from .models import DISK_CATALOG, FIGURE_5_6_DISKS, DiskSpec
-from .raid import RaidArray
-from .tape import DAT_DDS1, TapeDrive, TapeSpec
-from .scsi import ScsiMode, make_scsi_filesystem
+from .. import _lazy_exports
 
-__all__ = [
-    "Disk",
-    "DiskAccess",
-    "DiskSpec",
-    "DISK_CATALOG",
-    "FIGURE_5_6_DISKS",
-    "BufferCache",
-    "CacheStats",
-    "LocalFileSystem",
-    "FileSystemError",
-    "FileNotFound",
-    "FileExists",
-    "ScsiMode",
-    "make_scsi_filesystem",
-    "RaidArray",
-    "TapeDrive",
-    "TapeSpec",
-    "DAT_DDS1",
-]
+#: Each export -> the submodule that defines it, loaded on first access.
+_EXPORTS = {
+    "Disk": "disk",
+    "DiskAccess": "disk",
+    "DiskSpec": "models",
+    "DISK_CATALOG": "models",
+    "FIGURE_5_6_DISKS": "models",
+    "BufferCache": "cache",
+    "CacheStats": "cache",
+    "LocalFileSystem": "filesystem",
+    "FileSystemError": "filesystem",
+    "FileNotFound": "filesystem",
+    "FileExists": "filesystem",
+    "ScsiMode": "scsi",
+    "make_scsi_filesystem": "scsi",
+    "RaidArray": "raid",
+    "TapeDrive": "tape",
+    "TapeSpec": "tape",
+    "DAT_DDS1": "tape",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS, globals())

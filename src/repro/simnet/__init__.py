@@ -1,26 +1,26 @@
 """Network substrate: datagrams, shared media, hosts, sockets, topologies."""
 
-from .ethernet import ETHERNET_MTU_PAYLOAD, BackgroundLoad, Ethernet
-from .frames import HEADER_SIZE, Address, Datagram
-from .host import CostModel, DatagramSocket, Host, Interface, mips_cost_model
-from .medium import Medium, MediumStats
-from .token_ring import TokenRing
-from .topology import Network
+from .. import _lazy_exports
 
-__all__ = [
-    "Address",
-    "Datagram",
-    "HEADER_SIZE",
-    "Medium",
-    "MediumStats",
-    "Ethernet",
-    "BackgroundLoad",
-    "ETHERNET_MTU_PAYLOAD",
-    "TokenRing",
-    "Host",
-    "Interface",
-    "DatagramSocket",
-    "CostModel",
-    "mips_cost_model",
-    "Network",
-]
+#: Each export -> the submodule that defines it, loaded on first access.
+_EXPORTS = {
+    "Address": "frames",
+    "Datagram": "frames",
+    "HEADER_SIZE": "frames",
+    "Medium": "medium",
+    "MediumStats": "medium",
+    "Ethernet": "ethernet",
+    "BackgroundLoad": "ethernet",
+    "ETHERNET_MTU_PAYLOAD": "ethernet",
+    "TokenRing": "token_ring",
+    "Host": "host",
+    "Interface": "host",
+    "DatagramSocket": "host",
+    "CostModel": "host",
+    "mips_cost_model": "host",
+    "Network": "topology",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS, globals())

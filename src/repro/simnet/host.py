@@ -145,8 +145,9 @@ class Host:
         return port
 
     def close_socket(self, socket: "DatagramSocket") -> None:
-        """Release a socket's port."""
-        self._sockets.pop(socket.port, None)
+        """Release a socket's port, if that socket still holds it."""
+        if self._sockets.get(socket.port) is socket:
+            del self._sockets[socket.port]
 
     def __repr__(self) -> str:
         return f"<Host {self.name} ifaces={len(self.interfaces)}>"
@@ -181,6 +182,11 @@ class Interface:
         self._transmitting = False
         self.tx_dropped = 0
         self.rx_dropped_no_socket = 0
+        #: Datagram size -> ``cost.time(size) * cpu_cost_scale`` for the
+        #: host's send and receive costs (both fixed at construction):
+        #: a run sends only a few distinct sizes.
+        self._send_charges: dict[int, float] = {}
+        self._recv_charges: dict[int, float] = {}
         self._bound_charged = self._charged
         self._bound_sent = self._sent
         self._bound_received = self._received
@@ -227,7 +233,11 @@ class Interface:
         """Called by the medium on delivery; charges the receiving CPU."""
         host = self.host
         env = host.env
-        cost = host.recv_cost.time(datagram.size) * self.cpu_cost_scale
+        size = datagram.size
+        cost = self._recv_charges.get(size)
+        if cost is None:
+            cost = self._recv_charges[size] = (
+                host.recv_cost.time(size) * self.cpu_cost_scale)
         noise = host.noise_fraction
         if noise:
             # The host's OS-noise jitter.
@@ -290,7 +300,10 @@ class DatagramSocket:
         interface = host._routes.get(dst.host) or host.route(dst.host)
         size = payload_size + HEADER_SIZE
         datagram = Datagram(self.address, dst, size, message)
-        cost = host.send_cost.time(size) * interface.cpu_cost_scale
+        cost = interface._send_charges.get(size)
+        if cost is None:
+            cost = interface._send_charges[size] = (
+                host.send_cost.time(size) * interface.cpu_cost_scale)
         noise = host.noise_fraction
         if noise:
             # The host's OS-noise jitter.
@@ -326,9 +339,14 @@ class DatagramSocket:
         return (yield get)
 
     def close(self) -> None:
-        """Release the port; further sends raise, arrivals are dropped."""
-        self.closed = True
-        self.host.close_socket(self)
+        """Release the port; further sends raise, arrivals are dropped.
+
+        Closing again does nothing: the port may since be bound to
+        another socket, which keeps it.
+        """
+        if not self.closed:
+            self.closed = True
+            self.host.close_socket(self)
 
     @property
     def pending(self) -> int:

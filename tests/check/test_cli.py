@@ -111,6 +111,10 @@ def test_list_rules(capsys):
     out = capsys.readouterr().out
     for rule_id in ("raw-random", "wall-clock", "implicit-seed"):
         assert rule_id in out
+    # The allow groups are listed here, not in --help, whose parser loads
+    # no pass.
+    assert "effects                group: rule ids starting with effect-" \
+        in out
 
 
 def test_module_entry_point(capsys):

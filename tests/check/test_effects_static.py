@@ -1,5 +1,6 @@
 """The effect/purity pass, static half: call graph, contracts, CLI."""
 
+import importlib
 import json
 from pathlib import Path
 
@@ -120,6 +121,37 @@ def test_function_level_import_resolves_the_lazy_cycle_break(
     # function body (the lazy-import idiom); the edge must still exist.
     info = package_program.functions["repro.sim.parallel._run_max_sustainable"]
     assert "repro.sim.sweep.find_max_sustainable" in info.calls
+
+
+def test_every_package_export_resolves_to_its_definition(package_program):
+    # Most package roots serve their exports from an ``_EXPORTS`` table
+    # rather than import lines; each export must still lead the call
+    # graph to the function, class, module or global that defines it.
+    program = package_program
+    defined = (program.functions.keys() | program.classes.keys()
+               | program.modules.keys()
+               | {f"{name}.{variable}" for name, module
+                  in program.modules.items()
+                  for variable in module.module_globals})
+    packages = [name for name, module in program.modules.items()
+                if module.path.name == "__init__.py"]
+    assert len(packages) == 10
+    unresolved = [f"{package}.{export}" for package in packages
+                  for export in importlib.import_module(package).__all__
+                  if program.canonical(f"{package}.{export}") not in defined]
+    assert unresolved == []
+
+
+def test_calls_through_package_exports_resolve(package_program):
+    functions = package_program.functions
+    assert {"repro.simdisk.disk.Disk.__init__",
+            "repro.simnet.host.Host.__init__",
+            "repro.simnet.token_ring.TokenRing.__init__"} <= set(
+        functions["repro.sim.model.SwiftSimModel.__init__"].calls)
+    assert "repro.core.storage_agent.StorageAgent.__init__" in functions[
+        "repro.prototype.testbed.PrototypeTestbed._add_agent"].calls
+    assert "repro.prototype.experiments.run_swift_table" in functions[
+        "repro.cli._run_table"].calls
 
 
 def test_summaries_propagate_effects_bottom_up():

@@ -19,6 +19,7 @@ from repro.core import (
 )
 from repro.core import build_local_swift
 from repro.core.deployment import INSTANT_DISK, LoopbackMedium
+from repro.core.storage_agent import _AppliedOps
 from repro.des import Environment
 from repro.simdisk import Disk, LocalFileSystem
 from repro.simnet import Address, Host
@@ -293,19 +294,35 @@ def _exchange(env, channel, message, reply_predicate):
     return env.run(until=env.process(exchange()))
 
 
+def _listen(env, channel, timeout_s=0.5):
+    """The next datagram to reach a client channel, or None."""
+    return env.run(until=env.process(
+        channel.socket.recv_wait(timeout_s, lambda d: True)))
+
+
 def test_applied_write_ops_hold_no_payload():
-    # An open handle keeps each op's state until the file closes; once an
-    # op is applied its packets (views of the client's buffer) are gone.
+    # An op keeps its state (and its packets, views of the client's
+    # buffer) only until it is applied; the handler then remembers its id,
+    # one range for a handle's consecutive ops.
     deployment, handle = _overwritten_handle()
     channels = handle.engine.data_channels
     assert len(channels) == 3
-    states = [state for agent in deployment.agents.values()
-              for handler in agent._handlers.values()
+    handlers = [handler for agent in deployment.agents.values()
+                for handler in agent._handlers.values()]
+    assert len(handlers) == 3
+    states = [state for handler in handlers
               for state in handler.write_ops.values()]
-    assert len(states) == 60
-    assert all(state.applied and state.complete and not state.received
-               for state in states)
+    assert len(states) == 0
+    for handler in handlers:
+        assert (handler.applied_ops.starts, handler.applied_ops.stops) \
+            == ([1], [21])
     assert handle.pread(0, 1 << 20) == bytes([19]) * (1 << 20)
+
+
+def _status_query(channel, op_id):
+    """A duplicate WRITE-REQ of ``op_id`` on ``channel``."""
+    return WriteRequest(handle=channel.handle, op_id=op_id, offset=0,
+                        length=1 << 20, packet_size=8192)
 
 
 def test_status_query_for_an_applied_op_is_acked_once():
@@ -316,14 +333,13 @@ def test_status_query_for_an_applied_op_is_acked_once():
     assert [completed for completed, _ in totals] == [20, 20, 20]
     assert sum(written for _, written in totals) == 20 << 20
     for channel in handle.engine.data_channels:
-        handler = deployment.agents[channel.agent_host]._handlers[
-            channel.handle]
-        op_id, state = next(iter(handler.write_ops.items()))
-        reply = _exchange(
-            env, channel, state.request,
-            lambda d: isinstance(d.message, (WriteAck, WriteNak))
-            and d.message.op_id == op_id)
-        assert isinstance(reply.message, WriteAck)
+        for op_id in (1, 20):
+            reply = _exchange(
+                env, channel, _status_query(channel, op_id),
+                lambda d: isinstance(d.message, (WriteAck, WriteNak))
+                and d.message.op_id == op_id)
+            assert isinstance(reply.message, WriteAck)
+            assert _listen(env, channel) is None
     # The query re-acknowledges; it neither re-applies nor re-counts.
     assert [(agent.stats.write_ops_completed, agent.stats.bytes_written)
             for agent in deployment.agents.values()] == totals
@@ -336,11 +352,33 @@ def test_late_write_data_for_an_applied_op_is_ignored():
     channel = handle.engine.data_channels[0]
     agent = deployment.agents[channel.agent_host]
     handler = agent._handlers[channel.handle]
-    op_id = next(iter(handler.write_ops))
+    op_id = handler.applied_ops.starts[0]
     duplicates = agent.stats.duplicate_packets
     late = WriteData(handle=channel.handle, op_id=op_id, index=0, offset=0,
                      payload=b"\xff" * 64)
     assert _exchange(env, channel, late, lambda d: True) is None
-    assert not handler.write_ops[op_id].received
+    assert op_id not in handler.write_ops
     assert agent.stats.duplicate_packets == duplicates
     assert handle.pread(0, 64) == bytes([19]) * 64
+
+
+def test_write_request_for_an_op_never_seen_opens_it():
+    deployment, handle = _overwritten_handle(rounds=3)
+    env = deployment.env
+    channel = handle.engine.data_channels[0]
+    handler = deployment.agents[channel.agent_host]._handlers[channel.handle]
+    assert _exchange(env, channel, _status_query(channel, 7),
+                     lambda d: isinstance(d.message, WriteAck)) is None
+    assert list(handler.write_ops) == [7]
+    assert 7 not in handler.applied_ops
+    assert [op_id in handler.applied_ops for op_id in range(5)] \
+        == [False, True, True, True, False]
+
+
+def test_applied_op_ranges_merge_consecutive_ids():
+    applied = _AppliedOps()
+    for op_id in (5, 1, 3, 2, 9, 4, 3, 11, 10):
+        applied.add(op_id)
+    assert (applied.starts, applied.stops) == ([1, 9], [6, 12])
+    assert [op_id for op_id in range(13) if op_id in applied] \
+        == [1, 2, 3, 4, 5, 9, 10, 11]

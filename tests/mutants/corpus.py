@@ -237,21 +237,25 @@ MUTATIONS: tuple[Mutation, ...] = (
     Mutation("unknown-op-data", "unknown-op guard in _serve_write_data", ((
         AGENT,
         "        state = self.write_ops.get(packet.op_id)\n"
-        "        if state is None or state.applied:\n",
+        "        if state is None:\n",
         "        state = self.write_ops.get(packet.op_id)\n"
-        "        if state is None:\n"
+        "        if state is None and packet.op_id not in self.applied_ops:\n"
         "            yield from self.agent.filesystem.write(\n"
         "                self.file_name, packet.offset, packet.payload)\n"
         "            return\n"
-        "        if state.applied:\n"),)),
+        "        if state is None:\n"),)),
+    # Without the applied-op guard a status query re-opens its op, which
+    # the watchdog NAKs in full and the client re-streams and re-applies.
     Mutation("reapply-on-query", "status query re-ACKs a completed op", ((
         AGENT,
-        "            if state.complete:\n"
-        "                yield from self._reply(\n"
-        "                    WriteAck(handle=self.handle, op_id=request.op_id))\n",
-        "            if state.complete:\n"
-        "                state.applied = False\n"
-        "                yield from self._finish_write(state)\n"),)),
+        "        if request.op_id in self.applied_ops:\n"
+        "            # Duplicate WRITE-REQ for an applied op: a status query whose\n"
+        "            # ACK was lost.\n"
+        "            yield from self._reply(\n"
+        "                WriteAck(handle=self.handle, op_id=request.op_id))\n"
+        "            return\n"
+        "        state = self.write_ops.get(request.op_id)\n",
+        "        state = self.write_ops.get(request.op_id)\n"),)),
     Mutation("query-restreams", "status query as a WRITE-REQ (code + spec)", (
         (DIST,
          "                # Status query: re-send the announcement.\n"

@@ -38,7 +38,7 @@ JOBS = 2
 TIMEOUT_S = 600
 _IGNORED = shutil.ignore_patterns(
     ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".benchmarks",
-    ".e2ebench_work", "*.egg-info")
+    ".e2ebench_work", ".bench_parent", "*.egg-info")
 
 
 class AnchorError(Exception):

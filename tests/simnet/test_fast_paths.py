@@ -166,6 +166,42 @@ def test_send_and_receive_charges_are_jittered_costs():
         for size in wire_sizes]
 
 
+def test_each_cpu_charge_is_computed_once_per_size(monkeypatch):
+    # The Tables 1-4 grid sends datagrams of four wire sizes.
+    wire_sizes = [92, 124, 8252, 8316] * 10
+    asked = []
+    time = CostModel.time
+
+    def counted(cost, nbytes):
+        asked.append((cost, nbytes))
+        return time(cost, nbytes)
+
+    monkeypatch.setattr(CostModel, "time", counted)
+    env = Environment()
+    send_cost = CostModel(per_packet_s=3.1e-4, per_byte_s=1.7e-7)
+    recv_cost = CostModel(per_packet_s=2.3e-4, per_byte_s=1.1e-7)
+    sender = Host(env, "a", send_cost=send_cost)
+    receiver = Host(env, "b", recv_cost=recv_cost)
+    sender.cpu = RecordingCpu(env)
+    receiver.cpu = RecordingCpu(env)
+    ether = Ethernet(env)
+    sender.attach(ether, cpu_cost_scale=1.3, tx_queue_packets=64)
+    receiver.attach(ether, cpu_cost_scale=0.7)
+    source = sender.bind(1)
+    sink = receiver.bind(2, buffer_packets=64)
+    for size in wire_sizes:
+        source.send_op(sink.address, payload_size=size - HEADER_SIZE)
+    env.run()
+    assert sink.pending == len(wire_sizes)
+    assert sorted(asked, key=lambda pair: (pair[0] is recv_cost, pair[1])) \
+        == [(send_cost, size) for size in sorted(set(wire_sizes))] \
+        + [(recv_cost, size) for size in sorted(set(wire_sizes))]
+    assert sender.cpu.holds == [time(send_cost, size) * 1.3
+                                for size in wire_sizes]
+    assert receiver.cpu.holds == [time(recv_cost, size) * 0.7
+                                  for size in wire_sizes]
+
+
 # -- caches follow their inputs -------------------------------------------------
 
 def _frame_time(medium, size):

@@ -233,6 +233,27 @@ def test_closed_socket_drops_arrivals_and_rejects_send():
         b_sock.send_op(Address("a", 100))
 
 
+def test_closing_a_socket_again_leaves_the_ports_new_owner_bound():
+    env, net = make_pair()
+    host_b = net.host("b")
+    first = host_b.bind(7)
+    first.close()
+    second = host_b.bind(7)
+    first.close()
+    a_sock = net.host("a").bind(100)
+
+    def sender(env):
+        yield a_sock.send_op(Address("b", 7), message=b"to B",
+                             payload_size=4)
+
+    env.process(sender(env))
+    env.run()
+    assert host_b.interfaces[0].rx_dropped_no_socket == 0
+    assert second.pending == 1
+    with pytest.raises(ValueError):
+        host_b.bind(7)
+
+
 def test_port_allocation_unique():
     env = Environment()
     host = Host(env, "h")
